@@ -147,34 +147,25 @@ def cmd_mine_pairs(args) -> int:
     return EXIT_OK
 
 
-def _train_config_from_args(args, mode: str | None = None) -> TrainConfig:
-    weights = MtlWeights(
-        w_contrastive=1.0,
-        w_speaker=args.mtl_w_spk,
-        adversarial=(mode == "mtl_adversarial"),
-        grl_lambda=args.grl_lambda,
-    )
+def _train_config_from_args(args, **extra) -> TrainConfig:
     return TrainConfig(
-        mode=mode or args.mode,
         steps=args.steps,
         batch_size=args.batch_size,
-        lr=args.lr,
         pretrain_lr=args.pre_lr,
-        epochs_ser=args.epochs,
         tau=args.tau,
         n_clusters_N=args.n_clusters,
-        seeds=tuple(args.seeds),
-        mtl_weights=weights,
+        mtl_weights=MtlWeights(w_speaker=args.mtl_w_spk, grl_lambda=args.grl_lambda),
         include_positive_in_denominator=args.include_positive_denominator,
         trunk_hidden=args.trunk_hidden,
         contrastive_out=args.contrastive_out,
         seed=args.seed,
+        **extra,
     )
 
 
 def cmd_pretrain(args) -> int:
     corpus = _load_input_corpus(args, not args.no_normalize)
-    config = _train_config_from_args(args)
+    config = _train_config_from_args(args, mode=args.mode)
     checkpoint = pretrain(corpus, config)
     final_losses = {
         name: (values[-1] if values else None) for name, values in checkpoint.history.items()
@@ -192,7 +183,9 @@ def cmd_pretrain(args) -> int:
 
 def cmd_probe(args) -> int:
     corpus = load_corpus(args.corpus, args.format)
-    config = _train_config_from_args(args, mode="contrastive")
+    config = _train_config_from_args(
+        args, lr=args.lr, epochs_ser=args.epochs, seeds=tuple(args.seeds)
+    )
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     report = run_protocol(corpus, config, modes=modes, label_fraction=args.label_fraction)
     _write_text(args.out, canonical_dumps(report) + "\n")
@@ -335,7 +328,6 @@ def build_parser() -> _Parser:
     p.add_argument("--run", required=True, help="clustering run json")
     p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--table", default=None, help="also write an aligned text table here")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(
         func=cmd_eval_clusters,
@@ -353,12 +345,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mine_pairs, inputs=lambda a: [a.corpus, a.run], outputs=lambda a: [a.out])
 
-    def add_train_flags(p: _Parser, ser: bool) -> None:
+    def add_train_flags(p: _Parser) -> None:
         p.add_argument("--steps", type=int, default=1000)
         p.add_argument("--batch-size", type=int, default=8)
-        p.add_argument("--lr", type=float, default=1e-3 if ser else 1e-4)
         p.add_argument("--pre-lr", type=float, default=1e-4)
-        p.add_argument("--epochs", type=int, default=30)
         p.add_argument("--tau", type=float, default=0.1)
         p.add_argument("--n-clusters", type=int, default=20)
         p.add_argument("--mtl-w-spk", type=float, default=1.0)
@@ -366,12 +356,11 @@ def build_parser() -> _Parser:
         p.add_argument("--include-positive-denominator", action="store_true")
         p.add_argument("--trunk-hidden", type=int, default=32)
         p.add_argument("--contrastive-out", type=int, default=128)
-        p.add_argument("--seeds", type=_int_list, default=[0, 1, 2, 3, 4])
 
     p = sub.add_parser("pretrain", help="pretrain encoder + heads on an unlabeled corpus")
     _add_corpus_args(p)
     p.add_argument("--mode", choices=[m for m in MODES if m != "none"], default="contrastive")
-    add_train_flags(p, ser=False)
+    add_train_flags(p)
     p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="checkpoint manifest path (blob at <out>.bin)")
@@ -383,7 +372,10 @@ def build_parser() -> _Parser:
     _add_corpus_args(p)
     p.add_argument("--modes", default="none,spk_cls,contrastive,mtl_adversarial,mtl")
     p.add_argument("--label-fraction", type=float, default=0.05)
-    add_train_flags(p, ser=True)
+    add_train_flags(p)
+    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--seeds", type=_int_list, default=[0, 1, 2, 3, 4])
     p.add_argument("--table", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -409,7 +401,6 @@ def build_parser() -> _Parser:
     _add_corpus_args(p)
     p.add_argument("--run", default=None, help="optional clustering run json for cluster column")
     p.add_argument("--svg", default=None, help="also write a scatter svg here")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(
         func=cmd_project,

@@ -22,7 +22,7 @@ METRIC_NAMES = ("nmi", "ari", "purity", "silhouette")
 @dataclass
 class ClusterMetricsReport:
     per_speaker: dict[str, dict[str, float | None]]
-    averages: dict[str, float]
+    averages: dict[str, float | None]  # None when no speaker contributes
 
 
 def _check_pair(cluster_labels, true_labels):
@@ -150,7 +150,8 @@ def evaluate_run(run: ClusteringRun, corpus: Corpus) -> ClusterMetricsReport:
     Utterances without an emotion label are excluded with a warning; a
     speaker left with fewer than 2 labeled utterances is dropped from the
     averages.  Silhouette is omitted for speakers whose labeled subset
-    covers fewer than 2 clusters.
+    covers fewer than 2 clusters.  An average no speaker contributes to
+    (e.g. on an unlabeled corpus) is None.
     """
     by_id = corpus.record_by_id()
     per_speaker: dict[str, dict[str, float | None]] = {}
@@ -185,7 +186,7 @@ def evaluate_run(run: ClusteringRun, corpus: Corpus) -> ClusterMetricsReport:
     averages = {}
     for name in METRIC_NAMES:
         values = [m[name] for m in per_speaker.values() if m[name] is not None]
-        averages[name] = float(np.mean(values)) if values else float("nan")
+        averages[name] = float(np.mean(values)) if values else None
     return ClusterMetricsReport(per_speaker=per_speaker, averages=averages)
 
 
@@ -195,8 +196,15 @@ def report_to_dict(report: ClusterMetricsReport) -> dict:
             spk: {k: (None if v is None else float(v)) for k, v in metrics.items()}
             for spk, metrics in report.per_speaker.items()
         },
-        "averages": {k: float(v) for k, v in report.averages.items()},
+        "averages": {k: (None if v is None else float(v)) for k, v in report.averages.items()},
+        "speakers_averaged": {
+            name: sum(m[name] is not None for m in report.per_speaker.values()) for name in METRIC_NAMES
+        },
     }
+
+
+def _cell(value: float | None) -> str:
+    return "-" if value is None else f"{value:.4f}"
 
 
 def report_to_table(report: ClusterMetricsReport) -> str:
@@ -205,11 +213,8 @@ def report_to_table(report: ClusterMetricsReport) -> str:
     rows = []
     for spk in sorted(report.per_speaker):
         m = report.per_speaker[spk]
-        rows.append(
-            [spk]
-            + [("-" if m[name] is None else f"{m[name]:.4f}") for name in METRIC_NAMES]
-        )
-    rows.append(["average"] + [f"{report.averages[name]:.4f}" for name in METRIC_NAMES])
+        rows.append([spk] + [_cell(m[name]) for name in METRIC_NAMES])
+    rows.append(["average"] + [_cell(report.averages[name]) for name in METRIC_NAMES])
     widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
     for row in rows:

@@ -72,8 +72,7 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centers
 
 
-def _lloyd(points: np.ndarray, init_centers: np.ndarray, max_iters: int, tol: float,
-           trace: list | None = None):
+def _lloyd(points: np.ndarray, init_centers: np.ndarray, max_iters: int, tol: float):
     centers = init_centers.copy()
     k = centers.shape[0]
     assign = np.argmin(_sq_dists(points, centers), axis=1)
@@ -101,8 +100,6 @@ def _lloyd(points: np.ndarray, init_centers: np.ndarray, max_iters: int, tol: fl
         converged = bool(np.all(shift < tol * scale))
         centers = new_centers
         assign = np.argmin(_sq_dists(points, centers), axis=1)
-        if trace is not None:
-            trace.append(float(_sq_dists(points, centers)[np.arange(len(points)), assign].sum()))
         if converged:
             break
     inertia = float(_sq_dists(points, centers)[np.arange(len(points)), assign].sum())

@@ -149,13 +149,9 @@ def backward(params: ModelParams, cache, grad_out: np.ndarray, from_logits: bool
     return grads, g
 
 
-def grl(x: np.ndarray) -> np.ndarray:
-    """Gradient reversal, forward leg: identity."""
-    return x
-
-
 def grl_backward(grad: np.ndarray, lam: float) -> np.ndarray:
-    """Gradient reversal, backward leg: scale by -lambda."""
+    """Gradient reversal: identity forward, so only the backward leg exists;
+    it scales the gradient by -lambda."""
     if lam < 0:
         raise ValueError("grl lambda must be >= 0")
     return -lam * grad

@@ -137,7 +137,6 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
 class MtlWeights:
     w_contrastive: float = 1.0
     w_speaker: float = 1.0
-    adversarial: bool = False
     grl_lambda: float = 1.0
 
     def validate(self) -> None:

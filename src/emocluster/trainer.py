@@ -3,8 +3,7 @@ supervised emotion fine-tuning with early stopping, and the multi-seed
 evaluation protocol reporting mean UAR per pretraining mode.
 
 Inputs are utterance-level embedding vectors, so the desk-scale encoder is
-a small dense trunk and the pooling stage ahead of each head degenerates
-to an identity (kept explicit for structural clarity).
+a small dense trunk whose output feeds each head directly.
 """
 
 import warnings
@@ -21,7 +20,6 @@ from .nn_core import (
     clone_params,
     forward,
     grads_to_arrays,
-    grl,
     grl_backward,
     init_optimizer,
     make_mlp,
@@ -47,7 +45,6 @@ class TrainConfig:
     mode: str = "contrastive"
     steps: int = 5000
     batch_size: int = 8
-    ser_batch_size: int | None = None  # None: use batch_size; 0: full batch
     lr: float = 1e-5  # supervised SER learning rate
     pretrain_lr: float = 1e-4
     epochs_ser: int = 30
@@ -65,7 +62,6 @@ class TrainConfig:
     split_fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
     pretrain_speaker_fraction: float = 0.0  # protocol: speakers reserved for the unlabeled pool
     weight_decay: float = 0.01
-    allow_fewer_negatives: bool = True
     seed: int = 0
 
     def validate(self) -> None:
@@ -73,8 +69,6 @@ class TrainConfig:
             raise ValueError(f"unknown mode {self.mode!r}; choose from {MODES}")
         if self.steps < 0 or self.batch_size < 1 or self.epochs_ser < 1 or self.patience < 1:
             raise ValueError("steps must be >= 0; batch_size, epochs_ser, patience >= 1")
-        if self.ser_batch_size is not None and self.ser_batch_size < 0:
-            raise ValueError("ser_batch_size must be None, 0 (full batch), or positive")
         if self.lr <= 0 or self.pretrain_lr <= 0 or self.tau <= 0:
             raise ValueError("lr, pretrain_lr, tau must be > 0")
         if self.n_clusters_N < 2:
@@ -95,7 +89,6 @@ def config_to_dict(config: TrainConfig) -> dict:
         "mode": config.mode,
         "steps": config.steps,
         "batch_size": config.batch_size,
-        "ser_batch_size": config.ser_batch_size,
         "lr": config.lr,
         "pretrain_lr": config.pretrain_lr,
         "epochs_ser": config.epochs_ser,
@@ -106,7 +99,6 @@ def config_to_dict(config: TrainConfig) -> dict:
         "mtl_weights": {
             "w_contrastive": config.mtl_weights.w_contrastive,
             "w_speaker": config.mtl_weights.w_speaker,
-            "adversarial": config.mtl_weights.adversarial,
             "grl_lambda": config.mtl_weights.grl_lambda,
         },
         "resample_pairs_each_epoch": config.resample_pairs_each_epoch,
@@ -118,7 +110,6 @@ def config_to_dict(config: TrainConfig) -> dict:
         "split_fractions": list(config.split_fractions),
         "pretrain_speaker_fraction": config.pretrain_speaker_fraction,
         "weight_decay": config.weight_decay,
-        "allow_fewer_negatives": config.allow_fewer_negatives,
         "seed": config.seed,
     }
 
@@ -154,11 +145,6 @@ class EvalResult:
     seed: int
 
 
-def pool_utterance_level(x: np.ndarray) -> np.ndarray:
-    """Pooling stage ahead of each head; identity for utterance-level inputs."""
-    return x
-
-
 # ------------------------------------------------------------- model building
 
 def build_encoder(dim: int, config: TrainConfig, seed: int) -> ModelParams:
@@ -191,61 +177,47 @@ def _shuffled_batches(n_items: int, batch_size: int, rng: np.random.Generator):
                 yield chunk, start + batch_size >= n_items
 
 
-def _contrastive_step(encoder, con_head, spk_head, batch, vec_by_id, spk_index, config):
-    """Forward/backward one tuple batch; returns (losses, flat gradient arrays)."""
+def _contrastive_step(encoder, con_head, spk_head, rows, neg_counts, spk_labels, config):
+    """Forward/backward one contrastive batch; returns (l_con, l_spk, flat gradients).
+
+    rows holds the B anchors, then their B positives, then each anchor's
+    negatives (neg_counts[i] rows for anchor i).  The speaker head, when
+    present, classifies the anchors; in mtl_adversarial mode its gradient
+    reaches the trunk through gradient reversal.  Gradients are ordered
+    encoder, contrastive head, speaker head.
+    """
     weights = config.mtl_weights
-    B = len(batch)
-    anchors = np.stack([vec_by_id[t.anchor] for t in batch])
-    positives = np.stack([vec_by_id[t.positive] for t in batch])
-    neg_counts = [len(t.negatives) for t in batch]
-    neg_rows = np.stack([vec_by_id[n.utt_id] for t in batch for n in t.negatives])
-
-    rows = np.concatenate([anchors, positives, neg_rows])
+    B = len(neg_counts)
     enc_out, enc_cache = forward(encoder, rows)
-    pooled = pool_utterance_level(enc_out)
-
-    proj, head_cache = forward(con_head, pooled)
-    za, zp = proj[:B], proj[B : 2 * B]
-    zn, off = [], 2 * B
-    for m in neg_counts:
-        zn.append(proj[off : off + m])
-        off += m
-
+    proj, head_cache = forward(con_head, enc_out)
+    zn = np.split(proj[2 * B :], np.cumsum(neg_counts)[:-1])
     loss_con, cg = ntxent_variant(
-        ContrastiveBatch(za, zp, zn, config.tau), config.include_positive_in_denominator
+        ContrastiveBatch(proj[:B], proj[B : 2 * B], zn, config.tau), config.include_positive_in_denominator
     )
     dproj = np.concatenate([cg.d_anchor, cg.d_positive] + cg.d_negatives) * weights.w_contrastive
     con_grads, d_enc = backward(con_head, head_cache, dproj)
 
-    loss_spk = 0.0
-    spk_grads = None
+    loss_spk, spk_grads = 0.0, []
     if spk_head is not None:
-        spk_in = grl(pooled[:B]) if weights.adversarial else pooled[:B]
-        probs, spk_cache = forward(spk_head, spk_in)
-        logits = spk_cache[-1][1]
-        labels = np.asarray([spk_index[t.spk_id] for t in batch])
-        loss_spk, dlogits = cross_entropy(logits, labels)
+        _, spk_cache = forward(spk_head, enc_out[:B])
+        loss_spk, dlogits = cross_entropy(spk_cache[-1][1], spk_labels)
         spk_grads, d_spk_in = backward(spk_head, spk_cache, weights.w_speaker * dlogits, from_logits=True)
-        if weights.adversarial:
+        if config.mode == "mtl_adversarial":
             d_spk_in = grl_backward(d_spk_in, weights.grl_lambda)
         d_enc[:B] += d_spk_in
 
     enc_grads, _ = backward(encoder, enc_cache, d_enc)
-    flat = grads_to_arrays(enc_grads) + grads_to_arrays(con_grads)
-    if spk_grads is not None:
-        flat += grads_to_arrays(spk_grads)
-    return loss_con, loss_spk, flat
+    return loss_con, loss_spk, grads_to_arrays(enc_grads + con_grads + spk_grads)
 
 
-def _speaker_step(encoder, spk_head, rows, labels):
+def _classifier_step(encoder, head, rows, labels):
+    """Cross-entropy of a classifier head on the trunk; returns (loss, encoder + head gradients)."""
     enc_out, enc_cache = forward(encoder, rows)
-    pooled = pool_utterance_level(enc_out)
-    probs, spk_cache = forward(spk_head, pooled)
-    logits = spk_cache[-1][1]
-    loss, dlogits = cross_entropy(logits, labels)
-    spk_grads, d_enc = backward(spk_head, spk_cache, dlogits, from_logits=True)
+    _, head_cache = forward(head, enc_out)
+    loss, dlogits = cross_entropy(head_cache[-1][1], labels)
+    head_grads, d_enc = backward(head, head_cache, dlogits, from_logits=True)
     enc_grads, _ = backward(encoder, enc_cache, d_enc)
-    return loss, grads_to_arrays(enc_grads) + grads_to_arrays(spk_grads)
+    return loss, grads_to_arrays(enc_grads + head_grads)
 
 
 def pretrain(
@@ -274,12 +246,6 @@ def pretrain(
 
     contrastive_on = config.mode in ("contrastive", "mtl", "mtl_adversarial")
     speaker_on = config.mode in ("spk_cls", "mtl", "mtl_adversarial")
-    weights = replace(
-        config.mtl_weights, adversarial=(config.mode == "mtl_adversarial")
-    )
-    if config.mode == "contrastive":
-        weights = replace(weights, w_speaker=0.0, adversarial=False)
-    config = replace(config, mtl_weights=weights)
 
     if contrastive_on:
         components["contrastive"] = build_contrastive_head(enc_out_dim, config, config.seed)
@@ -298,11 +264,7 @@ def pretrain(
         mined = mine_tuples(
             run,
             corpus_unlabeled,
-            MiningConfig(
-                n_clusters_N=config.n_clusters_N,
-                seed=seed,
-                allow_fewer_negatives=config.allow_fewer_negatives,
-            ),
+            MiningConfig(n_clusters_N=config.n_clusters_N, seed=seed),
         )
         if not mined:
             raise ValueError("no mineable tuples: every anchor was skipped")
@@ -327,9 +289,16 @@ def pretrain(
         for _ in range(config.steps):
             idx, epoch_end = next(batches)
             batch = [pool[i] for i in idx]
-            spk_head = components.get("speaker_cls")
+            ids = [t.anchor for t in batch] + [t.positive for t in batch]
+            ids += [n.utt_id for t in batch for n in t.negatives]
             l_con, l_spk, flat = _contrastive_step(
-                encoder, components["contrastive"], spk_head, batch, vec_by_id, spk_index, config
+                encoder,
+                components["contrastive"],
+                components.get("speaker_cls"),
+                np.stack([vec_by_id[u] for u in ids]),
+                [len(t.negatives) for t in batch],
+                np.asarray([spk_index[t.spk_id] for t in batch]),
+                config,
             )
             adamw_step(opt, params, flat)
             history["contrastive"].append(l_con)
@@ -345,7 +314,7 @@ def pretrain(
         batches = _shuffled_batches(len(all_rows), config.batch_size, rng)
         for _ in range(config.steps):
             idx, _ = next(batches)
-            loss, flat = _speaker_step(encoder, components["speaker_cls"], all_rows[idx], labels[idx])
+            loss, flat = _classifier_step(encoder, components["speaker_cls"], all_rows[idx], labels[idx])
             adamw_step(opt, params, flat)
             history["speaker"].append(loss)
             history["contrastive"].append(0.0)
@@ -411,7 +380,7 @@ def _labeled_arrays(corpus: Corpus, emotions: list[str]):
 
 def _ser_accuracy(encoder, head, rows, labels) -> float:
     enc_out, _ = forward(encoder, rows)
-    probs, _ = forward(head, pool_utterance_level(enc_out))
+    probs, _ = forward(head, enc_out)
     return float((probs.argmax(axis=1) == labels).mean())
 
 
@@ -464,27 +433,15 @@ def train_ser(
     params = model_param_arrays(encoder, head)
     opt = init_optimizer(params, lr=config.lr, weight_decay=config.weight_decay)
 
-    if config.ser_batch_size is None:
-        ser_batch = config.batch_size
-    elif config.ser_batch_size == 0:
-        ser_batch = len(train_rows)
-    else:
-        ser_batch = config.ser_batch_size
-
     best = (-1.0, clone_params(encoder), clone_params(head))
     since_best = 0
     for epoch in range(config.epochs_ser):
         rng = np.random.default_rng(stable_seed(seed, "ser_epoch", epoch))
         order = rng.permutation(len(train_rows))
-        for start in range(0, len(order), ser_batch):
-            idx = order[start : start + ser_batch]
-            enc_out, enc_cache = forward(encoder, train_rows[idx])
-            probs, head_cache = forward(head, pool_utterance_level(enc_out))
-            logits = head_cache[-1][1]
-            _, dlogits = cross_entropy(logits, train_labels[idx])
-            head_grads, d_enc = backward(head, head_cache, dlogits, from_logits=True)
-            enc_grads, _ = backward(encoder, enc_cache, d_enc)
-            adamw_step(opt, params, grads_to_arrays(enc_grads) + grads_to_arrays(head_grads))
+        for start in range(0, len(order), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            _, flat = _classifier_step(encoder, head, train_rows[idx], train_labels[idx])
+            adamw_step(opt, params, flat)
         acc = _ser_accuracy(encoder, head, val_rows, val_labels)
         if acc > best[0]:
             best = (acc, clone_params(encoder), clone_params(head))
@@ -506,7 +463,7 @@ def train_ser(
 
 def ser_predict(model: SerModel, rows: np.ndarray) -> np.ndarray:
     enc_out, _ = forward(model.encoder, rows)
-    probs, _ = forward(model.head, pool_utterance_level(enc_out))
+    probs, _ = forward(model.head, enc_out)
     return probs.argmax(axis=1)
 
 
@@ -675,6 +632,7 @@ def _grad_check_nets(kind: str, config: TrainConfig, seed: int, attempt: int):
     labels = rng.integers(0, 3, size=B)
 
     rows = np.concatenate([anchors, positives, negatives.reshape(B * n_neg, dim)])
+    neg_counts = [n_neg] * B
     enc_out, enc_cache = forward(encoder, rows)
     worst = _relu_margin(encoder, enc_cache)
     proj, con_cache = forward(con_head, enc_out)
@@ -687,29 +645,7 @@ def _grad_check_nets(kind: str, config: TrainConfig, seed: int, attempt: int):
     # cosine curvature scales like 1/row-norm^k: keep projections well away from 0
     if float(np.linalg.norm(proj, axis=1).min()) < 0.05:
         return None
-    return cfg, encoder, con_head, spk_head, emo_head, anchors, positives, negatives, labels
-
-
-def _contrastive_loss_and_grads(encoder, head, anchors, positives, negatives, tau, include_pos):
-    B, n_neg = negatives.shape[0], negatives.shape[1]
-    rows = np.concatenate([anchors, positives, negatives.reshape(B * n_neg, -1)])
-    enc_out, enc_cache = forward(encoder, rows)
-    proj, head_cache = forward(head, pool_utterance_level(enc_out))
-    zn = [proj[2 * B + i * n_neg : 2 * B + (i + 1) * n_neg] for i in range(B)]
-    loss, cg = ntxent_variant(ContrastiveBatch(proj[:B], proj[B : 2 * B], zn, tau), include_pos)
-    dproj = np.concatenate([cg.d_anchor, cg.d_positive] + cg.d_negatives)
-    head_grads, d_enc = backward(head, head_cache, dproj)
-    enc_grads, _ = backward(encoder, enc_cache, d_enc)
-    return loss, enc_grads, head_grads
-
-
-def _classifier_loss_and_grads(encoder, head, rows, labels):
-    enc_out, enc_cache = forward(encoder, rows)
-    _, head_cache = forward(head, pool_utterance_level(enc_out))
-    loss, dlogits = cross_entropy(head_cache[-1][1], labels)
-    head_grads, d_enc = backward(head, head_cache, dlogits, from_logits=True)
-    enc_grads, _ = backward(encoder, enc_cache, d_enc)
-    return loss, enc_grads, head_grads
+    return cfg, encoder, con_head, spk_head, emo_head, rows, neg_counts, labels
 
 
 def grad_check_cases(kind: str, config: TrainConfig, seed: int = 0, grl_lambda: float = 1.0):
@@ -743,15 +679,16 @@ def grad_check_cases(kind: str, config: TrainConfig, seed: int = 0, grl_lambda: 
 
 
 def _assemble_grad_check_cases(kind: str, nets, grl_lambda: float):
-    cfg, encoder, con_head, spk_head, emo_head, anchors, positives, negatives, labels = nets
+    cfg, encoder, con_head, spk_head, emo_head, rows, neg_counts, labels = nets
+    anchors = rows[: len(neg_counts)]
     cases = []
     if kind in ("contrastive", "all"):
         for include_pos in (False, True):
-            def loss_fn(include_pos=include_pos):
-                loss, enc_g, head_g = _contrastive_loss_and_grads(
-                    encoder, con_head, anchors, positives, negatives, cfg.tau, include_pos
-                )
-                return loss, grads_to_arrays(enc_g) + grads_to_arrays(head_g)
+            con_cfg = replace(cfg, include_positive_in_denominator=include_pos)
+
+            def loss_fn(con_cfg=con_cfg):
+                loss, _, grads = _contrastive_step(encoder, con_head, None, rows, neg_counts, labels, con_cfg)
+                return loss, grads
 
             label = "denominator with positive" if include_pos else "denominator negatives-only"
             cases.append((f"contrastive ({label})", loss_fn, model_param_arrays(encoder, con_head)))
@@ -759,37 +696,20 @@ def _assemble_grad_check_cases(kind: str, nets, grl_lambda: float):
         kinds = [kind] if kind != "all" else ["speaker_cls", "emotion_cls"]
         for hk in kinds:
             head = spk_head if hk == "speaker_cls" else emo_head
-
-            def loss_fn(head=head):
-                loss, enc_g, head_g = _classifier_loss_and_grads(encoder, head, anchors, labels)
-                return loss, grads_to_arrays(enc_g) + grads_to_arrays(head_g)
-
+            loss_fn = lambda head=head: _classifier_step(encoder, head, anchors, labels)
             cases.append((f"{hk} cross-entropy", loss_fn, model_param_arrays(encoder, head)))
     if kind in ("mtl", "all"):
-        w = MtlWeights(w_contrastive=1.0, w_speaker=1.0, adversarial=True, grl_lambda=grl_lambda)
-
-        def parts():
-            l_con, enc_g_con, con_g = _contrastive_loss_and_grads(
-                encoder, con_head, anchors, positives, negatives, cfg.tau, False
-            )
-            l_spk, enc_g_spk, spk_g = _classifier_loss_and_grads(encoder, spk_head, anchors, labels)
-            return l_con, l_spk, enc_g_con, enc_g_spk, con_g, spk_g
+        mtl_cfg = replace(cfg, mode="mtl_adversarial", mtl_weights=MtlWeights(grl_lambda=grl_lambda))
+        w = mtl_cfg.mtl_weights
+        n_enc = len(model_param_arrays(encoder))
 
         def trunk_loss_fn():
-            l_con, l_spk, enc_g_con, enc_g_spk, _, _ = parts()
-            loss = w.w_contrastive * l_con - w.grl_lambda * w.w_speaker * l_spk
-            grads = [
-                w.w_contrastive * gc + grl_backward(w.w_speaker * gs, w.grl_lambda)
-                for gc, gs in zip(grads_to_arrays(enc_g_con), grads_to_arrays(enc_g_spk))
-            ]
-            return loss, grads
+            l_con, l_spk, grads = _contrastive_step(encoder, con_head, spk_head, rows, neg_counts, labels, mtl_cfg)
+            return w.w_contrastive * l_con - w.grl_lambda * w.w_speaker * l_spk, grads[:n_enc]
 
         def head_loss_fn():
-            l_con, l_spk, _, _, con_g, spk_g = parts()
-            loss = mtl_combine(l_con, l_spk, w)
-            grads = [w.w_contrastive * g for g in grads_to_arrays(con_g)]
-            grads += [w.w_speaker * g for g in grads_to_arrays(spk_g)]
-            return loss, grads
+            l_con, l_spk, grads = _contrastive_step(encoder, con_head, spk_head, rows, neg_counts, labels, mtl_cfg)
+            return mtl_combine(l_con, l_spk, w), grads[n_enc:]
 
         cases.append((f"mtl trunk through GRL (lambda={grl_lambda})", trunk_loss_fn, model_param_arrays(encoder)))
         cases.append(

@@ -208,3 +208,23 @@ def test_project_group_variance_structure(tmp_path):
         members = xy[[i for i, gg in enumerate(groups) if gg == g]]
         within.append(members.var(axis=0).sum())
     assert np.mean(within) < total_var
+
+
+def test_eval_clusters_unlabeled_corpus_writes_null_averages(tmp_path, small_corpus):
+    from emocluster.corpus import load_corpus, save_corpus, strip_labels
+
+    unlabeled = tmp_path / "unlabeled.jsonl"
+    save_corpus(strip_labels(load_corpus(str(small_corpus), "jsonl")), str(unlabeled), "jsonl")
+    run = tmp_path / "run.json"
+    assert main(["cluster", "--corpus", str(unlabeled), "--k", "4", "--seed", "1", "--out", str(run)]) == 0
+    report = tmp_path / "report.json"
+    table = tmp_path / "report.txt"
+    assert main(
+        ["eval-clusters", "--corpus", str(unlabeled), "--run", str(run),
+         "--out", str(report), "--table", str(table)]
+    ) == 0
+    payload = json.loads(report.read_text())
+    assert payload["per_speaker"] == {}
+    assert payload["averages"] == {"nmi": None, "ari": None, "purity": None, "silhouette": None}
+    assert payload["speakers_averaged"] == {"nmi": 0, "ari": 0, "purity": 0, "silhouette": 0}
+    assert table.read_text().splitlines()[-1].split() == ["average", "-", "-", "-", "-"]

@@ -199,7 +199,8 @@ def test_report_serialization_and_table():
     run, corpus = _toy_run_and_corpus()
     report = evaluate_run(run, corpus)
     payload = report_to_dict(report)
-    assert set(payload) == {"per_speaker", "averages"}
+    assert set(payload) == {"per_speaker", "averages", "speakers_averaged"}
+    assert payload["speakers_averaged"] == {name: len(report.per_speaker) for name in payload["averages"]}
     table = report_to_table(report)
     lines = table.strip().splitlines()
     assert lines[0].split() == ["speaker", "NMI", "ARI", "Purity", "Silhouette"]

@@ -44,6 +44,6 @@ def test_lloyd_inertia_monotone_within_restart():
     points = rng.normal(size=(120, 4))
     for restart_seed in range(5):
         init = _kmeanspp_init(points, 4, np.random.default_rng(restart_seed))
-        trace: list = []
-        _lloyd(points, init, max_iters=100, tol=0.0, trace=trace)
+        # with tol=0 the loop never stops early, so max_iters=i yields the inertia after i iterations
+        trace = [_lloyd(points, init, max_iters=i, tol=0.0)[2] for i in range(1, 101)]
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
