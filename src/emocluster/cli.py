@@ -35,9 +35,9 @@ from .serialize import canonical_dumps, format_float
 from .trainer import (
     MODES,
     TrainConfig,
-    config_to_dict,
     grad_check_cases,
     pretrain,
+    pretrain_config_to_dict,
     protocol_to_table,
     run_protocol,
 )
@@ -175,7 +175,7 @@ def cmd_pretrain(args) -> int:
         "seed": checkpoint.seed,
         "step": checkpoint.steps,
         "final_losses": final_losses,
-        "config": config_to_dict(config),
+        "config": pretrain_config_to_dict(config),
     }
     save_checkpoint(args.out, checkpoint.components, meta)
     return EXIT_OK

@@ -147,27 +147,32 @@ def silhouette(points, cluster_labels) -> float:
 def evaluate_run(run: ClusteringRun, corpus: Corpus) -> ClusterMetricsReport:
     """All four metrics per speaker plus unweighted speaker averages.
 
-    Utterances without an emotion label are excluded with a warning; a
-    speaker left with fewer than 2 labeled utterances is dropped from the
-    averages.  Silhouette is omitted for speakers whose labeled subset
-    covers fewer than 2 clusters.  An average no speaker contributes to
-    (e.g. on an unlabeled corpus) is None.
+    Utterances without an emotion label are excluded, with one warning per
+    speaker that counts them; a speaker left with fewer than 2 labeled
+    utterances is dropped from the averages.  Silhouette is omitted for
+    speakers whose labeled subset covers fewer than 2 clusters.  An average
+    no speaker contributes to (e.g. on an unlabeled corpus) is None.
     """
     by_id = corpus.record_by_id()
     per_speaker: dict[str, dict[str, float | None]] = {}
     for spk in sorted(run.per_speaker):
         sc = run.per_speaker[spk]
         clusters, emotions, vecs = [], [], []
+        unlabeled = 0
         for utt_id in sorted(sc.assignments):
             rec = by_id.get(utt_id)
             if rec is None:
                 raise ValueError(f"clustered utterance {utt_id!r} missing from corpus")
             if rec.emotion is None:
-                warnings.warn(f"utterance {utt_id!r} has no emotion label; excluded", stacklevel=2)
+                unlabeled += 1
                 continue
             clusters.append(sc.assignments[utt_id])
             emotions.append(rec.emotion)
             vecs.append(rec.vec)
+        if unlabeled:
+            warnings.warn(
+                f"speaker {spk!r}: {unlabeled} utterance(s) without an emotion label excluded", stacklevel=2
+            )
         if len(clusters) < 2:
             warnings.warn(f"speaker {spk!r} has < 2 labeled utterances; dropped", stacklevel=2)
             continue

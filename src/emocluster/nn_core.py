@@ -75,6 +75,30 @@ def clone_params(model: ModelParams) -> ModelParams:
     )
 
 
+def param_count(*models: ModelParams) -> int:
+    return sum(l.W.size + l.b.size for model in models for l in model.layers)
+
+
+def flatten_params(*models: ModelParams) -> np.ndarray:
+    """Move every W and b of the models into one contiguous float64 buffer.
+
+    The layers keep views into the returned buffer, so an in-place update
+    of the buffer updates the models.  Order: models as given, each layer's
+    W (row-major) then b -- the order `backward` writes gradients in.
+    """
+    flat = np.empty(param_count(*models))
+    off = 0
+    for model in models:
+        for layer in model.layers:
+            for name in ("W", "b"):
+                arr = getattr(layer, name)
+                view = flat[off : off + arr.size].reshape(arr.shape)
+                view[...] = arr
+                setattr(layer, name, view)
+                off += arr.size
+    return flat
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -129,11 +153,13 @@ def backward(params: ModelParams, cache, grad_out: np.ndarray, from_logits: bool
     gradient at the final pre-activation (the fused softmax/cross-entropy
     path), so the last activation derivative is skipped.
 
-    Returns (per-layer [(dW, db), ...], gradient wrt the input batch).
+    Returns (flat parameter gradient in `flatten_params` order, gradient
+    wrt the input batch).
     """
     if len(cache) != len(params.layers):
         raise ValueError("cache does not match model layers")
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
+    flat = np.empty(param_count(params))
+    off = flat.size
     g = np.asarray(grad_out, dtype=np.float64)
     for i in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[i]
@@ -144,9 +170,12 @@ def backward(params: ModelParams, cache, grad_out: np.ndarray, from_logits: bool
             dz = g
         else:
             dz = _activation_backward(g, z, layer.activation)
-        grads[i] = (dz.T @ x_in, dz.sum(axis=0))
+        off -= layer.b.size
+        dz.sum(axis=0, out=flat[off : off + layer.b.size])
+        off -= layer.W.size
+        np.matmul(dz.T, x_in, out=flat[off : off + layer.W.size].reshape(layer.W.shape))
         g = dz @ layer.W
-    return grads, g
+    return flat, g
 
 
 def grl_backward(grad: np.ndarray, lam: float) -> np.ndarray:
@@ -161,8 +190,8 @@ def grl_backward(grad: np.ndarray, lam: float) -> np.ndarray:
 
 @dataclass
 class OptimizerState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int
     lr: float
     beta1: float = 0.9
@@ -171,11 +200,12 @@ class OptimizerState:
     weight_decay: float = 0.01
 
 
-def init_optimizer(params: list[np.ndarray], lr: float, weight_decay: float = 0.01,
+def init_optimizer(params: np.ndarray, lr: float, weight_decay: float = 0.01,
                    beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> OptimizerState:
+    """Zero moments shaped like the flat parameter buffer."""
     return OptimizerState(
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
+        m=np.zeros_like(params),
+        v=np.zeros_like(params),
         step=0,
         lr=lr,
         beta1=beta1,
@@ -185,70 +215,51 @@ def init_optimizer(params: list[np.ndarray], lr: float, weight_decay: float = 0.
     )
 
 
-def adamw_step(state: OptimizerState, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-    """One decoupled-weight-decay Adam update, in place."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params/grads/state size mismatch")
-    for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for parameter {i}")
-        if g.shape != params[i].shape:
-            raise ValueError(f"parameter {i}: gradient shape {g.shape} != {params[i].shape}")
+def adamw_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray) -> None:
+    """One decoupled-weight-decay Adam update of the flat buffer, in place."""
+    if grads.shape != params.shape or params.shape != state.m.shape:
+        raise ValueError(f"params/grads/state shape mismatch: {params.shape} / {grads.shape} / {state.m.shape}")
+    if not np.all(np.isfinite(grads)):
+        first = np.flatnonzero(~np.isfinite(grads))[0]
+        raise FloatingPointError(f"non-finite gradient for parameter {first}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        p -= state.lr * state.weight_decay * p
-
-
-def model_param_arrays(*models: ModelParams) -> list[np.ndarray]:
-    """Flat list of parameter arrays (W then b per layer), trainer order."""
-    arrays = []
-    for model in models:
-        for layer in model.layers:
-            arrays.append(layer.W)
-            arrays.append(layer.b)
-    return arrays
-
-
-def grads_to_arrays(layer_grads: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
-    out = []
-    for dW, db in layer_grads:
-        out.append(dW)
-        out.append(db)
-    return out
+    m, v, p = state.m, state.v, params
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grads
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grads * grads
+    p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    p -= state.lr * state.weight_decay * p
 
 
 # ------------------------------------------------------------------ grad check
 
-def grad_check(loss_fn, params: list[np.ndarray], eps: float = 1e-5) -> float:
+def grad_check(loss_fn, params: np.ndarray, eps: float = 1e-5) -> float:
     """Max relative error between analytic gradients and central differences.
 
-    loss_fn() must return (scalar loss, gradient arrays aligned with
-    params) evaluated at the params' current values; it is re-invoked with
-    each entry perturbed by +/- eps.
+    params is a flat parameter buffer (or a slice view of one); loss_fn()
+    must return (scalar loss, gradient vector aligned with params)
+    evaluated at the params' current values.  It is re-invoked with each
+    entry perturbed by +/- eps.
     """
     _, analytic = loss_fn()
+    analytic = np.asarray(analytic, dtype=np.float64)
+    if params.ndim != 1 or analytic.shape != params.shape:
+        raise ValueError(f"params {params.shape} and gradient {analytic.shape} must be matching flat vectors")
     worst = 0.0
-    for p, a in zip(params, analytic):
-        flat_p = p.reshape(-1)
-        flat_a = np.asarray(a, dtype=np.float64).reshape(-1)
-        for j in range(flat_p.size):
-            orig = flat_p[j]
-            flat_p[j] = orig + eps
-            lp, _ = loss_fn()
-            flat_p[j] = orig - eps
-            lm, _ = loss_fn()
-            flat_p[j] = orig
-            numeric = (lp - lm) / (2.0 * eps)
-            denom = max(1e-8, abs(flat_a[j]) + abs(numeric))
-            worst = max(worst, abs(flat_a[j] - numeric) / denom)
+    for j in range(params.size):
+        orig = params[j]
+        params[j] = orig + eps
+        lp, _ = loss_fn()
+        params[j] = orig - eps
+        lm, _ = loss_fn()
+        params[j] = orig
+        numeric = (lp - lm) / (2.0 * eps)
+        denom = max(1e-8, abs(analytic[j]) + abs(numeric))
+        worst = max(worst, abs(analytic[j] - numeric) / denom)
     return float(worst)
 
 

@@ -24,18 +24,6 @@ def cosine_sim(x, y) -> float:
     return float(x @ y / (nx * ny))
 
 
-def _cosine_with_grads(x: np.ndarray, y: np.ndarray):
-    """sim plus its partials wrt both vectors."""
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
-    if nx == 0.0 or ny == 0.0:
-        raise ValueError("cosine similarity undefined for zero vectors")
-    sim = float(x @ y / (nx * ny))
-    dx = y / (nx * ny) - sim * x / (nx * nx)
-    dy = x / (nx * ny) - sim * y / (ny * ny)
-    return sim, dx, dy
-
-
 @dataclass
 class ContrastiveBatch:
     z_anchor: np.ndarray  # (B, P)
@@ -68,46 +56,52 @@ def ntxent_variant(batch: ContrastiveBatch, include_positive_in_denominator: boo
 
     The sum runs over the mined negatives, plus the positive itself when
     the flag is set.  Returns (loss, analytic gradients wrt every z).
+
+    The whole batch is scored at once: the ragged negative sets are padded
+    into a (B, M, P) tensor with a (B, M) mask, and d cos(a, y)/da is the
+    closed form (y_hat - cos * a_hat) / |a| on the unit vectors.
     """
     batch.validate()
     B = batch.z_anchor.shape[0]
     tau = batch.tau
-    d_anchor = np.zeros_like(batch.z_anchor)
-    d_positive = np.zeros_like(batch.z_positive)
-    d_negatives = [np.zeros_like(zn) for zn in batch.z_negatives]
+    counts = np.array([len(zn) for zn in batch.z_negatives])
+    mask = np.arange(counts.max()) < counts[:, None]  # (B, M)
+    negs = np.zeros((*mask.shape, batch.z_anchor.shape[1]))
+    negs[mask] = np.concatenate(batch.z_negatives)
 
-    total = 0.0
-    for i in range(B):
-        a = batch.z_anchor[i]
-        p = batch.z_positive[i]
-        negs = batch.z_negatives[i]
-        s_pos, dpos_da, dpos_dp = _cosine_with_grads(a, p)
-        neg_data = [_cosine_with_grads(a, negs[k]) for k in range(len(negs))]
-        scores = [s for s, _, _ in neg_data]
-        if include_positive_in_denominator:
-            scores = scores + [s_pos]
-        scaled = np.asarray(scores) / tau
-        mx = scaled.max()
-        lse = mx + np.log(np.exp(scaled - mx).sum())
-        total += -s_pos / tau + lse
-        w = np.exp(scaled - lse)  # softmax over the denominator terms
+    n_a = np.linalg.norm(batch.z_anchor, axis=1)
+    n_p = np.linalg.norm(batch.z_positive, axis=1)
+    n_n = np.linalg.norm(negs, axis=2)
+    if not (n_a.all() and n_p.all() and n_n[mask].all()):
+        raise ValueError("cosine similarity undefined for zero vectors")
+    n_n[~mask] = 1.0  # padding stays a zero vector
+    a_hat = batch.z_anchor / n_a[:, None]
+    p_hat = batch.z_positive / n_p[:, None]
+    n_hat = negs / n_n[:, :, None]
+    s_pos = np.einsum("bp,bp->b", a_hat, p_hat)
+    s_neg = np.einsum("bp,bmp->bm", a_hat, n_hat)
 
-        # d(loss_i)/d(sim): negatives get w_k/tau, positive gets -1/tau (+w_pos/tau)
-        coef_pos = -1.0 / tau
-        if include_positive_in_denominator:
-            coef_pos += w[-1] / tau
-        d_anchor[i] += coef_pos * dpos_da
-        d_positive[i] += coef_pos * dpos_dp
-        for k, (_, dneg_da, dneg_dn) in enumerate(neg_data):
-            coef = w[k] / tau
-            d_anchor[i] += coef * dneg_da
-            d_negatives[i][k] += coef * dneg_dn
+    scaled = np.where(mask, s_neg / tau, -np.inf)
+    if include_positive_in_denominator:
+        scaled = np.concatenate([scaled, (s_pos / tau)[:, None]], axis=1)
+    mx = scaled.max(axis=1)
+    lse = mx + np.log(np.exp(scaled - mx[:, None]).sum(axis=1))
+    loss = float((lse - s_pos / tau).mean())
+    w = np.exp(scaled - lse[:, None])  # softmax over the denominator terms; padding gets 0
 
-    loss = total / B
-    d_anchor /= B
-    d_positive /= B
-    for dn in d_negatives:
-        dn /= B
+    # d(loss)/d(sim): negatives get w_k/tau, the positive -1/tau (+w_pos/tau), all over B
+    c_neg = w[:, : mask.shape[1]] / (tau * B)
+    c_pos = np.full(B, -1.0 / (tau * B))
+    if include_positive_in_denominator:
+        c_pos += w[:, -1] / (tau * B)
+    d_anchor = (
+        c_pos[:, None] * p_hat
+        + np.einsum("bm,bmp->bp", c_neg, n_hat)
+        - (c_pos * s_pos + (c_neg * s_neg).sum(axis=1))[:, None] * a_hat
+    ) / n_a[:, None]
+    d_positive = c_pos[:, None] * (a_hat - s_pos[:, None] * p_hat) / n_p[:, None]
+    d_negs = c_neg[:, :, None] * (a_hat[:, None, :] - s_neg[:, :, None] * n_hat) / n_n[:, :, None]
+    d_negatives = np.split(d_negs[mask], np.cumsum(counts)[:-1])
     return loss, ContrastiveGrads(d_anchor, d_positive, d_negatives)
 
 

@@ -18,18 +18,19 @@ from .nn_core import (
     adamw_step,
     backward,
     clone_params,
+    flatten_params,
     forward,
-    grads_to_arrays,
     grl_backward,
     init_optimizer,
     make_mlp,
-    model_param_arrays,
+    param_count,
 )
 from .objectives import ContrastiveBatch, MtlWeights, cross_entropy, mtl_combine, ntxent_variant
 from .pair_miner import ContrastiveTuple, MiningConfig, mine_tuples
 from .serialize import stable_seed
 
 MODES = ("none", "spk_cls", "contrastive", "mtl_adversarial", "mtl")
+CONTRASTIVE_MODES = ("contrastive", "mtl_adversarial", "mtl")
 
 MODE_LABELS = {
     "none": "no pretraining",
@@ -114,6 +115,15 @@ def config_to_dict(config: TrainConfig) -> dict:
     }
 
 
+# TrainConfig fields that only the SER stage and the protocol read
+_SER_ONLY_FIELDS = ("lr", "epochs_ser", "seeds", "patience", "split_fractions", "pretrain_speaker_fraction")
+
+
+def pretrain_config_to_dict(config: TrainConfig) -> dict:
+    """config_to_dict restricted to the fields `pretrain` reads."""
+    return {k: v for k, v in config_to_dict(config).items() if k not in _SER_ONLY_FIELDS}
+
+
 @dataclass
 class Checkpoint:
     components: dict[str, ModelParams]  # "encoder" plus the heads used by the mode
@@ -178,13 +188,13 @@ def _shuffled_batches(n_items: int, batch_size: int, rng: np.random.Generator):
 
 
 def _contrastive_step(encoder, con_head, spk_head, rows, neg_counts, spk_labels, config):
-    """Forward/backward one contrastive batch; returns (l_con, l_spk, flat gradients).
+    """Forward/backward one contrastive batch; returns (l_con, l_spk, flat gradient).
 
     rows holds the B anchors, then their B positives, then each anchor's
     negatives (neg_counts[i] rows for anchor i).  The speaker head, when
     present, classifies the anchors; in mtl_adversarial mode its gradient
-    reaches the trunk through gradient reversal.  Gradients are ordered
-    encoder, contrastive head, speaker head.
+    reaches the trunk through gradient reversal.  The gradient vector is
+    in `flatten_params(encoder, con_head, spk_head)` order.
     """
     weights = config.mtl_weights
     B = len(neg_counts)
@@ -197,7 +207,7 @@ def _contrastive_step(encoder, con_head, spk_head, rows, neg_counts, spk_labels,
     dproj = np.concatenate([cg.d_anchor, cg.d_positive] + cg.d_negatives) * weights.w_contrastive
     con_grads, d_enc = backward(con_head, head_cache, dproj)
 
-    loss_spk, spk_grads = 0.0, []
+    loss_spk, spk_grads = 0.0, np.empty(0)
     if spk_head is not None:
         _, spk_cache = forward(spk_head, enc_out[:B])
         loss_spk, dlogits = cross_entropy(spk_cache[-1][1], spk_labels)
@@ -207,17 +217,31 @@ def _contrastive_step(encoder, con_head, spk_head, rows, neg_counts, spk_labels,
         d_enc[:B] += d_spk_in
 
     enc_grads, _ = backward(encoder, enc_cache, d_enc)
-    return loss_con, loss_spk, grads_to_arrays(enc_grads + con_grads + spk_grads)
+    return loss_con, loss_spk, np.concatenate([enc_grads, con_grads, spk_grads])
 
 
 def _classifier_step(encoder, head, rows, labels):
-    """Cross-entropy of a classifier head on the trunk; returns (loss, encoder + head gradients)."""
+    """Cross-entropy of a classifier head on the trunk; returns (loss, flat encoder + head gradient)."""
     enc_out, enc_cache = forward(encoder, rows)
     _, head_cache = forward(head, enc_out)
     loss, dlogits = cross_entropy(head_cache[-1][1], labels)
     head_grads, d_enc = backward(head, head_cache, dlogits, from_logits=True)
     enc_grads, _ = backward(encoder, enc_cache, d_enc)
-    return loss, grads_to_arrays(enc_grads + head_grads)
+    return loss, np.concatenate([enc_grads, head_grads])
+
+
+def _pretrain_run(corpus: Corpus, config: TrainConfig):
+    """The intra-speaker clusters pretraining mines from (k = n_clusters_N)."""
+    return cluster_speakers(
+        corpus, KMeansConfig(k=config.n_clusters_N, seed=stable_seed(config.seed, "pretrain_cluster"))
+    )
+
+
+def _mine(run, corpus: Corpus, config: TrainConfig, seed: int) -> list[ContrastiveTuple]:
+    mined = mine_tuples(run, corpus, MiningConfig(n_clusters_N=config.n_clusters_N, seed=seed))
+    if not mined:
+        raise ValueError("no mineable tuples: every anchor was skipped")
+    return mined
 
 
 def pretrain(
@@ -228,8 +252,15 @@ def pretrain(
 ) -> Checkpoint:
     """Train the trunk (plus mode-specific heads) for config.steps steps.
 
-    Contrastive modes need intra-speaker clusters and mined tuples; both
-    are built internally (k = n_clusters_N) when not supplied.
+    Contrastive modes need intra-speaker clusters and mined tuples.  When
+    not given, the clusters are k-means with k = n_clusters_N and seed
+    stable_seed(config.seed, "pretrain_cluster"), and the tuples are mined
+    from them with seed config.seed; both depend on config.seed alone, so
+    `run_protocol` builds them once per seed and passes them to every
+    contrastive mode.  Given tuples are the first epoch's pool.  With
+    resample_pairs_each_epoch, each later epoch mines a fresh pool from the
+    given run (clustering first when no run is given), whether or not
+    tuples were given.
     """
     config.validate()
     if config.mode == "none":
@@ -244,7 +275,7 @@ def pretrain(
     speakers = sorted(corpus_unlabeled.speakers)
     spk_index = {s: i for i, s in enumerate(speakers)}
 
-    contrastive_on = config.mode in ("contrastive", "mtl", "mtl_adversarial")
+    contrastive_on = config.mode in CONTRASTIVE_MODES
     speaker_on = config.mode in ("spk_cls", "mtl", "mtl_adversarial")
 
     if contrastive_on:
@@ -257,21 +288,11 @@ def pretrain(
     def mine(seed: int) -> list[ContrastiveTuple]:
         nonlocal run
         if run is None:
-            run = cluster_speakers(
-                corpus_unlabeled,
-                KMeansConfig(k=config.n_clusters_N, seed=stable_seed(config.seed, "pretrain_cluster")),
-            )
-        mined = mine_tuples(
-            run,
-            corpus_unlabeled,
-            MiningConfig(n_clusters_N=config.n_clusters_N, seed=seed),
-        )
-        if not mined:
-            raise ValueError("no mineable tuples: every anchor was skipped")
-        return mined
+            run = _pretrain_run(corpus_unlabeled, config)
+        return _mine(run, corpus_unlabeled, config, seed)
 
     history: dict[str, list[float]] = {"contrastive": [], "speaker": [], "total": []}
-    params = model_param_arrays(*components.values())
+    params = flatten_params(*components.values())
     opt = init_optimizer(params, lr=config.pretrain_lr, weight_decay=config.weight_decay)
     # batch order is seeded independently of the mode so runs that share a
     # seed differ only in their loss composition (paired comparisons)
@@ -304,7 +325,7 @@ def pretrain(
             history["contrastive"].append(l_con)
             history["speaker"].append(l_spk)
             history["total"].append(mtl_combine(l_con, l_spk, config.mtl_weights))
-            if epoch_end and config.resample_pairs_each_epoch and tuples is None:
+            if epoch_end and config.resample_pairs_each_epoch:
                 epoch += 1
                 pool = mine(stable_seed(config.seed, "resample", epoch))
                 batches = _shuffled_batches(len(pool), config.batch_size, rng)
@@ -430,7 +451,7 @@ def train_ser(
     train_rows, train_labels = _labeled_arrays(train_c, emotions)
     val_rows, val_labels = _labeled_arrays(val_c, emotions)
 
-    params = model_param_arrays(encoder, head)
+    params = flatten_params(encoder, head)
     opt = init_optimizer(params, lr=config.lr, weight_decay=config.weight_decay)
 
     best = (-1.0, clone_params(encoder), clone_params(head))
@@ -569,16 +590,23 @@ def run_protocol(
     ser_train = labeled_fraction(train_c, label_fraction, config.seed)
     pretrain_corpus = strip_labels(pretrain_base if pretrain_base is not None else train_c)
 
+    # one pretraining run per (mode, seed); the derived seed is shared across
+    # modes so their initializations pair up, and so are the clusters and
+    # tuples, which depend on that seed alone
+    run_configs = {s: replace(config, seed=stable_seed(config.seed, "protocol_run", s)) for s in config.seeds}
+    mined = {}
+    if any(mode in CONTRASTIVE_MODES for mode in modes):
+        for s, cfg in run_configs.items():
+            run = _pretrain_run(pretrain_corpus, cfg)
+            mined[s] = {"run": run, "tuples": _mine(run, pretrain_corpus, cfg, cfg.seed)}
+
     rows = []
     for mode in modes:
         per_seed = []
         for s in config.seeds:
             ckpt = None
             if mode != "none":
-                # one pretraining run per (mode, seed); the derived seed is
-                # shared across modes so their initializations pair up
-                run_seed = stable_seed(config.seed, "protocol_run", s)
-                ckpt = pretrain(pretrain_corpus, replace(config, mode=mode, seed=run_seed))
+                ckpt = pretrain(pretrain_corpus, replace(run_configs[s], mode=mode), **mined.get(s, {}))
             model, _val_result = train_ser(ckpt, ser_train, config, val_corpus=val_c, seed=s)
             result = evaluate_uar(model, test_c)
             per_seed.append({"seed": int(s), "uar": result.uar})
@@ -666,55 +694,60 @@ def grad_check_cases(kind: str, config: TrainConfig, seed: int = 0, grl_lambda: 
         ok = True
         for _, loss_fn, _params in cases:
             _, grads = loss_fn()
-            for g in grads:
-                nz = np.abs(np.asarray(g)[np.asarray(g) != 0.0])
-                if nz.size and nz.min() < floor:
-                    ok = False
-                    break
-            if not ok:
+            nz = np.abs(grads[grads != 0.0])
+            if nz.size and nz.min() < floor:
+                ok = False
                 break
         if ok:
             return cases
     raise RuntimeError("could not sample a well-conditioned gradient-check configuration")
 
 
+def _flat_copies(*nets: ModelParams):
+    """Copies of the nets whose parameters share one flat buffer, plus that buffer."""
+    copies = [clone_params(net) for net in nets]
+    return copies, flatten_params(*copies)
+
+
 def _assemble_grad_check_cases(kind: str, nets, grl_lambda: float):
+    """Each case owns copies of the nets flattened as training flattens them,
+    and passes the part of that buffer its gradient covers."""
     cfg, encoder, con_head, spk_head, emo_head, rows, neg_counts, labels = nets
     anchors = rows[: len(neg_counts)]
     cases = []
     if kind in ("contrastive", "all"):
+        copies, flat = _flat_copies(encoder, con_head)
         for include_pos in (False, True):
             con_cfg = replace(cfg, include_positive_in_denominator=include_pos)
 
-            def loss_fn(con_cfg=con_cfg):
-                loss, _, grads = _contrastive_step(encoder, con_head, None, rows, neg_counts, labels, con_cfg)
+            def loss_fn(con_cfg=con_cfg, copies=copies):
+                loss, _, grads = _contrastive_step(*copies, None, rows, neg_counts, labels, con_cfg)
                 return loss, grads
 
             label = "denominator with positive" if include_pos else "denominator negatives-only"
-            cases.append((f"contrastive ({label})", loss_fn, model_param_arrays(encoder, con_head)))
+            cases.append((f"contrastive ({label})", loss_fn, flat))
     if kind in ("speaker_cls", "emotion_cls", "all"):
         kinds = [kind] if kind != "all" else ["speaker_cls", "emotion_cls"]
         for hk in kinds:
-            head = spk_head if hk == "speaker_cls" else emo_head
-            loss_fn = lambda head=head: _classifier_step(encoder, head, anchors, labels)
-            cases.append((f"{hk} cross-entropy", loss_fn, model_param_arrays(encoder, head)))
+            copies, flat = _flat_copies(encoder, spk_head if hk == "speaker_cls" else emo_head)
+            loss_fn = lambda copies=copies: _classifier_step(*copies, anchors, labels)
+            cases.append((f"{hk} cross-entropy", loss_fn, flat))
     if kind in ("mtl", "all"):
         mtl_cfg = replace(cfg, mode="mtl_adversarial", mtl_weights=MtlWeights(grl_lambda=grl_lambda))
         w = mtl_cfg.mtl_weights
-        n_enc = len(model_param_arrays(encoder))
+        copies, flat = _flat_copies(encoder, con_head, spk_head)
+        n_enc = param_count(encoder)
 
-        def trunk_loss_fn():
-            l_con, l_spk, grads = _contrastive_step(encoder, con_head, spk_head, rows, neg_counts, labels, mtl_cfg)
+        def trunk_loss_fn(copies=copies):
+            l_con, l_spk, grads = _contrastive_step(*copies, rows, neg_counts, labels, mtl_cfg)
             return w.w_contrastive * l_con - w.grl_lambda * w.w_speaker * l_spk, grads[:n_enc]
 
-        def head_loss_fn():
-            l_con, l_spk, grads = _contrastive_step(encoder, con_head, spk_head, rows, neg_counts, labels, mtl_cfg)
+        def head_loss_fn(copies=copies):
+            l_con, l_spk, grads = _contrastive_step(*copies, rows, neg_counts, labels, mtl_cfg)
             return mtl_combine(l_con, l_spk, w), grads[n_enc:]
 
-        cases.append((f"mtl trunk through GRL (lambda={grl_lambda})", trunk_loss_fn, model_param_arrays(encoder)))
-        cases.append(
-            (f"mtl heads (lambda={grl_lambda})", head_loss_fn, model_param_arrays(con_head, spk_head))
-        )
+        cases.append((f"mtl trunk through GRL (lambda={grl_lambda})", trunk_loss_fn, flat[:n_enc]))
+        cases.append((f"mtl heads (lambda={grl_lambda})", head_loss_fn, flat[n_enc:]))
     if not cases:
         raise ValueError(f"unknown grad-check kind {kind!r}")
     return cases

@@ -142,3 +142,38 @@ def longdouble_ntxent(sim_pos, sim_negs, tau, include_positive):
         terms = terms + [sp]
     denom = sum(np.exp(t) for t in terms)
     return float(-(sp - np.log(denom)))
+
+
+def _cosine_with_grads(x, y):
+    nx = np.linalg.norm(x)
+    ny = np.linalg.norm(y)
+    sim = float(x @ y / (nx * ny))
+    return sim, y / (nx * ny) - sim * x / (nx * nx), x / (nx * ny) - sim * y / (ny * ny)
+
+
+def loop_ntxent(z_anchor, z_positive, z_negatives, tau, include_positive):
+    """The contrastive loss and its gradients, one anchor and one pair at a time.
+
+    Returns (loss, d_anchor, d_positive, [d_negatives per anchor]).
+    """
+    B = len(z_anchor)
+    d_anchor = np.zeros_like(z_anchor)
+    d_positive = np.zeros_like(z_positive)
+    d_negatives = [np.zeros_like(zn) for zn in z_negatives]
+    total = 0.0
+    for i in range(B):
+        s_pos, dpos_da, dpos_dp = _cosine_with_grads(z_anchor[i], z_positive[i])
+        neg_data = [_cosine_with_grads(z_anchor[i], n) for n in z_negatives[i]]
+        scores = [s for s, _, _ in neg_data] + ([s_pos] if include_positive else [])
+        scaled = np.asarray(scores) / tau
+        mx = scaled.max()
+        lse = mx + math.log(np.exp(scaled - mx).sum())
+        total += -s_pos / tau + lse
+        w = np.exp(scaled - lse)
+        coef_pos = -1.0 / tau + (w[-1] / tau if include_positive else 0.0)
+        d_anchor[i] += coef_pos * dpos_da
+        d_positive[i] += coef_pos * dpos_dp
+        for k, (_, dneg_da, dneg_dn) in enumerate(neg_data):
+            d_anchor[i] += w[k] / tau * dneg_da
+            d_negatives[i][k] += w[k] / tau * dneg_dn
+    return total / B, d_anchor / B, d_positive / B, [dn / B for dn in d_negatives]

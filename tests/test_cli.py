@@ -104,6 +104,12 @@ def test_pretrain_and_checkpoint(tmp_path, small_corpus):
     components, meta = load_checkpoint(str(ckpt))
     assert {"encoder", "contrastive", "speaker_cls"} <= set(components)
     assert meta["mode"] == "mtl" and meta["step"] == 40
+    # only the fields pretraining reads; SER-only settings would mislead
+    assert meta["config"]["steps"] == 40 and meta["config"]["n_clusters_N"] == 4
+    assert "pretrain_lr" in meta["config"]
+    assert not {"lr", "epochs_ser", "seeds", "patience", "split_fractions", "pretrain_speaker_fraction"} & set(
+        meta["config"]
+    )
 
 
 def test_probe_command_small(tmp_path, small_corpus):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from emocluster.cluster_metrics import (
     silhouette,
 )
 from emocluster.clustering import KMeansConfig, cluster_speakers
-from emocluster.corpus import SynthSpec, generate_synthetic, length_normalize
+from emocluster.corpus import SynthSpec, generate_synthetic, length_normalize, strip_labels
 
 from oracles import brute_ari, brute_nmi, brute_purity, brute_silhouette
 
@@ -193,6 +195,21 @@ def test_evaluate_run_warns_and_drops_unlabeled():
     with pytest.warns(UserWarning):
         report = evaluate_run(run, corpus)
     assert spk not in report.per_speaker
+
+
+def test_evaluate_run_warns_once_per_speaker_on_unlabeled_corpus():
+    run, corpus = _toy_run_and_corpus()
+    unlabeled = strip_labels(corpus)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = evaluate_run(run, unlabeled)
+    assert report.per_speaker == {}
+    excluded = [str(w.message) for w in caught if "without an emotion label" in str(w.message)]
+    expected = [
+        f"speaker {spk!r}: {len(run.per_speaker[spk].assignments)} utterance(s) without an emotion label excluded"
+        for spk in sorted(run.per_speaker)
+    ]
+    assert len(expected) == 3 and excluded == expected
 
 
 def test_report_serialization_and_table():

@@ -8,15 +8,15 @@ from emocluster.nn_core import (
     adamw_step,
     backward,
     clone_params,
+    flatten_params,
     forward,
     grad_check,
-    grads_to_arrays,
     grl_backward,
     init_dense,
     init_optimizer,
     load_checkpoint,
     make_mlp,
-    model_param_arrays,
+    param_count,
     save_checkpoint,
 )
 
@@ -65,8 +65,8 @@ def test_backward_linear_quadratic_matches_hand_computation():
     x = np.array([[1.0, -1.0]])
     y, cache = forward(model, x)
     grads, dx = backward(model, cache, y)  # dL/dy = y for quadratic loss
-    assert np.allclose(grads[0][0], y.T @ x)
-    assert np.allclose(grads[0][1], y[0])
+    assert np.allclose(grads[:4].reshape(2, 2), y.T @ x)
+    assert np.allclose(grads[4:], y[0])
     assert np.allclose(dx, y @ W)
 
 
@@ -76,7 +76,7 @@ def test_zero_upstream_gradient_gives_zero_param_gradients():
     x = rng.normal(size=(6, 4))
     out, cache = forward(model, x)
     grads, dx = backward(model, cache, np.zeros_like(out))
-    assert all(np.allclose(g, 0) and np.allclose(h, 0) for g, h in grads)
+    assert grads.shape == (param_count(model),) and np.allclose(grads, 0)
     assert np.allclose(dx, 0)
 
 
@@ -86,14 +86,14 @@ def test_grad_check_exact_on_linear_quadratic():
     model = make_mlp(rng, [4, 3], ["identity"], "encoder")
     x = rng.normal(size=(5, 4))
     target = rng.normal(size=(5, 3))
-    params = model_param_arrays(model)
+    params = flatten_params(model)
 
     def loss_fn():
         out, cache = forward(model, x)
         diff = out - target
         loss = 0.5 * float((diff * diff).sum())
         grads, _ = backward(model, cache, diff)
-        return loss, grads_to_arrays(grads)
+        return loss, grads
 
     assert grad_check(loss_fn, params, eps=1e-5) <= 1e-9
 
@@ -103,14 +103,14 @@ def test_backward_finite_difference_random_net():
     model = make_mlp(rng, [4, 6, 3], ["tanh", "identity"], "encoder")
     x = rng.normal(size=(5, 4))
     target = rng.normal(size=(5, 3))
-    params = model_param_arrays(model)
+    params = flatten_params(model)
 
     def loss_fn():
         out, cache = forward(model, x)
         diff = out - target
         loss = 0.5 * float((diff * diff).sum())
         grads, _ = backward(model, cache, diff)
-        return loss, grads_to_arrays(grads)
+        return loss, grads
 
     assert grad_check(loss_fn, params, eps=1e-5) < 1e-5
 
@@ -120,13 +120,13 @@ def test_softmax_backward_full_jacobian():
     model = make_mlp(rng, [3, 4, 3], ["tanh", "softmax"], "emotion_cls")
     x = rng.normal(size=(4, 3))
     weights = rng.normal(size=(4, 3))  # generic linear functional of the probabilities
-    params = model_param_arrays(model)
+    params = flatten_params(model)
 
     def loss_fn():
         out, cache = forward(model, x)
         loss = float((weights * out).sum())
         grads, _ = backward(model, cache, weights)
-        return loss, grads_to_arrays(grads)
+        return loss, grads
 
     assert grad_check(loss_fn, params, eps=1e-6) < 1e-7
 
@@ -142,39 +142,39 @@ def test_grl_backward_scaled_negation():
 
 def test_adamw_zero_grad_zero_decay_is_noop():
     p = np.array([1.0, -2.0])
-    state = init_optimizer([p], lr=0.1, weight_decay=0.0)
-    adamw_step(state, [p], [np.zeros(2)])
+    state = init_optimizer(p, lr=0.1, weight_decay=0.0)
+    adamw_step(state, p, np.zeros(2))
     assert np.array_equal(p, [1.0, -2.0])
 
 
 def test_adamw_sign_limit_single_step():
     p = np.array([1.0])
-    state = init_optimizer([p], lr=0.1, weight_decay=0.0, beta1=0.0, beta2=0.0)
-    adamw_step(state, [p], [np.array([1.0])])
+    state = init_optimizer(p, lr=0.1, weight_decay=0.0, beta1=0.0, beta2=0.0)
+    adamw_step(state, p, np.array([1.0]))
     assert p[0] == pytest.approx(1.0 - 0.1, abs=1e-8)
 
 
 def test_adamw_decoupled_decay_closed_form():
     p = np.array([2.0])
-    state = init_optimizer([p], lr=0.1, weight_decay=0.5)
-    adamw_step(state, [p], [np.array([0.0])])
+    state = init_optimizer(p, lr=0.1, weight_decay=0.5)
+    adamw_step(state, p, np.array([0.0]))
     assert p[0] == pytest.approx(2.0 * (1.0 - 0.1 * 0.5))
 
 
 def test_adamw_rejects_nonfinite_gradient():
     p = np.array([1.0])
-    state = init_optimizer([p], lr=0.1)
+    state = init_optimizer(p, lr=0.1)
     with pytest.raises(FloatingPointError, match="parameter 0"):
-        adamw_step(state, [p], [np.array([np.nan])])
+        adamw_step(state, p, np.array([np.nan]))
 
 
 def test_adamw_bit_reproducible():
     def run():
         rng = np.random.default_rng(5)
         p = rng.normal(size=(3, 3))
-        state = init_optimizer([p], lr=0.01)
+        state = init_optimizer(p, lr=0.01)
         for _ in range(10):
-            adamw_step(state, [p], [rng.normal(size=(3, 3))])
+            adamw_step(state, p, rng.normal(size=(3, 3)))
         return p
 
     assert np.array_equal(run(), run())
@@ -250,3 +250,46 @@ def test_clone_params_is_deep():
     copy = clone_params(model)
     copy.layers[0].W[0, 0] += 1.0
     assert model.layers[0].W[0, 0] != copy.layers[0].W[0, 0]
+
+
+def test_flatten_params_layers_view_one_buffer():
+    rng = np.random.default_rng(12)
+    enc = make_mlp(rng, [3, 4, 2], ["relu", "tanh"], "encoder")
+    head = make_mlp(rng, [2, 3], ["softmax"], "emotion_cls")
+    expected = np.concatenate([a.ravel() for m in (enc, head) for l in m.layers for a in (l.W, l.b)])
+    flat = flatten_params(enc, head)
+    assert flat.shape == (param_count(enc, head),) and flat.flags.c_contiguous
+    assert np.array_equal(flat, expected)
+    flat[0] += 1.0
+    flat[-1] -= 1.0
+    assert enc.layers[0].W[0, 0] == expected[0] + 1.0
+    assert head.layers[-1].b[-1] == expected[-1] - 1.0
+    copy = clone_params(enc)
+    flat[0] += 1.0
+    assert copy.layers[0].W[0, 0] == expected[0] + 1.0
+
+
+def test_adamw_flat_buffer_matches_per_array_updates():
+    # the update is elementwise, so one flat step equals a step per array
+    rng = np.random.default_rng(13)
+    model = make_mlp(rng, [4, 5, 3], ["relu", "tanh"], "encoder")
+    arrays = [a.copy() for l in model.layers for a in (l.W, l.b)]
+    states = [init_optimizer(a, lr=0.01) for a in arrays]
+    flat = flatten_params(model)
+    state = init_optimizer(flat, lr=0.01)
+    for _ in range(5):
+        g = rng.normal(size=flat.size)
+        adamw_step(state, flat, g)
+        off = 0
+        for a, s in zip(arrays, states):
+            adamw_step(s, a, g[off : off + a.size].reshape(a.shape))
+            off += a.size
+    assert np.array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
+
+
+def test_adamw_nonfinite_gradient_names_first_bad_index():
+    p = np.zeros(5)
+    state = init_optimizer(p, lr=0.1)
+    with pytest.raises(FloatingPointError, match="parameter 3"):
+        adamw_step(state, p, np.array([0.0, 1.0, 2.0, np.inf, np.nan]))
+    assert state.step == 0 and np.array_equal(p, np.zeros(5))

@@ -12,7 +12,7 @@ from emocluster.objectives import (
     ntxent_variant,
 )
 
-from oracles import longdouble_ntxent
+from oracles import longdouble_ntxent, loop_ntxent
 
 
 def test_cosine_orthogonal():
@@ -138,6 +138,36 @@ def test_ntxent_gradients_match_finite_differences():
                 lm = ntxent_variant(ContrastiveBatch(anchor, positive, negs, 0.4), include)[0]
                 flat[j] = orig
                 assert gflat[j] == pytest.approx((lp - lm) / (2 * eps), abs=1e-6)
+
+
+@pytest.mark.parametrize("include_positive", [False, True])
+def test_ntxent_matches_per_anchor_loop_on_ragged_negatives(include_positive):
+    # mined negative sets are ragged: 1..10 negatives per anchor in one batch
+    rng = np.random.default_rng(21)
+    B, P = 10, 6
+    anchor = rng.normal(size=(B, P))
+    positive = anchor + 0.5 * rng.normal(size=(B, P))
+    negs = [rng.normal(size=(m, P)) for m in rng.permutation(np.arange(1, B + 1))]
+    loss, grads = ntxent_variant(ContrastiveBatch(anchor, positive, negs, 0.1), include_positive)
+    ref_loss, ref_da, ref_dp, ref_dn = loop_ntxent(anchor, positive, negs, 0.1, include_positive)
+
+    def close(got, ref):
+        got, ref = np.asarray(got), np.asarray(ref)
+        return got.shape == ref.shape and np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert close(grads.d_anchor, ref_da) and close(grads.d_positive, ref_dp)
+    assert len(grads.d_negatives) == B
+    assert all(close(g, r) for g, r in zip(grads.d_negatives, ref_dn))
+
+
+def test_ntxent_zero_vector_rejected():
+    anchor, positive = np.ones((2, 3)), np.ones((2, 3))
+    negs = [np.ones((2, 3)), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])]
+    with pytest.raises(ValueError, match="zero vectors"):
+        ntxent_variant(ContrastiveBatch(anchor, positive, negs, 0.5), False)
+    with pytest.raises(ValueError, match="zero vectors"):
+        ntxent_variant(ContrastiveBatch(np.zeros((1, 3)), positive[:1], negs[:1], 0.5), True)
 
 
 def test_ntxent_rejects_bad_batches():

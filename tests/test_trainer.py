@@ -9,9 +9,14 @@ from emocluster.corpus import (
     length_normalize,
     strip_labels,
 )
+from emocluster import trainer
+from emocluster.clustering import KMeansConfig, cluster_speakers
 from emocluster.nn_core import forward
 from emocluster.objectives import MtlWeights
+from emocluster.pair_miner import MiningConfig, mine_tuples
+from emocluster.serialize import stable_seed
 from emocluster.trainer import (
+    MODES,
     EvalResult,
     SerModel,
     TrainConfig,
@@ -256,6 +261,48 @@ def test_pretrain_resample_pairs_each_epoch_runs_and_differs():
     assert fixed.history["contrastive"] != resampled.history["contrastive"]
     again = pretrain(corpus, _small_config(steps=80, resample_pairs_each_epoch=True))
     assert resampled.history["contrastive"] == again.history["contrastive"]
+
+
+def _weights_and_history(ckpt):
+    arrays = [a for name in sorted(ckpt.components) for l in ckpt.components[name].layers for a in (l.W, l.b)]
+    return b"".join(a.tobytes() for a in arrays), ckpt.history
+
+
+@pytest.mark.parametrize("resample", [False, True])
+def test_pretrain_given_run_and_tuples_matches_internal(resample):
+    # the clusters and tuples pretrain builds depend on config.seed alone, so
+    # building them outside (as run_protocol does) must change nothing,
+    # including the per-epoch resampling that mines from the given run
+    corpus = strip_labels(_corpus(n_speakers=4, upc=8))
+    config = _small_config(steps=80, mode="mtl_adversarial", resample_pairs_each_epoch=resample)
+    run = cluster_speakers(
+        corpus, KMeansConfig(k=config.n_clusters_N, seed=stable_seed(config.seed, "pretrain_cluster"))
+    )
+    tuples = mine_tuples(run, corpus, MiningConfig(n_clusters_N=config.n_clusters_N, seed=config.seed))
+    given = pretrain(corpus, config, run=run, tuples=tuples)
+    assert _weights_and_history(given) == _weights_and_history(pretrain(corpus, config))
+
+
+def test_run_protocol_clusters_and_mines_once_per_seed(monkeypatch):
+    calls = {"cluster": [], "mine": []}
+
+    def counting(name, fn, seed_of):
+        def wrapper(*args):
+            calls[name].append(seed_of(args))
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        trainer, "cluster_speakers", counting("cluster", trainer.cluster_speakers, lambda a: a[1].seed)
+    )
+    monkeypatch.setattr(trainer, "mine_tuples", counting("mine", trainer.mine_tuples, lambda a: a[2].seed))
+    corpus = _corpus(n_speakers=8, upc=8)
+    config = _small_config(steps=20, seeds=(0, 1), epochs_ser=2, split_fractions=(0.5, 0.25, 0.25))
+    report = run_protocol(corpus, config, label_fraction=0.5)
+    assert [row["mode"] for row in report["rows"]] == list(MODES)
+    for name in ("cluster", "mine"):
+        assert len(calls[name]) == 2 and len(set(calls[name])) == 2, (name, calls[name])
 
 
 def test_train_ser_requires_two_classes():
