@@ -18,6 +18,8 @@ NMI_NORMALIZERS = ("arithmetic", "min", "max", "geometric")
 
 METRIC_NAMES = ("nmi", "ari", "purity", "silhouette")
 
+SILHOUETTE_BLOCK = 1 << 20  # floats in one block of pairwise differences (8 MB)
+
 
 @dataclass
 class ClusterMetricsReport:
@@ -117,7 +119,8 @@ def silhouette(points, cluster_labels) -> float:
     """Mean silhouette with Euclidean distances.
 
     Points in singleton clusters score 0, as do points where both the
-    intra- and nearest-other-cluster mean distances vanish.
+    intra- and nearest-other-cluster mean distances vanish.  Distances are
+    exact, taken in row blocks of ~SILHOUETTE_BLOCK floats, not n^2 * dim.
     """
     points = np.asarray(points, dtype=np.float64)
     labels = list(cluster_labels)
@@ -127,21 +130,28 @@ def silhouette(points, cluster_labels) -> float:
     if len(uniq) < 2:
         raise ValueError("silhouette undefined: fewer than 2 clusters")
 
-    diff = points[:, None, :] - points[None, :, :]
-    dists = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    members = {c: [i for i, l in enumerate(labels) if l == c] for c in uniq}
+    code = {c: i for i, c in enumerate(uniq)}
+    codes = np.array([code[l] for l in labels])
+    order = np.argsort(codes, kind="stable")
+    pts, codes = points[order], codes[order]
+    counts = np.bincount(codes)
+    starts = np.searchsorted(codes, np.arange(len(uniq)))
+    rows = max(1, SILHOUETTE_BLOCK // max(pts.size, 1))
 
-    scores = np.zeros(len(labels))
-    for i, lab in enumerate(labels):
-        own = members[lab]
-        if len(own) == 1:
-            scores[i] = 0.0
-            continue
-        a = dists[i, own].sum() / (len(own) - 1)
-        b = min(dists[i, members[c]].mean() for c in uniq if c != lab)
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
-    return float(scores.mean())
+    sorted_scores = np.zeros(len(pts))
+    for lo in range(0, len(pts), rows):
+        diff = pts[lo : lo + rows, None, :] - pts[None, :, :]
+        sums = np.add.reduceat(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)), starts, axis=1)
+        own = codes[lo : lo + rows]
+        local = np.arange(len(own))
+        size = counts[own]
+        a = sums[local, own] / np.maximum(size - 1, 1)
+        means = sums / counts
+        means[local, own] = np.inf
+        b = means.min(axis=1)
+        denom = np.maximum(a, b)
+        np.divide(b - a, denom, out=sorted_scores[lo : lo + rows], where=(size > 1) & (denom > 0.0))
+    return float(sorted_scores[np.argsort(order)].mean())  # mean in input order
 
 
 def evaluate_run(run: ClusteringRun, corpus: Corpus) -> ClusterMetricsReport:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus, warn_if_unnormalized
-from .parallel import map_keyed
 from .serialize import stable_seed
 
 
@@ -50,16 +49,21 @@ class ClusteringRun:
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, (n_points, n_centers)."""
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared Euclidean distances, (n_points, n_centers), as |x|^2 - 2 x.c + |c|^2.
+
+    The Gram form needs no (n, k, dim) tensor; clamping at 0 undoes cancellation.
+    """
+    d = np.einsum("ij,ij->i", points, points)[:, None] - 2.0 * (points @ centers.T)
+    d += np.einsum("ij,ij->i", centers, centers)[None, :]
+    return np.maximum(d, 0.0, out=d)
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
     centers[0] = points[rng.integers(0, n)]
-    closest = np.einsum("ij,ij->i", points - centers[0], points - centers[0])
+    diff = points - centers[0]
+    closest = np.einsum("ij,ij->i", diff, diff)
     for c in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -67,8 +71,8 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         else:
             idx = int(rng.choice(n, p=closest / total))
         centers[c] = points[idx]
-        d = np.einsum("ij,ij->i", points - centers[c], points - centers[c])
-        closest = np.minimum(closest, d)
+        diff = points - centers[c]
+        closest = np.minimum(closest, np.einsum("ij,ij->i", diff, diff))
     return centers
 
 
@@ -85,12 +89,12 @@ def _lloyd(points: np.ndarray, init_centers: np.ndarray, max_iters: int, tol: fl
         # empty-cluster repair: farthest point from its center becomes a singleton
         counts = np.bincount(assign, minlength=k)
         if np.any(counts == 0):
+            # one ranking serves every empty cluster: a repair only moves the
+            # picked point, which `taken` already excludes
+            diff = points - new_centers[assign]
+            order = np.argsort(-np.einsum("ij,ij->i", diff, diff), kind="stable")
             taken: set[int] = set()
             for c in np.flatnonzero(counts == 0):
-                dist_own = np.einsum(
-                    "ij,ij->i", points - new_centers[assign], points - new_centers[assign]
-                )
-                order = np.argsort(-dist_own, kind="stable")
                 pick = next(int(i) for i in order if int(i) not in taken)
                 taken.add(pick)
                 new_centers[c] = points[pick]
@@ -102,7 +106,8 @@ def _lloyd(points: np.ndarray, init_centers: np.ndarray, max_iters: int, tol: fl
         assign = np.argmin(_sq_dists(points, centers), axis=1)
         if converged:
             break
-    inertia = float(_sq_dists(points, centers)[np.arange(len(points)), assign].sum())
+    residual = points - centers[assign]
+    inertia = float(np.einsum("ij,ij->i", residual, residual).sum())
     return assign, centers, inertia
 
 
@@ -162,11 +167,11 @@ def cluster_speaker(spk_id: str, utt_ids: list[str], points: np.ndarray, config:
     )
 
 
-def cluster_speakers(corpus: Corpus, config: KMeansConfig, max_workers: int | None = None) -> ClusteringRun:
+def cluster_speakers(corpus: Corpus, config: KMeansConfig) -> ClusteringRun:
     """Independent k-means per speaker; results keyed by speaker id."""
     config.validate()
     warn_if_unnormalized(corpus, "cluster_speakers")
-    jobs = {}
+    per_speaker = {}
     for spk_id, indices in corpus.speakers.items():
         if not indices:
             warnings.warn(f"speaker {spk_id!r} has no records; excluded", stacklevel=2)
@@ -175,10 +180,7 @@ def cluster_speakers(corpus: Corpus, config: KMeansConfig, max_workers: int | No
         ordered = sorted(indices, key=lambda i: corpus.records[i].utt_id)
         utt_ids = [corpus.records[i].utt_id for i in ordered]
         points = np.stack([corpus.records[i].vec for i in ordered])
-        jobs[spk_id] = (utt_ids, points)
-    per_speaker = map_keyed(
-        lambda spk, job: cluster_speaker(spk, job[0], job[1], config), jobs, max_workers
-    )
+        per_speaker[spk_id] = cluster_speaker(spk_id, utt_ids, points, config)
     return ClusteringRun(per_speaker=per_speaker, config=config)
 
 

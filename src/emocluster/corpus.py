@@ -98,7 +98,10 @@ def build_corpus(records: list[EmbeddingRecord]) -> Corpus:
     """Validate records (unique ids, consistent finite dims) and assemble a Corpus."""
     if not records:
         raise CorpusError("corpus has no records")
-    dim = records[0].vec.shape[0]
+    first = records[0]
+    if first.vec.ndim != 1 or first.vec.shape[0] < 1:
+        raise CorpusError(f"record {first.utt_id!r}: vec must be a nonempty list of numbers")
+    dim = first.vec.shape[0]
     seen: set[str] = set()
     for i, rec in enumerate(records):
         if rec.utt_id in seen:
@@ -172,7 +175,7 @@ def _load_jsonl(path: str) -> list[EmbeddingRecord]:
                     emotion=None if obj.get("emotion") is None else str(obj["emotion"]),
                     vec=vec,
                 )
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusError(f"{path}:{lineno}: malformed record ({exc})") from exc
             records.append(rec)
     return records
@@ -197,16 +200,21 @@ def _load_bin(path: str) -> list[EmbeddingRecord]:
         off += n
         return chunk
 
+    def text(what: str) -> str:
+        (length,) = struct.unpack("<H", take(2, f"{what} length"))
+        start = off
+        try:
+            return take(length, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: {what} is not valid UTF-8 at offset {start + exc.start}") from exc
+
     while off < len(data):
-        (ulen,) = struct.unpack("<H", take(2, "utt_id length"))
-        utt_id = take(ulen, "utt_id").decode("utf-8")
-        (slen,) = struct.unpack("<H", take(2, "spk_id length"))
-        spk_id = take(slen, "spk_id").decode("utf-8")
+        utt_id = text("utt_id")
+        spk_id = text("spk_id")
         (flag,) = struct.unpack("<B", take(1, "emotion flag"))
         emotion = None
         if flag == 1:
-            (elen,) = struct.unpack("<H", take(2, "emotion length"))
-            emotion = take(elen, "emotion").decode("utf-8")
+            emotion = text("emotion")
         elif flag != 0:
             raise CorpusError(f"{path}: bad emotion flag {flag} at offset {off - 1}")
         raw = take(4 * dim, "vector")

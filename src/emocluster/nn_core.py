@@ -306,25 +306,34 @@ def load_checkpoint(path: str) -> tuple[dict[str, ModelParams], dict]:
         manifest = json.load(fh)
     if manifest.get("format") != "emocluster-checkpoint-v1":
         raise ValueError(f"{path}: not an emocluster checkpoint manifest")
+    names = sorted(manifest["components"])
     with open(path + ".bin", "rb") as fh:
-        magic, _count = struct.unpack("<4sI", fh.read(8))
+        header = fh.read(8)
+        if len(header) < 8:
+            raise ValueError(f"{path}.bin: truncated checkpoint header ({len(header)} of 8 bytes)")
+        magic, count = struct.unpack("<4sI", header)
         if magic != b"EMC1":
             raise ValueError(f"{path}.bin: bad checkpoint blob magic")
+        if count != len(names):
+            raise ValueError(f"{path}.bin: header counts {count} components, manifest lists {len(names)}")
         blob = fh.read()
     components: dict[str, ModelParams] = {}
     off = 0
-    for name in sorted(manifest["components"]):
+
+    def take(n: int, name: str) -> np.ndarray:
+        nonlocal off
+        if off + 8 * n > len(blob):
+            raise ValueError(f"{path}.bin: blob ends inside component {name!r} at offset {8 + off}")
+        values = np.frombuffer(blob, dtype="<f8", count=n, offset=off).copy()
+        off += 8 * n
+        return values
+
+    for name in names:
         spec = manifest["components"][name]
         layers = []
         for lspec in spec["layers"]:
-            n_w = lspec["out"] * lspec["in"]
-            W = np.frombuffer(blob, dtype="<f8", count=n_w, offset=off).reshape(
-                lspec["out"], lspec["in"]
-            ).copy()
-            off += 8 * n_w
-            b = np.frombuffer(blob, dtype="<f8", count=lspec["out"], offset=off).copy()
-            off += 8 * lspec["out"]
-            layers.append(DenseLayer(W=W, b=b, activation=lspec["activation"]))
+            W = take(lspec["out"] * lspec["in"], name).reshape(lspec["out"], lspec["in"])
+            layers.append(DenseLayer(W=W, b=take(lspec["out"], name), activation=lspec["activation"]))
         model = ModelParams(
             layers=layers,
             input_dim=int(spec["input_dim"]),

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emocluster import cluster_metrics
 from emocluster.cluster_metrics import (
     ari,
     contingency_table,
@@ -113,6 +115,33 @@ def test_silhouette_matches_brute_force_on_random_sets():
         assert silhouette(points, labels) == pytest.approx(
             brute_silhouette(points, labels), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 8])
+def test_silhouette_row_blocks_match_brute_force(monkeypatch, block_rows):
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        n = int(rng.integers(5, 30))
+        points = rng.normal(size=(n, 3))
+        points[1] = points[0]  # a zero distance inside the data
+        labels = [f"c{v}" for v in rng.integers(0, 4, size=n)]
+        labels[0], labels[-1] = "c0", "c9"  # a singleton cluster
+        monkeypatch.setattr(cluster_metrics, "SILHOUETTE_BLOCK", block_rows * n * 3)
+        assert silhouette(points, labels) == pytest.approx(brute_silhouette(points, labels), abs=1e-12)
+
+
+def test_silhouette_memory_is_blocked_not_cubic():
+    rng = np.random.default_rng(12)
+    points = rng.normal(size=(600, 64))
+    labels = rng.integers(0, 5, size=600)
+    tracemalloc.start()
+    try:
+        silhouette(points, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the full n x n x dim difference tensor would take 600 * 600 * 64 * 8 bytes (~184 MB)
+    assert peak < 32 * 2**20
 
 
 @given(

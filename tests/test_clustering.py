@@ -5,6 +5,9 @@ import pytest
 
 from emocluster.clustering import (
     KMeansConfig,
+    _kmeanspp_init,
+    _lloyd,
+    _sq_dists,
     center_distances,
     cluster_speakers,
     kmeans,
@@ -193,3 +196,89 @@ def test_config_validation():
         KMeansConfig(k=0).validate()
     with pytest.raises(ValueError):
         KMeansConfig(n_restarts=0).validate()
+
+
+def test_lloyd_inertia_monotone_within_restart():
+    rng = np.random.default_rng(17)
+    points = rng.normal(size=(120, 4))
+    for restart_seed in range(5):
+        init = _kmeanspp_init(points, 4, np.random.default_rng(restart_seed))
+        # with tol=0 the loop never stops early, so max_iters=i yields the inertia after i iterations
+        trace = [_lloyd(points, init, max_iters=i, tol=0.0)[2] for i in range(1, 101)]
+        assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+
+
+def _unit_rows(rng, n, dim):
+    x = rng.normal(size=(n, dim))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def test_gram_sq_dists_nearest_center_matches_broadcast():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        points = _unit_rows(rng, 300, 48)
+        centers = 0.8 * _unit_rows(rng, 12, 48)
+        diff = points[:, None, :] - centers[None, :, :]
+        exact = np.einsum("ijk,ijk->ij", diff, diff)
+        gram = _sq_dists(points, centers)
+        assert gram.min() >= 0.0
+        assert np.allclose(gram, exact, rtol=1e-12, atol=1e-14)
+        picked = exact[np.arange(len(points)), np.argmin(gram, axis=1)]
+        assert np.all(picked <= exact.min(axis=1) * (1.0 + 1e-12))
+
+
+def test_lloyd_inertia_is_direct_residual_sum():
+    rng = np.random.default_rng(32)
+    points = _unit_rows(rng, 200, 24)
+    for restart_seed in range(5):
+        init = _kmeanspp_init(points, 6, np.random.default_rng(restart_seed))
+        assign, centers, inertia = _lloyd(points, init, max_iters=300, tol=1e-6)
+        diff = points[:, None, :] - centers[None, :, :]
+        exact = np.einsum("ijk,ijk->ij", diff, diff)
+        assert inertia == pytest.approx(float(exact[np.arange(len(points)), assign].sum()), rel=1e-9)
+        assert np.all(exact[np.arange(len(points)), assign] <= exact.min(axis=1) * (1.0 + 1e-12))
+
+
+def _lloyd_repair_per_cluster(points, init_centers, max_iters, tol):
+    """_lloyd with the farthest-point ranking recomputed for every empty cluster."""
+    centers = init_centers.copy()
+    k = centers.shape[0]
+    assign = np.argmin(_sq_dists(points, centers), axis=1)
+    for _ in range(max_iters):
+        new_centers = centers.copy()
+        for c in range(k):
+            members = points[assign == c]
+            if len(members):
+                new_centers[c] = members.mean(axis=0)
+        counts = np.bincount(assign, minlength=k)
+        taken = set()
+        for c in np.flatnonzero(counts == 0):
+            dist_own = np.einsum("ij,ij->i", points - new_centers[assign], points - new_centers[assign])
+            order = np.argsort(-dist_own, kind="stable")
+            pick = next(int(i) for i in order if int(i) not in taken)
+            taken.add(pick)
+            new_centers[c] = points[pick]
+            assign[pick] = c
+        shift = np.linalg.norm(new_centers - centers, axis=1)
+        converged = bool(np.all(shift < tol * (1.0 + np.linalg.norm(centers, axis=1))))
+        centers = new_centers
+        assign = np.argmin(_sq_dists(points, centers), axis=1)
+        if converged:
+            break
+    residual = points - centers[assign]
+    return assign, centers, float(np.einsum("ij,ij->i", residual, residual).sum())
+
+
+@pytest.mark.parametrize("duplicates", [1, 3])
+def test_empty_cluster_repair_fills_every_cluster(duplicates):
+    rng = np.random.default_rng(33)
+    points = _unit_rows(rng, 90, 5)
+    # repeating the first center leaves its copies empty after the first assignment
+    init = np.concatenate([np.repeat(points[:1], duplicates + 1, axis=0), points[1:4]])
+    k = len(init)
+    assert np.sum(np.bincount(np.argmin(_sq_dists(points, init), axis=1), minlength=k) == 0) == duplicates
+    for max_iters in (1, 2, 300):
+        assign, centers, inertia = _lloyd(points, init, max_iters=max_iters, tol=1e-6)
+        assert np.all(np.bincount(assign, minlength=k) > 0)
+        ref = _lloyd_repair_per_cluster(points, init, max_iters, 1e-6)
+        assert np.array_equal(assign, ref[0]) and np.array_equal(centers, ref[1]) and inertia == ref[2]

@@ -1,4 +1,6 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -70,6 +72,56 @@ def test_truncated_bin_reports_offset(tmp_path):
     bad.write_bytes(data[:-3])
     with pytest.raises(CorpusError, match="truncated"):
         load_corpus(str(bad), "bin")
+
+
+def test_bin_invalid_utf8_id_names_path_and_offset(tmp_path):
+    path = tmp_path / "c.bin"
+    save_corpus(build_corpus([_rec("u1", "s1", "sad", [1.0, 2.0])]), str(path), "bin")
+    data = bytearray(path.read_bytes())
+    data[8 + 2 + 1] = 0xFF  # second byte of utt_id "u1"
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorpusError, match=r"c\.bin: utt_id is not valid UTF-8 at offset 11"):
+        load_corpus(str(path), "bin")
+
+
+@pytest.mark.parametrize("vec", ["5", "[]", '["x"]'])
+def test_jsonl_bad_vec_names_record(tmp_path, vec):
+    path = tmp_path / "c.jsonl"
+    path.write_text(f'{{"utt_id": "a", "spk_id": "s", "emotion": null, "vec": {vec}}}\n')
+    with pytest.raises(CorpusError, match="'a'|c.jsonl:1"):
+        load_corpus(str(path), "jsonl")
+
+
+_FUZZ_CORPUS = build_corpus(
+    [_rec(f"u{i}", f"s{i % 2}", None if i == 3 else "happy", [0.5 * i, -1.0, 2.0]) for i in range(5)]
+)
+
+
+def _valid_bin_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.bin")
+        save_corpus(_FUZZ_CORPUS, path, "bin")
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_damaged_bin_loads_or_raises_corpus_error(data):
+    blob = bytearray(_valid_bin_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="keep")]
+    else:
+        pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+        blob[pos] ^= data.draw(st.integers(1, 255), label="mask")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.bin")
+        with open(path, "wb") as fh:
+            fh.write(bytes(blob))
+        try:
+            load_corpus(path, "bin")
+        except CorpusError:
+            pass
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emocluster.nn_core import (
     DenseLayer,
@@ -242,6 +247,55 @@ def test_checkpoint_rejects_corrupt_blob(tmp_path):
         fh.write(blob + b"\x00" * 8)
     with pytest.raises(ValueError, match="blob size"):
         load_checkpoint(path)
+
+
+def _two_component_checkpoint(path):
+    rng = np.random.default_rng(9)
+    components = {
+        "encoder": make_mlp(rng, [3, 3], ["relu"], "encoder"),
+        "head": make_mlp(rng, [3, 2], ["softmax"], "emotion_cls"),
+    }
+    save_checkpoint(path, components, {})
+    with open(path + ".bin", "rb") as fh:
+        return fh.read()
+
+
+def test_checkpoint_short_header_raises_value_error(tmp_path):
+    path = str(tmp_path / "ckpt.json")
+    blob = _two_component_checkpoint(path)
+    with open(path + ".bin", "wb") as fh:
+        fh.write(blob[:5])
+    with pytest.raises(ValueError, match="truncated checkpoint header"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_truncated_blob_names_component_and_offset(tmp_path):
+    path = str(tmp_path / "ckpt.json")
+    blob = _two_component_checkpoint(path)
+    # 8-byte header, then encoder (9 + 3 floats), then head: cut inside head's W
+    with open(path + ".bin", "wb") as fh:
+        fh.write(blob[: 8 + 8 * 12 + 20])
+    with pytest.raises(ValueError, match="component 'head' at offset 104"):
+        load_checkpoint(path)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_damaged_checkpoint_blob_loads_or_raises_value_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ckpt.json")
+        blob = bytearray(_two_component_checkpoint(path))
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="keep")]
+        else:
+            pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+            blob[pos] ^= data.draw(st.integers(1, 255), label="mask")
+        with open(path + ".bin", "wb") as fh:
+            fh.write(bytes(blob))
+        try:
+            load_checkpoint(path)
+        except ValueError:
+            pass
 
 
 def test_clone_params_is_deep():
