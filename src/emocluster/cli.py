@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .cluster_metrics import evaluate_run, report_to_dict, report_to_table
-from .clustering import KMeansConfig, cluster_speakers, run_from_dict, run_to_dict
+from .clustering import ClusteringRun, KMeansConfig, cluster_speakers, run_from_dict, run_to_dict
 from .corpus import (
     Corpus,
     CorpusError,
@@ -86,6 +86,27 @@ def _load_input_corpus(args, normalize: bool) -> Corpus:
     return length_normalize(corpus) if normalize else corpus
 
 
+def _load_run(path: str) -> ClusteringRun:
+    """Read a clustering run json; damaged contents raise CorpusError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except ValueError as exc:  # malformed json or invalid UTF-8
+        raise CorpusError(f"{path}: malformed clustering run ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise CorpusError(f"{path}: clustering run must be a json object, not {type(obj).__name__}")
+    for key in ("config", "per_speaker"):
+        if not isinstance(obj.get(key), dict):
+            problem = "is missing key" if key not in obj else "has a non-object value at key"
+            raise CorpusError(f"{path}: clustering run {problem} {key!r}")
+    try:
+        return run_from_dict(obj)
+    except KeyError as exc:
+        raise CorpusError(f"{path}: clustering run is missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise CorpusError(f"{path}: ill-typed value in clustering run ({exc})") from exc
+
+
 # ------------------------------------------------------------------- commands
 
 def cmd_gen_synth(args) -> int:
@@ -117,8 +138,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_eval_clusters(args) -> int:
     corpus = _load_input_corpus(args, not args.no_normalize)
-    with open(args.run, "r", encoding="utf-8") as fh:
-        run = run_from_dict(json.load(fh))
+    run = _load_run(args.run)
     report = evaluate_run(run, corpus)
     _write_text(args.out, canonical_dumps(report_to_dict(report)) + "\n")
     if args.table:
@@ -128,8 +148,7 @@ def cmd_eval_clusters(args) -> int:
 
 def cmd_mine_pairs(args) -> int:
     corpus = load_corpus(args.corpus, args.format)
-    with open(args.run, "r", encoding="utf-8") as fh:
-        run = run_from_dict(json.load(fh))
+    run = _load_run(args.run)
     config = MiningConfig(
         n_clusters_N=args.n_clusters,
         seed=args.seed,
@@ -264,8 +283,7 @@ def cmd_project(args) -> int:
     corpus = load_corpus(args.corpus, args.format)
     assignments = {}
     if args.run:
-        with open(args.run, "r", encoding="utf-8") as fh:
-            run = run_from_dict(json.load(fh))
+        run = _load_run(args.run)
         for sc in run.per_speaker.values():
             assignments.update(sc.assignments)
     points = pca_project_2d(corpus.matrix())

@@ -18,7 +18,10 @@ NMI_NORMALIZERS = ("arithmetic", "min", "max", "geometric")
 
 METRIC_NAMES = ("nmi", "ari", "purity", "silhouette")
 
-SILHOUETTE_BLOCK = 1 << 20  # floats in one block of pairwise differences (8 MB)
+SILHOUETTE_BLOCK = 1 << 20  # floats of silhouette temporaries at once (8 MB)
+# Gram-form squared distances below this fraction of |x|^2 + |y|^2 may have lost
+# most of their digits to cancellation; silhouette recomputes them exactly.
+SILHOUETTE_RECHECK = 1e-2
 
 
 @dataclass
@@ -119,8 +122,15 @@ def silhouette(points, cluster_labels) -> float:
     """Mean silhouette with Euclidean distances.
 
     Points in singleton clusters score 0, as do points where both the
-    intra- and nearest-other-cluster mean distances vanish.  Distances are
-    exact, taken in row blocks of ~SILHOUETTE_BLOCK floats, not n^2 * dim.
+    intra- and nearest-other-cluster mean distances vanish.
+
+    Squared distances come from the Gram form |x|^2 + |y|^2 - 2 x.y, one
+    matrix product per row block.  Pairs whose value falls below
+    SILHOUETTE_RECHECK * (|x|^2 + |y|^2) -- always the diagonal and any
+    duplicates -- are recomputed exactly as sum((x - y)^2), so identical
+    points are at distance exactly 0 and any other pair loses at most about
+    two decimal digits to cancellation.  The row blocks and the recheck
+    chunks keep all temporaries within ~SILHOUETTE_BLOCK floats.
     """
     points = np.asarray(points, dtype=np.float64)
     labels = list(cluster_labels)
@@ -136,12 +146,28 @@ def silhouette(points, cluster_labels) -> float:
     pts, codes = points[order], codes[order]
     counts = np.bincount(codes)
     starts = np.searchsorted(codes, np.arange(len(uniq)))
-    rows = max(1, SILHOUETTE_BLOCK // max(pts.size, 1))
+    n, dim = pts.shape
+    sq = np.einsum("ij,ij->i", pts, pts)
+    # each (rows, n) block takes 1/8 of the budget, each (pairs, dim) recheck gather 1/4
+    rows = max(1, (SILHOUETTE_BLOCK >> 3) // n)
+    pairs = max(1, (SILHOUETTE_BLOCK >> 2) // max(dim, 1))
 
-    sorted_scores = np.zeros(len(pts))
-    for lo in range(0, len(pts), rows):
-        diff = pts[lo : lo + rows, None, :] - pts[None, :, :]
-        sums = np.add.reduceat(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)), starts, axis=1)
+    sorted_scores = np.zeros(n)
+    for lo in range(0, n, rows):
+        blk = pts[lo : lo + rows]
+        dist = blk @ pts.T
+        dist *= -2.0
+        scale = np.add.outer(sq[lo : lo + rows], sq)
+        dist += scale
+        scale *= SILHOUETTE_RECHECK
+        near_i, near_j = np.nonzero(dist <= scale)
+        del scale  # freed before the recheck gathers
+        for c in range(0, len(near_i), pairs):
+            i, j = near_i[c : c + pairs], near_j[c : c + pairs]
+            diff = blk[i]
+            diff -= pts[j]
+            dist[i, j] = np.einsum("ij,ij->i", diff, diff)
+        sums = np.add.reduceat(np.sqrt(dist, out=dist), starts, axis=1)
         own = codes[lo : lo + rows]
         local = np.arange(len(own))
         size = counts[own]

@@ -158,9 +158,12 @@ def save_corpus(corpus: Corpus, path: str, format: str = "jsonl") -> None:
 
 def _load_jsonl(path: str) -> list[EmbeddingRecord]:
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"{path}:{lineno}: not valid UTF-8 at byte {exc.start}") from exc
             if not line:
                 continue
             try:

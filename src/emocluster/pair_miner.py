@@ -148,9 +148,12 @@ def save_tuples(tuples: list[ContrastiveTuple], path: str) -> None:
 
 def load_tuples(path: str) -> list[ContrastiveTuple]:
     tuples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: not valid UTF-8 at byte {exc.start}") from exc
             if not line:
                 continue
             try:
@@ -164,7 +167,7 @@ def load_tuples(path: str) -> list[ContrastiveTuple]:
                     ],
                     spk_id=str(obj["spk"]),
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed tuple line ({exc})") from exc
             _validate_tuple(t, f"{path}:{lineno}")
             tuples.append(t)

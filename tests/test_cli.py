@@ -234,3 +234,47 @@ def test_eval_clusters_unlabeled_corpus_writes_null_averages(tmp_path, small_cor
     assert payload["averages"] == {"nmi": None, "ari": None, "purity": None, "silhouette": None}
     assert payload["speakers_averaged"] == {"nmi": 0, "ari": 0, "purity": 0, "silhouette": 0}
     assert table.read_text().splitlines()[-1].split() == ["average", "-", "-", "-", "-"]
+
+
+_RUN_READERS = ("eval-clusters", "mine-pairs", "project")
+
+
+def _main_with_run(command, tmp_path, corpus, run):
+    return main([command, "--corpus", str(corpus), "--run", str(run), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("command", _RUN_READERS)
+def test_run_file_holding_a_list_exits_2(tmp_path, small_corpus, capsys, command):
+    run = tmp_path / "run.json"
+    run.write_text("[1, 2]\n")
+    assert _main_with_run(command, tmp_path, small_corpus, run) == 2
+    assert f"{run}: clustering run must be a json object, not list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", _RUN_READERS)
+def test_run_file_missing_config_exits_2(tmp_path, small_corpus, capsys, command):
+    good = tmp_path / "good.json"
+    assert main(["cluster", "--corpus", str(small_corpus), "--k", "2", "--out", str(good)]) == 0
+    payload = json.loads(good.read_text())
+    del payload["config"]
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps(payload))
+    assert _main_with_run(command, tmp_path, small_corpus, run) == 2
+    assert f"{run}: clustering run is missing key 'config'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", _RUN_READERS)
+def test_truncated_run_file_exits_2(tmp_path, small_corpus, capsys, command):
+    good = tmp_path / "good.json"
+    assert main(["cluster", "--corpus", str(small_corpus), "--k", "2", "--out", str(good)]) == 0
+    run = tmp_path / "run.json"
+    run.write_bytes(good.read_bytes()[:40])
+    assert _main_with_run(command, tmp_path, small_corpus, run) == 2
+    assert f"{run}: malformed clustering run (" in capsys.readouterr().err
+
+
+def test_jsonl_corpus_with_invalid_utf8_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_bytes(b'{"utt_id": "\xff", "spk_id": "s", "emotion": null, "vec": [1.0]}\n')
+    assert main(["cluster", "--corpus", str(corpus), "--k", "2", "--out", str(tmp_path / "r.json")]) == 2
+    assert f"{corpus}:1: not valid UTF-8 at byte 12" in capsys.readouterr().err

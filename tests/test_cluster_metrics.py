@@ -126,8 +126,37 @@ def test_silhouette_row_blocks_match_brute_force(monkeypatch, block_rows):
         points[1] = points[0]  # a zero distance inside the data
         labels = [f"c{v}" for v in rng.integers(0, 4, size=n)]
         labels[0], labels[-1] = "c0", "c9"  # a singleton cluster
-        monkeypatch.setattr(cluster_metrics, "SILHOUETTE_BLOCK", block_rows * n * 3)
+        # silhouette takes (SILHOUETTE_BLOCK >> 3) // n rows per block
+        monkeypatch.setattr(cluster_metrics, "SILHOUETTE_BLOCK", block_rows * n * 8)
         assert silhouette(points, labels) == pytest.approx(brute_silhouette(points, labels), abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 16, 192])
+def test_silhouette_near_duplicates_match_brute_force(dim):
+    # groups of points a relative distance `sep` apart: the Gram form alone
+    # would lose up to all digits of these distances to cancellation
+    rng = np.random.default_rng(dim)
+    for sep in (1e-12, 1e-9, 1e-6, 1e-3):
+        for norm in (1e-3, 1.0, 1e3):
+            centers = rng.normal(size=(3, dim))
+            centers *= norm / np.linalg.norm(centers, axis=1, keepdims=True)
+            points = np.repeat(centers, 6, axis=0) + sep * norm * rng.normal(size=(18, dim))
+            labels = rng.integers(0, 3, size=18).tolist()
+            labels[:2] = [0, 1]
+            assert silhouette(points, labels) == pytest.approx(
+                brute_silhouette(points, labels), abs=1e-12
+            ), (sep, norm)
+
+
+def test_silhouette_synthetic_speaker_slice_matches_brute_force():
+    spec = SynthSpec(n_speakers=1, n_emotions=4, utts_per_cell=40, dim=192, seed=5)
+    corpus = length_normalize(generate_synthetic(spec))
+    sc = cluster_speakers(corpus, KMeansConfig(k=8, seed=5)).per_speaker["spk000"]
+    utts = sorted(sc.assignments)[:150]
+    by_id = corpus.record_by_id()
+    points = np.stack([by_id[u].vec for u in utts])
+    labels = [sc.assignments[u] for u in utts]
+    assert silhouette(points, labels) == pytest.approx(brute_silhouette(points, labels), abs=1e-12)
 
 
 def test_silhouette_memory_is_blocked_not_cubic():
@@ -141,6 +170,18 @@ def test_silhouette_memory_is_blocked_not_cubic():
     finally:
         tracemalloc.stop()
     # the full n x n x dim difference tensor would take 600 * 600 * 64 * 8 bytes (~184 MB)
+    assert peak < 32 * 2**20
+
+
+def test_silhouette_memory_is_bounded_when_every_pair_is_rechecked():
+    points = np.ones((600, 64))
+    tracemalloc.start()
+    try:
+        value = silhouette(points, [0] * 300 + [1] * 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 0.0
     assert peak < 32 * 2**20
 
 

@@ -1,7 +1,11 @@
 import hashlib
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emocluster.clustering import KMeansConfig, center_distances, cluster_speakers
 from emocluster.corpus import SynthSpec, generate_synthetic, length_normalize
@@ -221,6 +225,56 @@ def test_malformed_line_reports_lineno(tmp_path):
     path.write_text('{"anchor": "a", "positive": "p", "negatives": [{"utt_id": "n", "cluster": 0}], "spk": "s"}\n{broken\n')
     with pytest.raises(ValueError, match=":2"):
         load_tuples(str(path))
+
+
+def test_invalid_utf8_names_path_line_and_byte(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(
+        b'{"anchor": "a", "positive": "p", "negatives": [{"utt_id": "n", "cluster": 0}], "spk": "s"}\n'
+        b'{"anchor": "\xff"}\n'
+    )
+    with pytest.raises(ValueError, match=r"bad\.jsonl:2: not valid UTF-8 at byte 12"):
+        load_tuples(str(path))
+
+
+def test_overflowing_cluster_names_path_and_line(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"anchor": "a", "positive": "p", "negatives": [{"utt_id": "n", "cluster": 1e999}], "spk": "s"}\n')
+    with pytest.raises(ValueError, match=r"bad\.jsonl:1: malformed tuple line"):
+        load_tuples(str(path))
+
+
+_FUZZ_TUPLES = [
+    ContrastiveTuple("a0", "p0", [Negative("n0", 0), Negative("n1", 3)], "s0"),
+    ContrastiveTuple("a1", "p1", [Negative("n2", 1)], "s1"),
+]
+
+
+def _valid_tuples_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.jsonl")
+        save_tuples(_FUZZ_TUPLES, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_damaged_tuples_load_or_raise_value_error_naming_the_file(data):
+    blob = bytearray(_valid_tuples_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="keep")]
+    else:
+        pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+        blob[pos] ^= data.draw(st.integers(1, 255), label="mask")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(bytes(blob))
+        try:
+            load_tuples(path)
+        except ValueError as exc:
+            assert str(exc).startswith(path), exc
 
 
 def test_load_validates_invariants(tmp_path):
