@@ -86,8 +86,9 @@ def _load_input_corpus(args, normalize: bool) -> Corpus:
     return length_normalize(corpus) if normalize else corpus
 
 
-def _load_run(path: str) -> ClusteringRun:
-    """Read a clustering run json; damaged contents raise CorpusError naming the file."""
+def _load_run(path: str, corpus: Corpus | None = None) -> ClusteringRun:
+    """Read a clustering run json; damaged contents, or (given a corpus) an
+    utterance the corpus lacks, raise CorpusError naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -100,11 +101,16 @@ def _load_run(path: str) -> ClusteringRun:
             problem = "is missing key" if key not in obj else "has a non-object value at key"
             raise CorpusError(f"{path}: clustering run {problem} {key!r}")
     try:
-        return run_from_dict(obj)
+        run = run_from_dict(obj)
     except KeyError as exc:
         raise CorpusError(f"{path}: clustering run is missing key {exc}") from exc
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise CorpusError(f"{path}: ill-typed value in clustering run ({exc})") from exc
+    if corpus is not None:
+        unknown = sorted(u for sc in run.per_speaker.values() for u in sc.assignments if u not in corpus.row_of)
+        if unknown:
+            raise CorpusError(f"{path}: clustered utterance {unknown[0]!r} missing from corpus")
+    return run
 
 
 # ------------------------------------------------------------------- commands
@@ -138,8 +144,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_eval_clusters(args) -> int:
     corpus = _load_input_corpus(args, not args.no_normalize)
-    run = _load_run(args.run)
-    report = evaluate_run(run, corpus)
+    report = evaluate_run(_load_run(args.run, corpus), corpus)
     _write_text(args.out, canonical_dumps(report_to_dict(report)) + "\n")
     if args.table:
         _write_text(args.table, report_to_table(report))
@@ -148,7 +153,7 @@ def cmd_eval_clusters(args) -> int:
 
 def cmd_mine_pairs(args) -> int:
     corpus = load_corpus(args.corpus, args.format)
-    run = _load_run(args.run)
+    run = _load_run(args.run, corpus)
     config = MiningConfig(
         n_clusters_N=args.n_clusters,
         seed=args.seed,
@@ -286,16 +291,14 @@ def cmd_project(args) -> int:
         run = _load_run(args.run)
         for sc in run.per_speaker.values():
             assignments.update(sc.assignments)
-    points = pca_project_2d(corpus.matrix())
+    points = pca_project_2d(corpus.vectors)
     lines = ["x,y,spk_id,emotion,cluster"]
-    for rec, (x, y) in zip(corpus.records, points):
-        cluster = assignments.get(rec.utt_id, "")
-        lines.append(
-            f"{format_float(float(x))},{format_float(float(y))},{rec.spk_id},{rec.emotion or ''},{cluster}"
-        )
+    for utt_id, spk_id, emotion, (x, y) in zip(corpus.utt_ids, corpus.spk_ids, corpus.emotions, points):
+        cluster = assignments.get(utt_id, "")
+        lines.append(f"{format_float(float(x))},{format_float(float(y))},{spk_id},{emotion or ''},{cluster}")
     _write_text(args.out, "\n".join(lines) + "\n")
     if args.svg:
-        groups = [f"{rec.spk_id}_{rec.emotion or 'unlabeled'}" for rec in corpus.records]
+        groups = [f"{spk_id}_{emotion or 'unlabeled'}" for spk_id, emotion in zip(corpus.spk_ids, corpus.emotions)]
         _write_text(args.svg, _scatter_svg(points, groups))
     return EXIT_OK
 
@@ -440,8 +443,11 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
     if at + 1 >= len(argv):
         return argv
     path = argv[at + 1]
-    with open(path, "r", encoding="utf-8") as fh:
-        values = json.load(fh)
+    try:
+        with open(path, "rb") as fh:
+            values = json.loads(fh.read().decode("utf-8"))
+    except ValueError as exc:  # malformed json or invalid UTF-8
+        raise CorpusError(f"{path}: malformed config file ({exc})") from exc
     if not isinstance(values, dict):
         raise CorpusError(f"{path}: config file must hold a json object")
     defaults = {k.replace("-", "_"): v for k, v in values.items()}
@@ -459,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (OSError, json.JSONDecodeError, CorpusError) as exc:
+    except (OSError, CorpusError) as exc:
         print(f"emocluster: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

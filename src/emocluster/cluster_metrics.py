@@ -189,22 +189,21 @@ def evaluate_run(run: ClusteringRun, corpus: Corpus) -> ClusterMetricsReport:
     speakers whose labeled subset covers fewer than 2 clusters.  An average
     no speaker contributes to (e.g. on an unlabeled corpus) is None.
     """
-    by_id = corpus.record_by_id()
     per_speaker: dict[str, dict[str, float | None]] = {}
     for spk in sorted(run.per_speaker):
         sc = run.per_speaker[spk]
-        clusters, emotions, vecs = [], [], []
+        clusters, emotions, rows = [], [], []
         unlabeled = 0
         for utt_id in sorted(sc.assignments):
-            rec = by_id.get(utt_id)
-            if rec is None:
+            row = corpus.row_of.get(utt_id)
+            if row is None:
                 raise ValueError(f"clustered utterance {utt_id!r} missing from corpus")
-            if rec.emotion is None:
+            if corpus.emotions[row] is None:
                 unlabeled += 1
                 continue
             clusters.append(sc.assignments[utt_id])
-            emotions.append(rec.emotion)
-            vecs.append(rec.vec)
+            emotions.append(corpus.emotions[row])
+            rows.append(row)
         if unlabeled:
             warnings.warn(
                 f"speaker {spk!r}: {unlabeled} utterance(s) without an emotion label excluded", stacklevel=2
@@ -218,7 +217,7 @@ def evaluate_run(run: ClusteringRun, corpus: Corpus) -> ClusterMetricsReport:
             "purity": purity(clusters, emotions),
         }
         if len(set(clusters)) >= 2:
-            entry["silhouette"] = silhouette(np.stack(vecs), clusters)
+            entry["silhouette"] = silhouette(corpus.vectors[rows], clusters)
         else:
             warnings.warn(f"speaker {spk!r}: single cluster in labeled subset; silhouette omitted", stacklevel=2)
             entry["silhouette"] = None

@@ -173,14 +173,10 @@ def cluster_speakers(corpus: Corpus, config: KMeansConfig) -> ClusteringRun:
     warn_if_unnormalized(corpus, "cluster_speakers")
     per_speaker = {}
     for spk_id, indices in corpus.speakers.items():
-        if not indices:
-            warnings.warn(f"speaker {spk_id!r} has no records; excluded", stacklevel=2)
-            continue
         # canonical utt_id order makes results independent of record order
-        ordered = sorted(indices, key=lambda i: corpus.records[i].utt_id)
-        utt_ids = [corpus.records[i].utt_id for i in ordered]
-        points = np.stack([corpus.records[i].vec for i in ordered])
-        per_speaker[spk_id] = cluster_speaker(spk_id, utt_ids, points, config)
+        ordered = sorted(indices, key=corpus.utt_ids.__getitem__)
+        utt_ids = [corpus.utt_ids[i] for i in ordered]
+        per_speaker[spk_id] = cluster_speaker(spk_id, utt_ids, corpus.vectors[ordered], config)
     return ClusteringRun(per_speaker=per_speaker, config=config)
 
 
@@ -214,24 +210,30 @@ def run_to_dict(run: ClusteringRun) -> dict:
     }
 
 
+_CONFIG_FIELDS = (("k", int), ("max_iters", int), ("tol", float), ("n_restarts", int), ("seed", int))
+_SPEAKER_FIELDS = (
+    ("assignments", lambda v: {u: int(c) for u, c in v.items()}),
+    ("centers", lambda v: np.asarray(v, dtype=np.float64)),
+    ("inertia", float), ("effective_k", int), ("seed_used", int),
+)
+
+
+def _typed_fields(obj, fields, where: str) -> dict:
+    values = {}
+    for key, convert in fields:
+        try:
+            values[key] = convert(obj[key])
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{where}, key {key!r}: {exc}") from exc
+    return values
+
+
 def run_from_dict(obj: dict) -> ClusteringRun:
-    cfg = obj["config"]
-    config = KMeansConfig(
-        k=int(cfg["k"]),
-        max_iters=int(cfg["max_iters"]),
-        tol=float(cfg["tol"]),
-        n_restarts=int(cfg["n_restarts"]),
-        seed=int(cfg["seed"]),
-    )
-    per_speaker = {}
-    for spk, payload in obj["per_speaker"].items():
-        centers = np.asarray(payload["centers"], dtype=np.float64)
-        per_speaker[spk] = SpeakerClustering(
-            spk_id=spk,
-            assignments={u: int(c) for u, c in payload["assignments"].items()},
-            centers=centers,
-            inertia=float(payload["inertia"]),
-            effective_k=int(payload["effective_k"]),
-            seed_used=int(payload["seed_used"]),
-        )
+    """Inverse of run_to_dict.  A missing key raises KeyError; a value of the
+    wrong type raises ValueError naming its speaker (or the config) and key."""
+    config = KMeansConfig(**_typed_fields(obj["config"], _CONFIG_FIELDS, "config"))
+    per_speaker = {
+        spk: SpeakerClustering(spk_id=spk, **_typed_fields(payload, _SPEAKER_FIELDS, f"speaker {spk!r}"))
+        for spk, payload in obj["per_speaker"].items()
+    }
     return ClusteringRun(per_speaker=per_speaker, config=config)

@@ -1,19 +1,21 @@
-"""Embedding corpora: loading, saving, normalization, capping, and synthesis.
+"""Embedding corpora: loading, saving, normalization, and synthesis.
 
-A corpus is a flat list of records (one utterance each: id, speaker,
-optional emotion label, embedding vector) plus a derived speaker index.
-Two interchangeable on-disk formats are supported: human-readable jsonl
-and a compact binary layout for large pools.
+A corpus is column-oriented: one (n, dim) float64 matrix of embedding
+vectors, parallel lists of utterance ids, speaker ids and optional emotion
+labels, and a map from each speaker to its row indices.  Stages select
+utterances by row (`Corpus.take`).  Two interchangeable on-disk formats are
+supported: human-readable jsonl and a compact binary layout for large pools.
 """
 
 import json
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .serialize import canonical_dumps, format_float, stable_seed
+from .serialize import canonical_dumps
 
 BIN_MAGIC = b"EMB1"
 
@@ -24,33 +26,77 @@ class CorpusError(ValueError):
     """Raised when a corpus file or record violates the format contract."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingRecord:
+    """One utterance: what the jsonl parser reads and `Corpus.records` yields."""
+
     utt_id: str
     spk_id: str
     emotion: str | None
     vec: np.ndarray  # float64, shape (dim,)
 
 
-@dataclass
 class Corpus:
-    records: list[EmbeddingRecord]
-    dim: int
-    speakers: dict[str, list[int]] = field(default_factory=dict)
+    """Embedding matrix plus each row's utterance id, speaker id and emotion.
 
-    def __post_init__(self):
-        if not self.speakers:
-            self.speakers = _build_speaker_index(self.records)
+    The constructor validates the columns (nonempty, equal lengths, unique
+    utterance ids, finite vectors) and makes the matrix read-only, so the
+    corpora that `take` and `strip_labels` derive can share or slice it.
+    `row_of` maps each utterance id to its row and `speakers` each speaker
+    to its rows in ascending order.
+    """
+
+    def __init__(self, vectors: np.ndarray, utt_ids: list[str], spk_ids: list[str], emotions: list[str | None]):
+        vectors = np.asarray(vectors, dtype=np.float64)
+        if not utt_ids:
+            raise CorpusError("corpus has no records")
+        if vectors.ndim != 2 or vectors.shape[1] < 1:
+            raise CorpusError(f"record {utt_ids[0]!r}: vec must be a nonempty list of numbers")
+        if not len(vectors) == len(utt_ids) == len(spk_ids) == len(emotions):
+            raise CorpusError("corpus columns differ in length")
+        row_of: dict[str, int] = {}
+        for i, utt_id in enumerate(utt_ids):
+            if row_of.setdefault(utt_id, i) != i:
+                raise CorpusError(f"duplicate utt_id {utt_id!r} (record {i})")
+        # a row sum is finite unless the row holds inf/nan or overflows: recheck just those rows
+        suspect = np.flatnonzero(~np.isfinite(vectors.sum(axis=1)))
+        bad = suspect[~np.isfinite(vectors[suspect]).all(axis=1)]
+        if bad.size:
+            raise CorpusError(f"non-finite entries in vector of {utt_ids[bad[0]]!r}")
+        vectors.flags.writeable = False
+        self.vectors = vectors
+        self.utt_ids = list(utt_ids)
+        self.spk_ids = list(spk_ids)
+        self.emotions = list(emotions)
+        self.row_of = row_of
+        self.speakers: dict[str, list[int]] = {}
+        for i, spk_id in enumerate(self.spk_ids):
+            self.speakers.setdefault(spk_id, []).append(i)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.utt_ids)
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
+
+    def take(self, rows) -> "Corpus":
+        """The corpus restricted to `rows`, in the order given."""
+        rows = np.asarray(rows, dtype=np.intp)
+        pick = lambda column: [column[i] for i in rows]
+        return Corpus(self.vectors[rows], pick(self.utt_ids), pick(self.spk_ids), pick(self.emotions))
+
+    # Row-object views for callers outside the package; its own code reads the columns.
+    @cached_property
+    def records(self) -> list[EmbeddingRecord]:
+        return [EmbeddingRecord(*row) for row in zip(self.utt_ids, self.spk_ids, self.emotions, self.vectors)]
 
     def record_by_id(self) -> dict[str, EmbeddingRecord]:
         return {r.utt_id: r for r in self.records}
 
     def matrix(self) -> np.ndarray:
-        """All vectors as an (n, dim) float64 array (rows share corpus order)."""
-        return np.stack([r.vec for r in self.records]) if self.records else np.zeros((0, self.dim))
+        """The (n, dim) vector matrix itself (read-only, rows in corpus order)."""
+        return self.vectors
 
 
 @dataclass
@@ -87,76 +133,52 @@ class SynthSpec:
             raise ValueError("emotion_dir_jitter must lie in [0, 1]")
 
 
-def _build_speaker_index(records: list[EmbeddingRecord]) -> dict[str, list[int]]:
-    index: dict[str, list[int]] = {}
-    for i, rec in enumerate(records):
-        index.setdefault(rec.spk_id, []).append(i)
-    return index
-
-
 def build_corpus(records: list[EmbeddingRecord]) -> Corpus:
-    """Validate records (unique ids, consistent finite dims) and assemble a Corpus."""
+    """Check that every record's vector has the first one's shape, then assemble a Corpus."""
     if not records:
         raise CorpusError("corpus has no records")
-    first = records[0]
-    if first.vec.ndim != 1 or first.vec.shape[0] < 1:
-        raise CorpusError(f"record {first.utt_id!r}: vec must be a nonempty list of numbers")
-    dim = first.vec.shape[0]
-    seen: set[str] = set()
-    for i, rec in enumerate(records):
-        if rec.utt_id in seen:
-            raise CorpusError(f"duplicate utt_id {rec.utt_id!r} (record {i})")
-        seen.add(rec.utt_id)
-        if rec.vec.ndim != 1 or rec.vec.shape[0] != dim:
-            raise CorpusError(
-                f"dimension mismatch: record {rec.utt_id!r} has dim "
-                f"{rec.vec.shape[0] if rec.vec.ndim == 1 else rec.vec.shape}, expected {dim}"
-            )
-        if not np.all(np.isfinite(rec.vec)):
-            raise CorpusError(f"non-finite entries in vector of {rec.utt_id!r}")
-    return Corpus(records=records, dim=int(dim))
+    shape = records[0].vec.shape
+    for rec in records:
+        if rec.vec.shape != shape:
+            raise CorpusError(f"dimension mismatch: record {rec.utt_id!r} has shape {rec.vec.shape}, expected {shape}")
+    return Corpus(
+        np.stack([r.vec for r in records]),
+        [r.utt_id for r in records],
+        [r.spk_id for r in records],
+        [r.emotion for r in records],
+    )
 
 
 # ---------------------------------------------------------------- file formats
 
-def _record_to_json_line(rec: EmbeddingRecord) -> str:
-    return canonical_dumps(
-        {
-            "utt_id": rec.utt_id,
-            "spk_id": rec.spk_id,
-            "emotion": rec.emotion,
-            "vec": [float(v) for v in rec.vec],
-        }
-    )
-
-
 def save_corpus(corpus: Corpus, path: str, format: str = "jsonl") -> None:
+    rows = zip(corpus.utt_ids, corpus.spk_ids, corpus.emotions, corpus.vectors)
     if format == "jsonl":
         with open(path, "w", encoding="utf-8") as fh:
-            for rec in corpus.records:
-                fh.write(_record_to_json_line(rec))
+            for utt_id, spk_id, emotion, vec in rows:
+                fh.write(canonical_dumps({"utt_id": utt_id, "spk_id": spk_id, "emotion": emotion, "vec": vec.tolist()}))
                 fh.write("\n")
     elif format == "bin":
         with open(path, "wb") as fh:
             fh.write(BIN_MAGIC)
             fh.write(struct.pack("<I", corpus.dim))
-            for rec in corpus.records:
-                for s in (rec.utt_id, rec.spk_id):
+            for utt_id, spk_id, emotion, vec in rows:
+                for s in (utt_id, spk_id):
                     b = s.encode("utf-8")
                     fh.write(struct.pack("<H", len(b)))
                     fh.write(b)
-                if rec.emotion is None:
+                if emotion is None:
                     fh.write(struct.pack("<B", 0))
                 else:
-                    b = rec.emotion.encode("utf-8")
+                    b = emotion.encode("utf-8")
                     fh.write(struct.pack("<BH", 1, len(b)))
                     fh.write(b)
-                fh.write(rec.vec.astype("<f4").tobytes())
+                fh.write(vec.astype("<f4").tobytes())
     else:
         raise CorpusError(f"unknown corpus format {format!r}")
 
 
-def _load_jsonl(path: str) -> list[EmbeddingRecord]:
+def _load_jsonl(path: str) -> Corpus:
     records = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -181,10 +203,10 @@ def _load_jsonl(path: str) -> list[EmbeddingRecord]:
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusError(f"{path}:{lineno}: malformed record ({exc})") from exc
             records.append(rec)
-    return records
+    return build_corpus(records)
 
 
-def _load_bin(path: str) -> list[EmbeddingRecord]:
+def _load_bin(path: str) -> Corpus:
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != BIN_MAGIC:
@@ -193,7 +215,7 @@ def _load_bin(path: str) -> list[EmbeddingRecord]:
         raise CorpusError(f"{path}: truncated header")
     (dim,) = struct.unpack_from("<I", data, 4)
     off = 8
-    records = []
+    utt_ids, spk_ids, emotions, vec_offsets = [], [], [], []
 
     def take(n: int, what: str) -> bytes:
         nonlocal off
@@ -212,67 +234,52 @@ def _load_bin(path: str) -> list[EmbeddingRecord]:
             raise CorpusError(f"{path}: {what} is not valid UTF-8 at offset {start + exc.start}") from exc
 
     while off < len(data):
-        utt_id = text("utt_id")
-        spk_id = text("spk_id")
+        utt_ids.append(text("utt_id"))
+        spk_ids.append(text("spk_id"))
         (flag,) = struct.unpack("<B", take(1, "emotion flag"))
-        emotion = None
-        if flag == 1:
-            emotion = text("emotion")
-        elif flag != 0:
+        if flag not in (0, 1):
             raise CorpusError(f"{path}: bad emotion flag {flag} at offset {off - 1}")
-        raw = take(4 * dim, "vector")
-        vec = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        records.append(EmbeddingRecord(utt_id, spk_id, emotion, vec))
-    return records
+        emotions.append(text("emotion") if flag else None)
+        vec_offsets.append(off)
+        take(4 * dim, "vector")
+    # the float32 rows go straight into the float64 matrix, with no per-record arrays
+    vectors = np.empty((len(vec_offsets), dim))
+    for row, start in zip(vectors, vec_offsets):
+        row[:] = np.frombuffer(data, dtype="<f4", count=dim, offset=start)
+    return Corpus(vectors, utt_ids, spk_ids, emotions)
 
 
 def load_corpus(path: str, format: str = "jsonl") -> Corpus:
     """Load and validate a corpus file in the declared format."""
     if format == "jsonl":
-        records = _load_jsonl(path)
-    elif format == "bin":
-        records = _load_bin(path)
-    else:
-        raise CorpusError(f"unknown corpus format {format!r}")
-    return build_corpus(records)
+        return _load_jsonl(path)
+    if format == "bin":
+        return _load_bin(path)
+    raise CorpusError(f"unknown corpus format {format!r}")
 
 
 # ------------------------------------------------------------------ operations
 
 def length_normalize(corpus: Corpus) -> Corpus:
-    """Scale every vector to unit Euclidean norm (direction preserved)."""
-    records = []
-    for rec in corpus.records:
-        norm = float(np.linalg.norm(rec.vec))
-        if norm == 0.0:
-            raise CorpusError(f"zero-norm vector for utt_id {rec.utt_id!r}")
-        records.append(EmbeddingRecord(rec.utt_id, rec.spk_id, rec.emotion, rec.vec / norm))
-    return Corpus(records=records, dim=corpus.dim)
+    """Scale every vector to unit Euclidean norm (direction preserved).
+
+    Each row's squared norm is one dot product, taken through the batched
+    matmul so it is the very sum np.linalg.norm forms on a single row
+    (np.linalg.norm(X, axis=1) sums in another order and differs in the
+    last bit on some rows).
+    """
+    X = corpus.vectors
+    norms = np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise CorpusError(f"zero-norm vector for utt_id {corpus.utt_ids[zero[0]]!r}")
+    return Corpus(X / norms[:, None], corpus.utt_ids, corpus.spk_ids, corpus.emotions)
 
 
 def is_normalized(corpus: Corpus, tol: float = 1e-6) -> bool:
-    norms = np.linalg.norm(corpus.matrix(), axis=1)
+    X = corpus.vectors
+    norms = np.sqrt(np.einsum("ij,ij->i", X, X))
     return bool(np.all(np.abs(norms - 1.0) <= tol))
-
-
-def cap_per_speaker(corpus: Corpus, max_utts: int, seed: int) -> Corpus:
-    """Keep at most max_utts records per speaker via seeded uniform sampling.
-
-    Retained records preserve corpus order; the same seed always yields the
-    same retained set.
-    """
-    if max_utts < 1:
-        raise ValueError("max_utts must be >= 1")
-    keep: set[int] = set()
-    for spk_id, indices in corpus.speakers.items():
-        if len(indices) <= max_utts:
-            keep.update(indices)
-        else:
-            rng = np.random.default_rng(stable_seed(seed, "cap", spk_id))
-            chosen = rng.choice(len(indices), size=max_utts, replace=False)
-            keep.update(indices[i] for i in chosen)
-    records = [corpus.records[i] for i in sorted(keep)]
-    return Corpus(records=records, dim=corpus.dim)
 
 
 def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -305,7 +312,9 @@ def generate_synthetic(spec: SynthSpec) -> Corpus:
     speaker_means = rng.normal(scale=spec.speaker_spread, size=(spec.n_speakers, spec.dim))
     shared_dirs = np.stack([_unit_vector(rng, spec.dim) for _ in range(spec.n_emotions)])
 
-    records = []
+    cell = spec.utts_per_cell
+    vectors = np.empty((spec.n_speakers * spec.n_emotions * cell, spec.dim))
+    utt_ids, spk_ids, labels = [], [], []
     for si in range(spec.n_speakers):
         spk_id = f"spk{si:03d}"
         for ei, emotion in enumerate(emotions):
@@ -316,44 +325,19 @@ def generate_synthetic(spec: SynthSpec) -> Corpus:
                 n = np.linalg.norm(mix)
                 direction = mix / n if n > 0 else private
             offset = spec.emotion_offset_norm * direction
-            noise = rng.normal(scale=spec.within_noise, size=(spec.utts_per_cell, spec.dim))
-            for ui in range(spec.utts_per_cell):
-                vec = speaker_means[si] + offset + noise[ui]
-                records.append(
-                    EmbeddingRecord(
-                        utt_id=f"{spk_id}_e{ei}_u{ui:04d}",
-                        spk_id=spk_id,
-                        emotion=emotion,
-                        vec=vec,
-                    )
-                )
-    return build_corpus(records)
+            noise = rng.normal(scale=spec.within_noise, size=(cell, spec.dim))
+            vectors[len(utt_ids) : len(utt_ids) + cell] = speaker_means[si] + offset + noise
+            utt_ids += [f"{spk_id}_e{ei}_u{ui:04d}" for ui in range(cell)]
+            spk_ids += [spk_id] * cell
+            labels += [emotion] * cell
+    return Corpus(vectors, utt_ids, spk_ids, labels)
 
 
 def strip_labels(corpus: Corpus) -> Corpus:
-    """Copy of the corpus with all emotion labels removed (pretraining view)."""
-    records = [EmbeddingRecord(r.utt_id, r.spk_id, None, r.vec) for r in corpus.records]
-    return Corpus(records=records, dim=corpus.dim)
-
-
-def subset(corpus: Corpus, indices) -> Corpus:
-    records = [corpus.records[i] for i in indices]
-    return build_corpus(records)
+    """The corpus with all emotion labels removed (pretraining view); shares the matrix."""
+    return Corpus(corpus.vectors, corpus.utt_ids, corpus.spk_ids, [None] * len(corpus))
 
 
 def warn_if_unnormalized(corpus: Corpus, context: str) -> None:
     if not is_normalized(corpus):
         warnings.warn(f"{context}: corpus vectors are not length-normalized", stacklevel=3)
-
-
-def corpus_fingerprint(corpus: Corpus) -> str:
-    """Content hash over ids, labels, and 17-digit vector reprs."""
-    import hashlib
-
-    h = hashlib.sha256()
-    for rec in corpus.records:
-        h.update(rec.utt_id.encode())
-        h.update(rec.spk_id.encode())
-        h.update((rec.emotion or "").encode())
-        h.update(",".join(format_float(float(v)) for v in rec.vec).encode())
-    return h.hexdigest()

@@ -28,7 +28,8 @@ def cosine_sim(x, y) -> float:
 class ContrastiveBatch:
     z_anchor: np.ndarray  # (B, P)
     z_positive: np.ndarray  # (B, P)
-    z_negatives: list[np.ndarray]  # per anchor, (m_i, P) with m_i >= 1
+    z_negatives: np.ndarray  # (B, M, P): anchor i's negatives in the slots of mask row i, zeros elsewhere
+    negative_mask: np.ndarray  # (B, M) bool, at least one slot per anchor
     tau: float
 
     def validate(self) -> None:
@@ -37,18 +38,20 @@ class ContrastiveBatch:
         B, P = self.z_anchor.shape
         if self.z_positive.shape != (B, P):
             raise ValueError("anchor/positive shape mismatch")
-        if len(self.z_negatives) != B:
-            raise ValueError("one negative set per anchor required")
-        for i, zn in enumerate(self.z_negatives):
-            if zn.ndim != 2 or zn.shape[0] < 1 or zn.shape[1] != P:
-                raise ValueError(f"anchor {i}: negatives must be a nonempty (m, {P}) array")
+        if self.z_negatives.ndim != 3 or self.z_negatives.shape[::2] != (B, P):
+            raise ValueError(f"negatives must be a ({B}, M, {P}) array")
+        if self.negative_mask.shape != self.z_negatives.shape[:2]:
+            raise ValueError("negative mask must be (B, M)")
+        empty = np.flatnonzero(~self.negative_mask.any(axis=1))
+        if empty.size:
+            raise ValueError(f"anchor {empty[0]}: needs at least one negative")
 
 
 @dataclass
 class ContrastiveGrads:
     d_anchor: np.ndarray
     d_positive: np.ndarray
-    d_negatives: list[np.ndarray]
+    d_negatives: np.ndarray  # (B, M, P), zero in the unmasked slots
 
 
 def ntxent_variant(batch: ContrastiveBatch, include_positive_in_denominator: bool = False):
@@ -57,17 +60,14 @@ def ntxent_variant(batch: ContrastiveBatch, include_positive_in_denominator: boo
     The sum runs over the mined negatives, plus the positive itself when
     the flag is set.  Returns (loss, analytic gradients wrt every z).
 
-    The whole batch is scored at once: the ragged negative sets are padded
-    into a (B, M, P) tensor with a (B, M) mask, and d cos(a, y)/da is the
-    closed form (y_hat - cos * a_hat) / |a| on the unit vectors.
+    The whole batch is scored at once over the zero-padded (B, M, P)
+    negatives; d cos(a, y)/da is the closed form (y_hat - cos * a_hat) / |a|
+    on the unit vectors.
     """
     batch.validate()
     B = batch.z_anchor.shape[0]
     tau = batch.tau
-    counts = np.array([len(zn) for zn in batch.z_negatives])
-    mask = np.arange(counts.max()) < counts[:, None]  # (B, M)
-    negs = np.zeros((*mask.shape, batch.z_anchor.shape[1]))
-    negs[mask] = np.concatenate(batch.z_negatives)
+    mask, negs = batch.negative_mask, batch.z_negatives
 
     n_a = np.linalg.norm(batch.z_anchor, axis=1)
     n_p = np.linalg.norm(batch.z_positive, axis=1)
@@ -100,8 +100,7 @@ def ntxent_variant(batch: ContrastiveBatch, include_positive_in_denominator: boo
         - (c_pos * s_pos + (c_neg * s_neg).sum(axis=1))[:, None] * a_hat
     ) / n_a[:, None]
     d_positive = c_pos[:, None] * (a_hat - s_pos[:, None] * p_hat) / n_p[:, None]
-    d_negs = c_neg[:, :, None] * (a_hat[:, None, :] - s_neg[:, :, None] * n_hat) / n_n[:, :, None]
-    d_negatives = np.split(d_negs[mask], np.cumsum(counts)[:-1])
+    d_negatives = c_neg[:, :, None] * (a_hat[:, None, :] - s_neg[:, :, None] * n_hat) / n_n[:, :, None]
     return loss, ContrastiveGrads(d_anchor, d_positive, d_negatives)
 
 

@@ -79,36 +79,40 @@ def mine_tuples(
             f"clustering used k={run.config.k} but mining expects N={config.n_clusters_N}",
             stacklevel=2,
         )
-    known = {r.utt_id for r in corpus.records}
     counts = {"emitted": 0, "skipped_singleton": 0, "skipped_too_few_clusters": 0, "skipped_short_window": 0}
     m_target = config.negatives_per_anchor
 
     tuples: list[ContrastiveTuple] = []
     for spk in sorted(run.per_speaker):
         sc = run.per_speaker[spk]
-        missing = [u for u in sc.assignments if u not in known]
+        missing = [u for u in sc.assignments if u not in corpus.row_of]
         if missing:
             raise ValueError(f"clustered utterances missing from corpus: {missing[:3]}")
+        utts = sorted(sc.assignments)
         members: dict[int, list[str]] = {}
-        for utt_id in sorted(sc.assignments):
+        for utt_id in utts:
             members.setdefault(sc.assignments[utt_id], []).append(utt_id)
         populated = set(members)
         if len(populated) < 2:
-            counts["skipped_too_few_clusters"] += len(sc.assignments)
+            counts["skipped_too_few_clusters"] += len(utts)
             continue
+        # the negative window depends only on the anchor's cluster
         dists = center_distances(sc)
-        for utt_id in sorted(sc.assignments):
+        window = {c: ranked_negative_clusters(dists[c], c, populated)[:m_target] for c in populated}
+        position = {u: p for group in members.values() for p, u in enumerate(group)}
+        for utt_id in utts:
             own = sc.assignments[utt_id]
-            pool = [u for u in members[own] if u != utt_id]
-            if not pool:
+            if len(members[own]) == 1:
                 counts["skipped_singleton"] += 1
                 continue
-            selected = ranked_negative_clusters(dists[own], own, populated)[:m_target]
+            selected = window[own]
             if not config.allow_fewer_negatives and len(selected) < m_target:
                 counts["skipped_short_window"] += 1
                 continue
             rng = np.random.default_rng(stable_seed(config.seed, "mine", utt_id))
-            positive = pool[int(rng.integers(len(pool)))]
+            # a uniform draw over the cluster's other members, skipping the anchor's slot
+            j = int(rng.integers(len(members[own]) - 1))
+            positive = members[own][j + (j >= position[utt_id])]
             negatives = [
                 Negative(utt_id=members[c][int(rng.integers(len(members[c])))], cluster=c)
                 for c in selected

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .clustering import KMeansConfig, cluster_speakers
-from .corpus import Corpus, build_corpus, is_normalized, strip_labels, warn_if_unnormalized
+from .corpus import Corpus, is_normalized, strip_labels, warn_if_unnormalized
 from .nn_core import (
     ModelParams,
     adamw_step,
@@ -187,24 +187,27 @@ def _shuffled_batches(n_items: int, batch_size: int, rng: np.random.Generator):
                 yield chunk, start + batch_size >= n_items
 
 
-def _contrastive_step(encoder, con_head, spk_head, rows, neg_counts, spk_labels, config):
+def _contrastive_step(encoder, con_head, spk_head, rows, neg_mask, spk_labels, config):
     """Forward/backward one contrastive batch; returns (l_con, l_spk, flat gradient).
 
-    rows holds the B anchors, then their B positives, then each anchor's
-    negatives (neg_counts[i] rows for anchor i).  The speaker head, when
+    rows holds the B anchors, then their B positives, then the negatives:
+    one per set slot of the (B, M) neg_mask, in row-major order.  The
+    projections are scattered into the padded (B, M, P) block the loss
+    takes, and its gradient gathered back in row order.  The speaker head, when
     present, classifies the anchors; in mtl_adversarial mode its gradient
     reaches the trunk through gradient reversal.  The gradient vector is
     in `flatten_params(encoder, con_head, spk_head)` order.
     """
     weights = config.mtl_weights
-    B = len(neg_counts)
+    B = len(neg_mask)
     enc_out, enc_cache = forward(encoder, rows)
     proj, head_cache = forward(con_head, enc_out)
-    zn = np.split(proj[2 * B :], np.cumsum(neg_counts)[:-1])
+    zn = np.zeros((*neg_mask.shape, proj.shape[1]))
+    zn[neg_mask] = proj[2 * B :]
     loss_con, cg = ntxent_variant(
-        ContrastiveBatch(proj[:B], proj[B : 2 * B], zn, config.tau), config.include_positive_in_denominator
+        ContrastiveBatch(proj[:B], proj[B : 2 * B], zn, neg_mask, config.tau), config.include_positive_in_denominator
     )
-    dproj = np.concatenate([cg.d_anchor, cg.d_positive] + cg.d_negatives) * weights.w_contrastive
+    dproj = np.concatenate([cg.d_anchor, cg.d_positive, cg.d_negatives[neg_mask]]) * weights.w_contrastive
     con_grads, d_enc = backward(con_head, head_cache, dproj)
 
     loss_spk, spk_grads = 0.0, np.empty(0)
@@ -242,6 +245,22 @@ def _mine(run, corpus: Corpus, config: TrainConfig, seed: int) -> list[Contrasti
     if not mined:
         raise ValueError("no mineable tuples: every anchor was skipped")
     return mined
+
+
+def _tuple_rows(tuples: list[ContrastiveTuple], corpus: Corpus, spk_index: dict[str, int]):
+    """A tuple pool as arrays over the corpus rows: anchors, positives, the
+    (T, M) negatives and their mask (each tuple's negatives left-aligned),
+    and each anchor's speaker label."""
+    if not tuples:
+        raise ValueError("no contrastive tuples to train on")
+    row = corpus.row_of
+    counts = np.array([len(t.negatives) for t in tuples])
+    mask = np.arange(counts.max()) < counts[:, None]
+    negatives = np.zeros(mask.shape, dtype=np.intp)
+    negatives[mask] = [row[n.utt_id] for t in tuples for n in t.negatives]
+    anchors = np.array([row[t.anchor] for t in tuples])
+    positives = np.array([row[t.positive] for t in tuples])
+    return anchors, positives, negatives, mask, np.array([spk_index[t.spk_id] for t in tuples])
 
 
 def pretrain(
@@ -285,11 +304,11 @@ def pretrain(
             enc_out_dim, len(speakers), "speaker_cls", config, config.seed
         )
 
-    def mine(seed: int) -> list[ContrastiveTuple]:
+    def mine(seed: int):
         nonlocal run
         if run is None:
             run = _pretrain_run(corpus_unlabeled, config)
-        return _mine(run, corpus_unlabeled, config, seed)
+        return _tuple_rows(_mine(run, corpus_unlabeled, config, seed), corpus_unlabeled, spk_index)
 
     history: dict[str, list[float]] = {"contrastive": [], "speaker": [], "total": []}
     params = flatten_params(*components.values())
@@ -301,25 +320,21 @@ def pretrain(
     if config.steps == 0:
         return Checkpoint(components=components, mode=config.mode, seed=config.seed, steps=0, history=history)
 
-    vec_by_id = {r.utt_id: r.vec for r in corpus_unlabeled.records}
-
+    X = corpus_unlabeled.vectors
     if contrastive_on:
         epoch = 0
-        pool = tuples if tuples is not None else mine(config.seed)
-        batches = _shuffled_batches(len(pool), config.batch_size, rng)
+        pool = mine(config.seed) if tuples is None else _tuple_rows(tuples, corpus_unlabeled, spk_index)
+        batches = _shuffled_batches(len(pool[0]), config.batch_size, rng)
         for _ in range(config.steps):
             idx, epoch_end = next(batches)
-            batch = [pool[i] for i in idx]
-            ids = [t.anchor for t in batch] + [t.positive for t in batch]
-            ids += [n.utt_id for t in batch for n in t.negatives]
+            anchors, positives, negatives, mask, labels = (column[idx] for column in pool)
+            # pad only to the batch's widest negative set: the loss's sums over
+            # the slots would round differently at another width
+            width = mask.sum(axis=1).max()
+            mask = mask[:, :width]
+            rows = np.concatenate([anchors, positives, negatives[:, :width][mask]])
             l_con, l_spk, flat = _contrastive_step(
-                encoder,
-                components["contrastive"],
-                components.get("speaker_cls"),
-                np.stack([vec_by_id[u] for u in ids]),
-                [len(t.negatives) for t in batch],
-                np.asarray([spk_index[t.spk_id] for t in batch]),
-                config,
+                encoder, components["contrastive"], components.get("speaker_cls"), X[rows], mask, labels, config
             )
             adamw_step(opt, params, flat)
             history["contrastive"].append(l_con)
@@ -328,14 +343,13 @@ def pretrain(
             if epoch_end and config.resample_pairs_each_epoch:
                 epoch += 1
                 pool = mine(stable_seed(config.seed, "resample", epoch))
-                batches = _shuffled_batches(len(pool), config.batch_size, rng)
+                batches = _shuffled_batches(len(pool[0]), config.batch_size, rng)
     else:  # speaker classification only
-        all_rows = corpus_unlabeled.matrix()
-        labels = np.asarray([spk_index[r.spk_id] for r in corpus_unlabeled.records])
-        batches = _shuffled_batches(len(all_rows), config.batch_size, rng)
+        labels = np.asarray([spk_index[s] for s in corpus_unlabeled.spk_ids])
+        batches = _shuffled_batches(len(X), config.batch_size, rng)
         for _ in range(config.steps):
             idx, _ = next(batches)
-            loss, flat = _classifier_step(encoder, components["speaker_cls"], all_rows[idx], labels[idx])
+            loss, flat = _classifier_step(encoder, components["speaker_cls"], X[idx], labels[idx])
             adamw_step(opt, params, flat)
             history["speaker"].append(loss)
             history["contrastive"].append(0.0)
@@ -347,6 +361,11 @@ def pretrain(
 
 
 # ------------------------------------------------------------------ SER stage
+
+def _speaker_rows(corpus: Corpus, speakers) -> list[int]:
+    """The rows of the given speakers' utterances, in corpus order."""
+    return sorted(i for spk in speakers for i in corpus.speakers[spk])
+
 
 def split_by_speaker(corpus: Corpus, fractions, seed: int):
     """Speaker-disjoint (train, val, test) split with seeded assignment."""
@@ -361,17 +380,8 @@ def split_by_speaker(corpus: Corpus, fractions, seed: int):
     n_train = n - n_val - n_test
     if n_train < 1:
         raise ValueError(f"split fractions leave no training speakers for {n} speakers")
-    groups = {
-        "train": set(order[:n_train]),
-        "val": set(order[n_train : n_train + n_val]),
-        "test": set(order[n_train + n_val :]),
-    }
-
-    def pick(names):
-        indices = [i for spk in sorted(names) for i in corpus.speakers[spk]]
-        return build_corpus([corpus.records[i] for i in sorted(indices)])
-
-    return pick(groups["train"]), pick(groups["val"]), pick(groups["test"])
+    groups = (order[:n_train], order[n_train : n_train + n_val], order[n_train + n_val :])
+    return tuple(corpus.take(_speaker_rows(corpus, names)) for names in groups)
 
 
 def check_speaker_disjoint(*corpora: Corpus) -> None:
@@ -386,17 +396,17 @@ def check_speaker_disjoint(*corpora: Corpus) -> None:
 def _labeled_arrays(corpus: Corpus, emotions: list[str]):
     index = {e: i for i, e in enumerate(emotions)}
     rows, labels = [], []
-    for rec in corpus.records:
-        if rec.emotion is None:
+    for row, emotion in enumerate(corpus.emotions):
+        if emotion is None:
             continue
-        if rec.emotion not in index:
-            warnings.warn(f"unknown emotion label {rec.emotion!r}; record excluded", stacklevel=2)
+        if emotion not in index:
+            warnings.warn(f"unknown emotion label {emotion!r}; record excluded", stacklevel=2)
             continue
-        rows.append(rec.vec)
-        labels.append(index[rec.emotion])
+        rows.append(row)
+        labels.append(index[emotion])
     if not rows:
         raise ValueError("no labeled records available")
-    return np.stack(rows), np.asarray(labels)
+    return corpus.vectors[rows], np.asarray(labels)
 
 
 def _ser_accuracy(encoder, head, rows, labels) -> float:
@@ -429,16 +439,13 @@ def train_ser(
         rng = np.random.default_rng(stable_seed(seed, "ser_split"))
         order = [speakers[i] for i in rng.permutation(len(speakers))]
         n_val = min(len(order) - 1, max(1, round(f_val / (f_train + f_val) * len(order))))
-        val_set = set(order[:n_val])
-        train_idx = [i for spk in speakers if spk not in val_set for i in corpus_labeled.speakers[spk]]
-        val_idx = [i for spk in sorted(val_set) for i in corpus_labeled.speakers[spk]]
-        train_c = build_corpus([corpus_labeled.records[i] for i in sorted(train_idx)])
-        val_c = build_corpus([corpus_labeled.records[i] for i in sorted(val_idx)])
+        train_c = corpus_labeled.take(_speaker_rows(corpus_labeled, order[n_val:]))
+        val_c = corpus_labeled.take(_speaker_rows(corpus_labeled, order[:n_val]))
     else:
         train_c, val_c = corpus_labeled, val_corpus
     check_speaker_disjoint(train_c, val_c)
 
-    emotions = sorted({r.emotion for r in train_c.records if r.emotion is not None})
+    emotions = sorted({e for e in train_c.emotions if e is not None})
     if len(emotions) < 2:
         raise ValueError(f"SER training needs >= 2 emotion classes, found {emotions}")
 
@@ -530,9 +537,9 @@ def labeled_fraction(corpus: Corpus, fraction: float, seed: int) -> Corpus:
     if fraction == 1.0:
         return corpus
     by_emotion: dict[str, list[int]] = {}
-    for i, rec in enumerate(corpus.records):
-        if rec.emotion is not None:
-            by_emotion.setdefault(rec.emotion, []).append(i)
+    for i, emotion in enumerate(corpus.emotions):
+        if emotion is not None:
+            by_emotion.setdefault(emotion, []).append(i)
     keep: list[int] = []
     for emotion in sorted(by_emotion):
         indices = by_emotion[emotion]
@@ -540,7 +547,7 @@ def labeled_fraction(corpus: Corpus, fraction: float, seed: int) -> Corpus:
         rng = np.random.default_rng(stable_seed(seed, "label_budget", emotion))
         chosen = rng.choice(len(indices), size=n_keep, replace=False)
         keep.extend(indices[i] for i in chosen)
-    return build_corpus([corpus.records[i] for i in sorted(keep)])
+    return corpus.take(sorted(keep))
 
 
 def run_protocol(
@@ -574,11 +581,8 @@ def run_protocol(
         n_pool = max(1, round(config.pretrain_speaker_fraction * len(order)))
         if len(order) - n_pool < 3:
             raise ValueError("pretrain_speaker_fraction leaves too few speakers for SER splits")
-        pool = set(order[:n_pool])
-        pool_idx = [i for spk in sorted(pool) for i in normalized.speakers[spk]]
-        pretrain_base = build_corpus([normalized.records[i] for i in sorted(pool_idx)])
-        rest_idx = [i for spk in speakers if spk not in pool for i in normalized.speakers[spk]]
-        ser_base = build_corpus([normalized.records[i] for i in sorted(rest_idx)])
+        pretrain_base = normalized.take(_speaker_rows(normalized, order[:n_pool]))
+        ser_base = normalized.take(_speaker_rows(normalized, order[n_pool:]))
     else:
         pretrain_base = None
         ser_base = normalized
@@ -660,7 +664,7 @@ def _grad_check_nets(kind: str, config: TrainConfig, seed: int, attempt: int):
     labels = rng.integers(0, 3, size=B)
 
     rows = np.concatenate([anchors, positives, negatives.reshape(B * n_neg, dim)])
-    neg_counts = [n_neg] * B
+    neg_mask = np.ones((B, n_neg), dtype=bool)
     enc_out, enc_cache = forward(encoder, rows)
     worst = _relu_margin(encoder, enc_cache)
     proj, con_cache = forward(con_head, enc_out)
@@ -673,7 +677,7 @@ def _grad_check_nets(kind: str, config: TrainConfig, seed: int, attempt: int):
     # cosine curvature scales like 1/row-norm^k: keep projections well away from 0
     if float(np.linalg.norm(proj, axis=1).min()) < 0.05:
         return None
-    return cfg, encoder, con_head, spk_head, emo_head, rows, neg_counts, labels
+    return cfg, encoder, con_head, spk_head, emo_head, rows, neg_mask, labels
 
 
 def grad_check_cases(kind: str, config: TrainConfig, seed: int = 0, grl_lambda: float = 1.0):
@@ -712,8 +716,8 @@ def _flat_copies(*nets: ModelParams):
 def _assemble_grad_check_cases(kind: str, nets, grl_lambda: float):
     """Each case owns copies of the nets flattened as training flattens them,
     and passes the part of that buffer its gradient covers."""
-    cfg, encoder, con_head, spk_head, emo_head, rows, neg_counts, labels = nets
-    anchors = rows[: len(neg_counts)]
+    cfg, encoder, con_head, spk_head, emo_head, rows, neg_mask, labels = nets
+    anchors = rows[: len(neg_mask)]
     cases = []
     if kind in ("contrastive", "all"):
         copies, flat = _flat_copies(encoder, con_head)
@@ -721,7 +725,7 @@ def _assemble_grad_check_cases(kind: str, nets, grl_lambda: float):
             con_cfg = replace(cfg, include_positive_in_denominator=include_pos)
 
             def loss_fn(con_cfg=con_cfg, copies=copies):
-                loss, _, grads = _contrastive_step(*copies, None, rows, neg_counts, labels, con_cfg)
+                loss, _, grads = _contrastive_step(*copies, None, rows, neg_mask, labels, con_cfg)
                 return loss, grads
 
             label = "denominator with positive" if include_pos else "denominator negatives-only"
@@ -739,11 +743,11 @@ def _assemble_grad_check_cases(kind: str, nets, grl_lambda: float):
         n_enc = param_count(encoder)
 
         def trunk_loss_fn(copies=copies):
-            l_con, l_spk, grads = _contrastive_step(*copies, rows, neg_counts, labels, mtl_cfg)
+            l_con, l_spk, grads = _contrastive_step(*copies, rows, neg_mask, labels, mtl_cfg)
             return w.w_contrastive * l_con - w.grl_lambda * w.w_speaker * l_spk, grads[:n_enc]
 
         def head_loss_fn(copies=copies):
-            l_con, l_spk, grads = _contrastive_step(*copies, rows, neg_counts, labels, mtl_cfg)
+            l_con, l_spk, grads = _contrastive_step(*copies, rows, neg_mask, labels, mtl_cfg)
             return mtl_combine(l_con, l_spk, w), grads[n_enc:]
 
         cases.append((f"mtl trunk through GRL (lambda={grl_lambda})", trunk_loss_fn, flat[:n_enc]))

@@ -295,7 +295,7 @@ def test_criterion_7_contrastive_scalar_conformance():
         anchor = np.array([[1.0, 0.0]])
         positive = np.array([[sim_pos, np.sqrt(1.0 - sim_pos**2)]])
         negs = np.stack([[s, np.sqrt(1.0 - s**2)] for s in sim_negs])
-        return ContrastiveBatch(anchor, positive, [negs], tau)
+        return ContrastiveBatch(anchor, positive, negs[None], np.ones((1, len(negs)), dtype=bool), tau)
 
     cases = [
         ("equal sims, one negative, negatives-only", 0.5, [0.5], 0.7, False),

@@ -278,3 +278,41 @@ def test_jsonl_corpus_with_invalid_utf8_exits_2(tmp_path, capsys):
     corpus.write_bytes(b'{"utt_id": "\xff", "spk_id": "s", "emotion": null, "vec": [1.0]}\n')
     assert main(["cluster", "--corpus", str(corpus), "--k", "2", "--out", str(tmp_path / "r.json")]) == 2
     assert f"{corpus}:1: not valid UTF-8 at byte 12" in capsys.readouterr().err
+
+
+def test_config_file_with_invalid_utf8_exits_2(tmp_path, small_corpus, capsys):
+    config = tmp_path / "conf.json"
+    config.write_bytes(b'{"k": 1}\xff')
+    argv = ["cluster", "--corpus", str(small_corpus), "--config", str(config), "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    assert f"{config}: malformed config file ('utf-8' codec can't decode byte 0xff in position 8" in capsys.readouterr().err
+
+
+def _clustered_run(tmp_path, corpus):
+    good = tmp_path / "good.json"
+    assert main(["cluster", "--corpus", str(corpus), "--k", "2", "--out", str(good)]) == 0
+    return json.loads(good.read_text())
+
+
+@pytest.mark.parametrize("command", ["eval-clusters", "mine-pairs"])
+def test_run_naming_unknown_utterance_exits_2(tmp_path, small_corpus, capsys, command):
+    payload = _clustered_run(tmp_path, small_corpus)
+    spk = sorted(payload["per_speaker"])[0]
+    payload["per_speaker"][spk]["assignments"]["nope"] = 0
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps(payload))
+    assert _main_with_run(command, tmp_path, small_corpus, run) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"emocluster: error: {run}: ") and "'nope'" in err
+
+
+@pytest.mark.parametrize("command", _RUN_READERS)
+def test_ill_typed_run_value_names_speaker_and_key(tmp_path, small_corpus, capsys, command):
+    payload = _clustered_run(tmp_path, small_corpus)
+    spk = sorted(payload["per_speaker"])[1]
+    payload["per_speaker"][spk]["assignments"] = [1, 2]
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps(payload))
+    assert _main_with_run(command, tmp_path, small_corpus, run) == 2
+    err = capsys.readouterr().err
+    assert f"{run}: ill-typed value in clustering run (speaker {spk!r}, key 'assignments':" in err

@@ -18,7 +18,7 @@ from emocluster.cluster_metrics import (
     silhouette,
 )
 from emocluster.clustering import KMeansConfig, cluster_speakers
-from emocluster.corpus import SynthSpec, generate_synthetic, length_normalize, strip_labels
+from emocluster.corpus import Corpus, SynthSpec, generate_synthetic, length_normalize, strip_labels
 
 from oracles import brute_ari, brute_nmi, brute_purity, brute_silhouette
 
@@ -259,9 +259,8 @@ def test_evaluate_run_composes_per_metric_oracles():
 def test_evaluate_run_warns_and_drops_unlabeled():
     run, corpus = _toy_run_and_corpus()
     spk = sorted(run.per_speaker)[0]
-    for rec in corpus.records:
-        if rec.spk_id == spk:
-            rec.emotion = None
+    emotions = [None if s == spk else e for s, e in zip(corpus.spk_ids, corpus.emotions)]
+    corpus = Corpus(corpus.matrix(), corpus.utt_ids, corpus.spk_ids, emotions)
     with pytest.warns(UserWarning):
         report = evaluate_run(run, corpus)
     assert spk not in report.per_speaker

@@ -13,8 +13,6 @@ from emocluster.corpus import (
     EmbeddingRecord,
     SynthSpec,
     build_corpus,
-    cap_per_speaker,
-    corpus_fingerprint,
     generate_synthetic,
     is_normalized,
     length_normalize,
@@ -26,6 +24,13 @@ from emocluster.corpus import (
 
 def _rec(utt, spk, emotion, vec):
     return EmbeddingRecord(utt, spk, emotion, np.asarray(vec, dtype=np.float64))
+
+
+def _same_corpus(a, b) -> bool:
+    """Ids, speakers, labels and every vector bit agree."""
+    return (a.utt_ids, a.spk_ids, a.emotions) == (b.utt_ids, b.spk_ids, b.emotions) and np.array_equal(
+        a.matrix(), b.matrix()
+    )
 
 
 def test_load_minimal_jsonl(tmp_path):
@@ -152,7 +157,7 @@ def test_bin_roundtrip_stable_after_first_quantization(tmp_path):
     save_corpus(once, str(p2), "bin")
     twice = load_corpus(str(p2), "bin")
     assert p1.read_bytes() == p2.read_bytes()
-    assert corpus_fingerprint(once) == corpus_fingerprint(twice)
+    assert _same_corpus(once, twice)
 
 
 def test_load_save_load_identity_both_formats(tmp_path):
@@ -165,7 +170,7 @@ def test_load_save_load_identity_both_formats(tmp_path):
         first = load_corpus(str(p1), fmt)
         save_corpus(first, str(p2), fmt)
         second = load_corpus(str(p2), fmt)
-        assert corpus_fingerprint(first) == corpus_fingerprint(second)
+        assert _same_corpus(first, second)
 
 
 def test_unknown_format_rejected(tmp_path):
@@ -204,36 +209,35 @@ def test_length_normalize_preserves_cosines():
     assert np.allclose(cosines(X), cosines(Y), atol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [192, 512])
+def test_length_normalize_rows_match_per_row_norm_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    vecs = rng.normal(size=(2000, dim)) * rng.uniform(0.1, 10.0, size=(2000, 1))
+    corpus = build_corpus([_rec(f"u{i}", "s", None, v) for i, v in enumerate(vecs)])
+    expected = np.stack([v / np.linalg.norm(v) for v in vecs])
+    assert np.array_equal(length_normalize(corpus).matrix(), expected)
+
+
+def test_corpus_take_and_shared_matrix():
+    corpus = generate_synthetic(SynthSpec(n_speakers=3, n_emotions=2, utts_per_cell=4, dim=5, seed=2))
+    rows = [5, 1, 20]
+    part = corpus.take(rows)
+    assert part.utt_ids == [corpus.utt_ids[i] for i in rows]
+    assert np.array_equal(part.matrix(), corpus.matrix()[rows])
+    assert part.speakers == {"spk000": [0, 1], "spk002": [2]}
+    assert part.row_of[corpus.utt_ids[20]] == 2
+    stripped = strip_labels(corpus)
+    assert stripped.matrix() is corpus.matrix()  # no copy
+    with pytest.raises(ValueError):
+        corpus.matrix()[0, 0] = 1.0  # read-only, so sharing it is safe
+    with pytest.raises(CorpusError, match="no records"):
+        corpus.take([])
+
+
 def test_length_normalize_zero_vector_names_utt():
     corpus = build_corpus([_rec("bad_one", "s", None, [0.0, 0.0])])
     with pytest.raises(CorpusError, match="bad_one"):
         length_normalize(corpus)
-
-
-def test_cap_under_cap_keeps_all():
-    recs = [_rec(f"u{i}", "s", None, [float(i)]) for i in range(5)]
-    capped = cap_per_speaker(build_corpus(recs), 320, seed=0)
-    assert len(capped) == 5
-
-
-def test_cap_selects_exactly_max():
-    recs = [_rec(f"u{i}", "s", None, [float(i)]) for i in range(400)]
-    capped = cap_per_speaker(build_corpus(recs), 320, seed=0)
-    assert len(capped) == 320
-
-
-def test_cap_deterministic_and_seed_sensitive():
-    recs = [_rec(f"u{i}", "s", None, [float(i)]) for i in range(50)]
-    corpus = build_corpus(recs)
-    ids = lambda c: [r.utt_id for r in c.records]
-    assert ids(cap_per_speaker(corpus, 10, seed=1)) == ids(cap_per_speaker(corpus, 10, seed=1))
-    assert ids(cap_per_speaker(corpus, 10, seed=1)) != ids(cap_per_speaker(corpus, 10, seed=2))
-
-
-def test_cap_requires_positive():
-    recs = [_rec("u", "s", None, [1.0])]
-    with pytest.raises(ValueError):
-        cap_per_speaker(build_corpus(recs), 0, seed=0)
 
 
 def test_generate_counts():
@@ -249,9 +253,9 @@ def test_generate_bit_reproducible():
     spec = SynthSpec(n_speakers=3, n_emotions=3, utts_per_cell=5, dim=6, seed=77)
     a = generate_synthetic(spec)
     b = generate_synthetic(spec)
-    assert corpus_fingerprint(a) == corpus_fingerprint(b)
+    assert _same_corpus(a, b)
     c = generate_synthetic(SynthSpec(n_speakers=3, n_emotions=3, utts_per_cell=5, dim=6, seed=78))
-    assert corpus_fingerprint(a) != corpus_fingerprint(c)
+    assert not _same_corpus(a, c)
 
 
 def test_generate_zero_offset_centers_converge_to_speaker_mean():

@@ -15,6 +15,15 @@ from emocluster.objectives import (
 from oracles import longdouble_ntxent, loop_ntxent
 
 
+def _batch(anchor, positive, negs, tau):
+    """ContrastiveBatch over per-anchor negative sets, padded into (B, M, P) with a mask."""
+    counts = np.array([len(n) for n in negs])
+    mask = np.arange(counts.max()) < counts[:, None]
+    padded = np.zeros((*mask.shape, anchor.shape[1]))
+    padded[mask] = np.concatenate(negs)
+    return ContrastiveBatch(anchor, positive, padded, mask, tau)
+
+
 def test_cosine_orthogonal():
     assert cosine_sim([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
 
@@ -53,7 +62,7 @@ def _batch_with_sims(sim_pos, sim_negs, tau):
     anchor = np.array([[1.0, 0.0]])
     positive = np.array([[sim_pos, np.sqrt(1.0 - sim_pos**2)]])
     negs = np.stack([[s, np.sqrt(1.0 - s**2)] for s in sim_negs])
-    return ContrastiveBatch(anchor, positive, [negs], tau)
+    return _batch(anchor, positive, [negs], tau)
 
 
 def test_ntxent_equal_sims_single_negative_is_zero():
@@ -92,7 +101,7 @@ def test_ntxent_directional_sensitivity():
     negatives = rng.normal(size=(1, 3, 4))
 
     def loss_for(pos, negs):
-        batch = ContrastiveBatch(anchor, pos, [negs[0]], tau=0.5)
+        batch = _batch(anchor, pos, [negs[0]], tau=0.5)
         return ntxent_variant(batch, False)[0]
 
     base = loss_for(positive, negatives)
@@ -110,10 +119,10 @@ def test_ntxent_negative_permutation_invariance():
     anchor = rng.normal(size=(2, 5))
     positive = rng.normal(size=(2, 5))
     negs = [rng.normal(size=(4, 5)) for _ in range(2)]
-    loss_a, grads_a = ntxent_variant(ContrastiveBatch(anchor, positive, negs, 0.3), False)
+    loss_a, grads_a = ntxent_variant(_batch(anchor, positive, negs, 0.3), False)
     perm = [3, 0, 2, 1]
     negs_p = [n[perm] for n in negs]
-    loss_b, grads_b = ntxent_variant(ContrastiveBatch(anchor, positive, negs_p, 0.3), False)
+    loss_b, grads_b = ntxent_variant(_batch(anchor, positive, negs_p, 0.3), False)
     assert loss_a == pytest.approx(loss_b, abs=1e-12)
     assert np.allclose(grads_a.d_anchor, grads_b.d_anchor)
     for da, db in zip(grads_a.d_negatives, grads_b.d_negatives):
@@ -126,16 +135,16 @@ def test_ntxent_gradients_match_finite_differences():
     positive = rng.normal(size=(2, 4))
     negs = [rng.normal(size=(3, 4)), rng.normal(size=(2, 4))]
     for include in (False, True):
-        loss, grads = ntxent_variant(ContrastiveBatch(anchor, positive, negs, 0.4), include)
+        loss, grads = ntxent_variant(_batch(anchor, positive, negs, 0.4), include)
         eps = 1e-6
         for arr, g in ((anchor, grads.d_anchor), (positive, grads.d_positive)):
             flat, gflat = arr.reshape(-1), np.asarray(g).reshape(-1)
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + eps
-                lp = ntxent_variant(ContrastiveBatch(anchor, positive, negs, 0.4), include)[0]
+                lp = ntxent_variant(_batch(anchor, positive, negs, 0.4), include)[0]
                 flat[j] = orig - eps
-                lm = ntxent_variant(ContrastiveBatch(anchor, positive, negs, 0.4), include)[0]
+                lm = ntxent_variant(_batch(anchor, positive, negs, 0.4), include)[0]
                 flat[j] = orig
                 assert gflat[j] == pytest.approx((lp - lm) / (2 * eps), abs=1e-6)
 
@@ -148,7 +157,8 @@ def test_ntxent_matches_per_anchor_loop_on_ragged_negatives(include_positive):
     anchor = rng.normal(size=(B, P))
     positive = anchor + 0.5 * rng.normal(size=(B, P))
     negs = [rng.normal(size=(m, P)) for m in rng.permutation(np.arange(1, B + 1))]
-    loss, grads = ntxent_variant(ContrastiveBatch(anchor, positive, negs, 0.1), include_positive)
+    batch = _batch(anchor, positive, negs, 0.1)
+    loss, grads = ntxent_variant(batch, include_positive)
     ref_loss, ref_da, ref_dp, ref_dn = loop_ntxent(anchor, positive, negs, 0.1, include_positive)
 
     def close(got, ref):
@@ -157,27 +167,28 @@ def test_ntxent_matches_per_anchor_loop_on_ragged_negatives(include_positive):
 
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
     assert close(grads.d_anchor, ref_da) and close(grads.d_positive, ref_dp)
-    assert len(grads.d_negatives) == B
-    assert all(close(g, r) for g, r in zip(grads.d_negatives, ref_dn))
+    mask = batch.negative_mask
+    assert grads.d_negatives.shape == (B, mask.shape[1], P) and not grads.d_negatives[~mask].any()
+    assert all(close(g[m], r) for g, m, r in zip(grads.d_negatives, mask, ref_dn))
 
 
 def test_ntxent_zero_vector_rejected():
     anchor, positive = np.ones((2, 3)), np.ones((2, 3))
     negs = [np.ones((2, 3)), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])]
     with pytest.raises(ValueError, match="zero vectors"):
-        ntxent_variant(ContrastiveBatch(anchor, positive, negs, 0.5), False)
+        ntxent_variant(_batch(anchor, positive, negs, 0.5), False)
     with pytest.raises(ValueError, match="zero vectors"):
-        ntxent_variant(ContrastiveBatch(np.zeros((1, 3)), positive[:1], negs[:1], 0.5), True)
+        ntxent_variant(_batch(np.zeros((1, 3)), positive[:1], negs[:1], 0.5), True)
 
 
 def test_ntxent_rejects_bad_batches():
     good = _batch_with_sims(0.5, [0.1], tau=0.5)
     with pytest.raises(ValueError, match="temperature"):
-        ntxent_variant(ContrastiveBatch(good.z_anchor, good.z_positive, good.z_negatives, 0.0), False)
-    with pytest.raises(ValueError, match="negatives"):
-        ntxent_variant(
-            ContrastiveBatch(good.z_anchor, good.z_positive, [np.zeros((0, 2))], 0.5), False
-        )
+        ntxent_variant(ContrastiveBatch(good.z_anchor, good.z_positive, good.z_negatives, good.negative_mask, 0.0))
+    with pytest.raises(ValueError, match="negative"):
+        ntxent_variant(ContrastiveBatch(good.z_anchor, good.z_positive, np.zeros((1, 0, 2)), np.zeros((1, 0), bool), 0.5))
+    with pytest.raises(ValueError, match="negative"):
+        ntxent_variant(ContrastiveBatch(good.z_anchor, good.z_positive, good.z_negatives, ~good.negative_mask, 0.5))
 
 
 def test_cross_entropy_uniform_logits():
