@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClusteringRun
+from .clustering import GRAM_RECHECK, ClusteringRun
 from .corpus import Corpus
 
 NMI_NORMALIZERS = ("arithmetic", "min", "max", "geometric")
@@ -19,9 +19,6 @@ NMI_NORMALIZERS = ("arithmetic", "min", "max", "geometric")
 METRIC_NAMES = ("nmi", "ari", "purity", "silhouette")
 
 SILHOUETTE_BLOCK = 1 << 20  # floats of silhouette temporaries at once (8 MB)
-# Gram-form squared distances below this fraction of |x|^2 + |y|^2 may have lost
-# most of their digits to cancellation; silhouette recomputes them exactly.
-SILHOUETTE_RECHECK = 1e-2
 
 
 @dataclass
@@ -126,7 +123,7 @@ def silhouette(points, cluster_labels) -> float:
 
     Squared distances come from the Gram form |x|^2 + |y|^2 - 2 x.y, one
     matrix product per row block.  Pairs whose value falls below
-    SILHOUETTE_RECHECK * (|x|^2 + |y|^2) -- always the diagonal and any
+    GRAM_RECHECK * (|x|^2 + |y|^2) -- always the diagonal and any
     duplicates -- are recomputed exactly as sum((x - y)^2), so identical
     points are at distance exactly 0 and any other pair loses at most about
     two decimal digits to cancellation.  The row blocks and the recheck
@@ -159,7 +156,7 @@ def silhouette(points, cluster_labels) -> float:
         dist *= -2.0
         scale = np.add.outer(sq[lo : lo + rows], sq)
         dist += scale
-        scale *= SILHOUETTE_RECHECK
+        scale *= GRAM_RECHECK
         near_i, near_j = np.nonzero(dist <= scale)
         del scale  # freed before the recheck gathers
         for c in range(0, len(near_i), pairs):

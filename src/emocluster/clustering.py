@@ -4,6 +4,16 @@ Lloyd iterations with k-means++ seeding and multiple restarts; squared
 Euclidean distance, which on unit-norm vectors orders pairs identically to
 cosine distance.  All randomness is derived from explicit seeds so results
 are reproducible and independent of speaker iteration order.
+
+The kernel costs little beyond its matrix products.  Distances take the
+Gram form |x|^2 - 2 x.c + |c|^2, with the points' squared norms computed
+once for the seeding and once for the Lloyd run of each restart: one
+matrix product per Lloyd iteration, one matrix-vector product per
+seeding center.  The seeding's D^2 weights recompute every value at or
+below GRAM_RECHECK * (|x|^2 + |c|^2) exactly, so chosen points and their
+duplicates weigh exactly 0.  The center update sorts the points by
+cluster once per iteration and averages contiguous slices, which is bit
+for bit the masked per-cluster mean.
 """
 
 import warnings
@@ -13,6 +23,10 @@ import numpy as np
 
 from .corpus import Corpus, warn_if_unnormalized
 from .serialize import stable_seed
+
+# Gram-form squared distances at or below this fraction of |x|^2 + |y|^2 may
+# have lost most of their digits to cancellation; they are recomputed exactly.
+GRAM_RECHECK = 1e-2
 
 
 @dataclass
@@ -48,51 +62,86 @@ class ClusteringRun:
     config: KMeansConfig = field(default_factory=KMeansConfig)
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, (n_points, n_centers), as |x|^2 - 2 x.c + |c|^2.
+def _row_sq(x: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", x, x)
+
+
+def _gram_sq_dists(points: np.ndarray, points_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, (n_points, n_centers), as |x|^2 - 2 x.c + |c|^2,
+    given the points' squared norms.
 
     The Gram form needs no (n, k, dim) tensor; clamping at 0 undoes cancellation.
     """
-    d = np.einsum("ij,ij->i", points, points)[:, None] - 2.0 * (points @ centers.T)
-    d += np.einsum("ij,ij->i", centers, centers)[None, :]
+    d = points_sq[:, None] - 2.0 * (points @ centers.T)
+    d += _row_sq(centers)[None, :]
     return np.maximum(d, 0.0, out=d)
 
 
+def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """`_gram_sq_dists` for points met once."""
+    return _gram_sq_dists(points, _row_sq(points), centers)
+
+
+def _sq_dists_to_row(points: np.ndarray, points_sq: np.ndarray, i: int) -> np.ndarray:
+    """Squared distances from every point to points[i]: Gram form, with each
+    value at or below GRAM_RECHECK * (|x|^2 + |c|^2) recomputed exactly as
+    sum((x - c)^2).  That set always holds row i and its duplicates, which
+    therefore come out exactly 0."""
+    center = points[i]
+    d = points @ center
+    d *= -2.0
+    d += points_sq
+    d += points_sq[i]
+    near = np.flatnonzero(d <= GRAM_RECHECK * (points_sq + points_sq[i]))
+    diff = points[near] - center
+    d[near] = _row_sq(diff)
+    return d
+
+
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding: each next center is a point drawn with probability
+    proportional to its squared distance to the nearest center so far (D^2).
+
+    The draw is the inverse CDF that Generator.choice(n, p=D^2 / sum) takes,
+    one rng.random() against the normalized cumulative sum, without
+    choice's per-call validation.
+    """
     n = points.shape[0]
-    centers = np.empty((k, points.shape[1]), dtype=np.float64)
-    centers[0] = points[rng.integers(0, n)]
-    diff = points - centers[0]
-    closest = np.einsum("ij,ij->i", diff, diff)
-    for c in range(1, k):
+    points_sq = _row_sq(points)
+    chosen = [int(rng.integers(0, n))]
+    closest = np.full(n, np.inf)
+    for _ in range(1, k):
+        np.minimum(closest, _sq_dists_to_row(points, points_sq, chosen[-1]), out=closest)
         total = closest.sum()
         if total <= 0.0:
-            idx = int(rng.integers(0, n))
-        else:
-            idx = int(rng.choice(n, p=closest / total))
-        centers[c] = points[idx]
-        diff = points - centers[c]
-        closest = np.minimum(closest, np.einsum("ij,ij->i", diff, diff))
-    return centers
+            chosen.append(int(rng.integers(0, n)))
+            continue
+        cdf = np.cumsum(closest / total)
+        cdf /= cdf[-1]
+        chosen.append(int(cdf.searchsorted(rng.random(), side="right")))
+    return points[chosen]
 
 
 def _lloyd(points: np.ndarray, init_centers: np.ndarray, max_iters: int, tol: float):
     centers = init_centers.copy()
     k = centers.shape[0]
-    assign = np.argmin(_sq_dists(points, centers), axis=1)
+    points_sq = _row_sq(points)
+    assign = np.argmin(_gram_sq_dists(points, points_sq, centers), axis=1)
     for _ in range(max_iters):
-        new_centers = centers.copy()
-        for c in range(k):
-            members = points[assign == c]
-            if len(members):
-                new_centers[c] = members.mean(axis=0)
-        # empty-cluster repair: farthest point from its center becomes a singleton
+        # each cluster's members as one contiguous slice, in point order, so
+        # slice.sum / count is bit for bit the masked members.mean(axis=0)
         counts = np.bincount(assign, minlength=k)
-        if np.any(counts == 0):
+        ends = np.cumsum(counts)
+        grouped = points[np.argsort(assign, kind="stable")]
+        new_centers = centers.copy()
+        for c in np.flatnonzero(counts):
+            new_centers[c] = grouped[ends[c] - counts[c] : ends[c]].sum(axis=0) / counts[c]
+        # empty-cluster repair: farthest point from its center becomes a singleton
+        if not counts.all():
             # one ranking serves every empty cluster: a repair only moves the
             # picked point, which `taken` already excludes
             diff = points - new_centers[assign]
-            order = np.argsort(-np.einsum("ij,ij->i", diff, diff), kind="stable")
+            order = np.argsort(-_row_sq(diff), kind="stable")
             taken: set[int] = set()
             for c in np.flatnonzero(counts == 0):
                 pick = next(int(i) for i in order if int(i) not in taken)
@@ -103,11 +152,11 @@ def _lloyd(points: np.ndarray, init_centers: np.ndarray, max_iters: int, tol: fl
         scale = 1.0 + np.linalg.norm(centers, axis=1)
         converged = bool(np.all(shift < tol * scale))
         centers = new_centers
-        assign = np.argmin(_sq_dists(points, centers), axis=1)
+        assign = np.argmin(_gram_sq_dists(points, points_sq, centers), axis=1)
         if converged:
             break
     residual = points - centers[assign]
-    inertia = float(np.einsum("ij,ij->i", residual, residual).sum())
+    inertia = float(_row_sq(residual).sum())
     return assign, centers, inertia
 
 
@@ -150,12 +199,14 @@ def cluster_speaker(spk_id: str, utt_ids: list[str], points: np.ndarray, config:
         n_restarts=config.n_restarts,
         seed=seed,
     )
-    if config.k > len(points):
+    assign, centers, inertia = kmeans(points, local)
+    # kmeans runs with min(k, distinct points) centers
+    if len(centers) < config.k:
         warnings.warn(
-            f"speaker {spk_id!r}: k={config.k} exceeds {len(points)} points; degrading",
+            f"speaker {spk_id!r}: k={config.k} exceeds its {len(centers)} distinct points"
+            f" (of {len(points)}); degrading",
             stacklevel=3,
         )
-    assign, centers, inertia = kmeans(points, local)
     effective_k = int(len(np.unique(assign)))
     return SpeakerClustering(
         spk_id=spk_id,

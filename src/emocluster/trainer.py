@@ -187,13 +187,51 @@ def _shuffled_batches(n_items: int, batch_size: int, rng: np.random.Generator):
                 yield chunk, start + batch_size >= n_items
 
 
+def _ntxent_rows(proj, neg_mask, config):
+    """NT-Xent of one batch's projection rows, laid out as `_contrastive_step`'s
+    rows; returns (loss, gradient wrt proj).
+
+    The projections are scattered into the padded (B, M, P) block the loss
+    takes, and its gradient gathered back in row order.
+
+    A projection that is exactly zero has no direction, so it leaves the
+    loss: a zero negative frees its slot, and an anchor whose own or
+    positive projection is zero, or that has no negative left, leaves the
+    mean.  With no anchor left the loss and its gradient are 0.
+    """
+    B = len(neg_mask)
+    zn = np.zeros((*neg_mask.shape, proj.shape[1]))
+    zn[neg_mask] = proj[2 * B :]
+    zero = ~proj.any(axis=1)
+    if not zero.any():
+        loss, cg = ntxent_variant(
+            ContrastiveBatch(proj[:B], proj[B : 2 * B], zn, neg_mask, config.tau), config.include_positive_in_denominator
+        )
+        return loss, np.concatenate([cg.d_anchor, cg.d_positive, cg.d_negatives[neg_mask]])
+    live = neg_mask.copy()
+    live[neg_mask] = ~zero[2 * B :]
+    keep = np.flatnonzero(~zero[:B] & ~zero[B : 2 * B] & live.any(axis=1))
+    dproj = np.zeros_like(proj)
+    if not len(keep):
+        return 0.0, dproj
+    loss, cg = ntxent_variant(
+        ContrastiveBatch(proj[keep], proj[B + keep], zn[keep], live[keep], config.tau),
+        config.include_positive_in_denominator,
+    )
+    dproj[keep] = cg.d_anchor
+    dproj[B + keep] = cg.d_positive
+    d_neg = np.zeros_like(zn)
+    d_neg[keep] = cg.d_negatives
+    dproj[2 * B :] = d_neg[neg_mask]
+    return loss, dproj
+
+
 def _contrastive_step(encoder, con_head, spk_head, rows, neg_mask, spk_labels, config):
     """Forward/backward one contrastive batch; returns (l_con, l_spk, flat gradient).
 
     rows holds the B anchors, then their B positives, then the negatives:
     one per set slot of the (B, M) neg_mask, in row-major order.  The
-    projections are scattered into the padded (B, M, P) block the loss
-    takes, and its gradient gathered back in row order.  The speaker head, when
+    projections are scored by `_ntxent_rows`.  The speaker head, when
     present, classifies the anchors; in mtl_adversarial mode its gradient
     reaches the trunk through gradient reversal.  The gradient vector is
     in `flatten_params(encoder, con_head, spk_head)` order.
@@ -202,13 +240,8 @@ def _contrastive_step(encoder, con_head, spk_head, rows, neg_mask, spk_labels, c
     B = len(neg_mask)
     enc_out, enc_cache = forward(encoder, rows)
     proj, head_cache = forward(con_head, enc_out)
-    zn = np.zeros((*neg_mask.shape, proj.shape[1]))
-    zn[neg_mask] = proj[2 * B :]
-    loss_con, cg = ntxent_variant(
-        ContrastiveBatch(proj[:B], proj[B : 2 * B], zn, neg_mask, config.tau), config.include_positive_in_denominator
-    )
-    dproj = np.concatenate([cg.d_anchor, cg.d_positive, cg.d_negatives[neg_mask]]) * weights.w_contrastive
-    con_grads, d_enc = backward(con_head, head_cache, dproj)
+    loss_con, dproj = _ntxent_rows(proj, neg_mask, config)
+    con_grads, d_enc = backward(con_head, head_cache, dproj * weights.w_contrastive)
 
     loss_spk, spk_grads = 0.0, np.empty(0)
     if spk_head is not None:

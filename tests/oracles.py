@@ -177,3 +177,29 @@ def loop_ntxent(z_anchor, z_positive, z_negatives, tau, include_positive):
             d_anchor[i] += w[k] / tau * dneg_da
             d_negatives[i][k] += w[k] / tau * dneg_dn
     return total / B, d_anchor / B, d_positive / B, [dn / B for dn in d_negatives]
+
+
+def exact_kmeanspp_init(points, k, rng):
+    """k-means++ seeding with every D^2 weight an exact sum((x - c)^2).
+
+    Each next center is drawn by the inverse CDF: one rng.random() searched
+    (side="right") in the cumulative sum of D^2 / sum(D^2), renormalized so
+    its last entry is 1.  When every weight is 0 the draw is uniform.
+    """
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(0, n)]
+    diff = points - centers[0]
+    closest = np.einsum("ij,ij->i", diff, diff)
+    for c in range(1, k):
+        total = closest.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(0, n))
+        else:
+            cdf = np.cumsum(closest / total)
+            cdf /= cdf[-1]
+            idx = int(np.searchsorted(cdf, rng.random(), side="right"))
+        centers[c] = points[idx]
+        diff = points - centers[c]
+        closest = np.minimum(closest, np.einsum("ij,ij->i", diff, diff))
+    return centers

@@ -8,6 +8,7 @@ from emocluster.clustering import (
     _kmeanspp_init,
     _lloyd,
     _sq_dists,
+    _sq_dists_to_row,
     center_distances,
     cluster_speakers,
     kmeans,
@@ -16,6 +17,7 @@ from emocluster.clustering import (
 )
 from emocluster.corpus import SynthSpec, generate_synthetic, length_normalize
 from emocluster.serialize import canonical_dumps
+from oracles import exact_kmeanspp_init
 
 
 def test_two_separated_pairs():
@@ -138,6 +140,16 @@ def test_cluster_speakers_degenerate_speaker_warns():
     with pytest.warns(UserWarning, match="degrading"):
         run = cluster_speakers(corpus, KMeansConfig(k=4, seed=0))
     assert run.per_speaker["tiny"].effective_k <= 3
+
+
+def test_cluster_speakers_warns_when_duplicates_shrink_k():
+    from emocluster.corpus import EmbeddingRecord, build_corpus
+
+    # 12 points but only 3 distinct vectors: k=5 runs with 3 centers
+    recs = [EmbeddingRecord(f"u{i:02d}", "dup", None, np.eye(3)[i % 3].astype(float)) for i in range(12)]
+    with pytest.warns(UserWarning, match=r"k=5 exceeds its 3 distinct points \(of 12\); degrading"):
+        run = cluster_speakers(build_corpus(recs), KMeansConfig(k=5, seed=0))
+    assert run.per_speaker["dup"].effective_k == 3
 
 
 def test_speaker_order_independence():
@@ -280,5 +292,63 @@ def test_empty_cluster_repair_fills_every_cluster(duplicates):
     for max_iters in (1, 2, 300):
         assign, centers, inertia = _lloyd(points, init, max_iters=max_iters, tol=1e-6)
         assert np.all(np.bincount(assign, minlength=k) > 0)
+        ref = _lloyd_repair_per_cluster(points, init, max_iters, 1e-6)
+        assert np.array_equal(assign, ref[0]) and np.array_equal(centers, ref[1]) and inertia == ref[2]
+
+
+def _seeding_sets():
+    rng = np.random.default_rng(34)
+    distinct = _unit_rows(rng, 12, 16)
+    scaled = _unit_rows(rng, 300, 24) * np.logspace(-3, 3, 300)[rng.permutation(300), None]
+    return [
+        pytest.param(_unit_rows(rng, 96, 48), 20, id="unit_96x48"),
+        pytest.param(_unit_rows(rng, 1000, 192), 20, id="unit_1000x192"),
+        # k = the distinct count: every distinct point becomes a center
+        pytest.param(distinct[rng.integers(0, 12, size=90)], 12, id="duplicates"),
+        pytest.param(scaled, 20, id="norms_1e-3_to_1e3"),
+    ]
+
+
+@pytest.mark.parametrize("points, k", _seeding_sets())
+def test_kmeanspp_init_matches_exact_oracle(points, k):
+    # a point and its duplicates weigh exactly 0 once it is a center
+    points_sq = np.einsum("ij,ij->i", points, points)
+    for i in range(0, len(points), 7):
+        d = _sq_dists_to_row(points, points_sq, i)
+        assert np.array_equal(d == 0.0, (points == points[i]).all(axis=1))
+    for seed in range(5):
+        centers = _kmeanspp_init(points, k, np.random.default_rng(seed))
+        assert np.array_equal(centers, exact_kmeanspp_init(points, k, np.random.default_rng(seed)))
+        # a chosen point weighs exactly 0 afterwards, so no center repeats
+        assert len(np.unique(centers, axis=0)) == k
+
+
+def test_inverse_cdf_draw_is_generator_choice():
+    rng = np.random.default_rng(35)
+    for trial in range(300):
+        n = int(rng.integers(1, 400))
+        w = rng.random(n) ** 4 * 10.0 ** rng.uniform(-6, 6)
+        w[rng.random(n) < 0.3] = 0.0
+        if w.sum() <= 0.0:
+            continue
+        via_choice, via_cdf = np.random.default_rng(trial), np.random.default_rng(trial)
+        cdf = np.cumsum(w / w.sum())
+        cdf /= cdf[-1]
+        assert int(via_choice.choice(n, p=w / w.sum())) == int(cdf.searchsorted(via_cdf.random(), side="right"))
+        assert via_choice.random() == via_cdf.random()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 48, 192])
+@pytest.mark.parametrize("repair", [False, True])
+def test_lloyd_centers_are_masked_means_bit_for_bit(dim, repair):
+    rng = np.random.default_rng(36 + dim)
+    points = rng.normal(size=(240, dim))
+    init = points[rng.choice(240, size=8, replace=False)]
+    if repair:
+        # a repeated center stays empty after the first assignment
+        init = np.concatenate([init[:1], init])
+        assert np.any(np.bincount(np.argmin(_sq_dists(points, init), axis=1), minlength=len(init)) == 0)
+    for max_iters in (1, 2, 300):
+        assign, centers, inertia = _lloyd(points, init, max_iters=max_iters, tol=1e-6)
         ref = _lloyd_repair_per_cluster(points, init, max_iters, 1e-6)
         assert np.array_equal(assign, ref[0]) and np.array_equal(centers, ref[1]) and inertia == ref[2]

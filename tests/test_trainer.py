@@ -388,3 +388,59 @@ def test_config_validation_and_serialization():
     payload = config_to_dict(_small_config())
     assert payload["mode"] == "contrastive"
     assert payload["mtl_weights"]["w_speaker"] == 1.0
+
+
+def test_ntxent_rows_drops_zero_projections():
+    from emocluster.objectives import ContrastiveBatch, ntxent_variant
+
+    config = _small_config()
+    rng = np.random.default_rng(40)
+    mask = np.array([[True, True], [True, True], [True, False]])
+    proj = rng.normal(size=(3 + 3 + 5, 4))
+    loss, dproj = trainer._ntxent_rows(proj, mask, config)
+    zn = np.zeros((3, 2, 4))
+    zn[mask] = proj[6:]
+    ref_loss, ref = ntxent_variant(ContrastiveBatch(proj[:3], proj[3:6], zn, mask, config.tau))
+    assert loss == ref_loss
+    assert np.array_equal(dproj, np.concatenate([ref.d_anchor, ref.d_positive, ref.d_negatives[mask]]))
+
+    # anchor 0 is zero; so is anchor 1's first negative (row 8): anchors 1 and 2 remain
+    proj[0] = 0.0
+    proj[8] = 0.0
+    loss, dproj = trainer._ntxent_rows(proj, mask, config)
+    live = np.array([[False, True], [True, False]])
+    sub = np.zeros((2, 2, 4))
+    sub[0, 1], sub[1, 0] = proj[9], proj[10]
+    ref_loss, ref = ntxent_variant(ContrastiveBatch(proj[1:3], proj[4:6], sub, live, config.tau))
+    assert loss == ref_loss
+    assert not dproj[[0, 3, 6, 7, 8]].any()
+    assert np.array_equal(dproj[[1, 2]], ref.d_anchor) and np.array_equal(dproj[[4, 5]], ref.d_positive)
+    assert np.array_equal(dproj[[9, 10]], ref.d_negatives[live])
+
+    # no anchor left: the loss and its gradient are 0
+    proj[4:6] = 0.0
+    loss, dproj = trainer._ntxent_rows(proj, mask, config)
+    assert loss == 0.0 and not dproj.any()
+
+
+def test_run_protocol_survives_zero_projections(monkeypatch):
+    # a narrow trunk whose ReLUs die sends some contrastive projections to exactly 0
+    zero_rows = []
+    ntxent_rows = trainer._ntxent_rows
+
+    def counting(proj, neg_mask, config):
+        zero_rows.append(int((~proj.any(axis=1)).sum()))
+        return ntxent_rows(proj, neg_mask, config)
+
+    monkeypatch.setattr(trainer, "_ntxent_rows", counting)
+    spec = SynthSpec(
+        n_speakers=12, n_emotions=4, utts_per_cell=10, dim=12, emotion_offset_norm=2.0, within_noise=0.8, seed=5
+    )
+    config = TrainConfig(
+        steps=60, batch_size=8, lr=1e-3, pretrain_lr=1e-3, epochs_ser=5, n_clusters_N=6, seeds=(0, 1),
+        trunk_hidden=8, contrastive_out=8, seed=2, split_fractions=(0.5, 0.25, 0.25), pretrain_speaker_fraction=0.34,
+    )
+    report = run_protocol(generate_synthetic(spec), config, label_fraction=0.3)
+    assert sum(zero_rows) > 0
+    assert [row["mode"] for row in report["rows"]] == list(MODES)
+    assert all(0.0 <= p["uar"] <= 1.0 for row in report["rows"] for p in row["per_seed"])
