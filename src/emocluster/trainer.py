@@ -194,23 +194,20 @@ def _ntxent_rows(proj, neg_mask, config):
     The projections are scattered into the padded (B, M, P) block the loss
     takes, and its gradient gathered back in row order.
 
-    A projection that is exactly zero has no direction, so it leaves the
-    loss: a zero negative frees its slot, and an anchor whose own or
-    positive projection is zero, or that has no negative left, leaves the
-    mean.  With no anchor left the loss and its gradient are 0.
+    A projection whose norm is 0, the test the loss itself applies, has
+    no direction, so it leaves the loss: a zero negative frees its slot,
+    and an anchor whose own or positive projection is zero, or whose
+    negatives were all zero, leaves the mean.  With no anchor left the
+    loss and its gradient are 0.  An anchor mined with no negative at all
+    still reaches the loss, which rejects it.
     """
     B = len(neg_mask)
     zn = np.zeros((*neg_mask.shape, proj.shape[1]))
     zn[neg_mask] = proj[2 * B :]
-    zero = ~proj.any(axis=1)
-    if not zero.any():
-        loss, cg = ntxent_variant(
-            ContrastiveBatch(proj[:B], proj[B : 2 * B], zn, neg_mask, config.tau), config.include_positive_in_denominator
-        )
-        return loss, np.concatenate([cg.d_anchor, cg.d_positive, cg.d_negatives[neg_mask]])
+    zero = np.linalg.norm(proj, axis=1) == 0
     live = neg_mask.copy()
     live[neg_mask] = ~zero[2 * B :]
-    keep = np.flatnonzero(~zero[:B] & ~zero[B : 2 * B] & live.any(axis=1))
+    keep = np.flatnonzero((~zero[:B] & ~zero[B : 2 * B] & live.any(axis=1)) | ~neg_mask.any(axis=1))
     dproj = np.zeros_like(proj)
     if not len(keep):
         return 0.0, dproj

@@ -417,10 +417,23 @@ def test_ntxent_rows_drops_zero_projections():
     assert np.array_equal(dproj[[1, 2]], ref.d_anchor) and np.array_equal(dproj[[4, 5]], ref.d_positive)
     assert np.array_equal(dproj[[9, 10]], ref.d_negatives[live])
 
+    # a row of entries whose squares underflow has norm 0 and leaves too, as an exact zero would
+    proj[9] = 1e-170
+    loss, dproj = trainer._ntxent_rows(proj, mask, config)
+    ref_loss, _ = ntxent_variant(ContrastiveBatch(proj[2:3], proj[5:6], sub[1:], live[1:], config.tau))
+    assert loss == ref_loss and not dproj[[1, 4, 9]].any()
+
     # no anchor left: the loss and its gradient are 0
     proj[4:6] = 0.0
     loss, dproj = trainer._ntxent_rows(proj, mask, config)
     assert loss == 0.0 and not dproj.any()
+
+    # an anchor mined with no negative is still rejected, zero rows elsewhere or not
+    empty = mask.copy()
+    empty[2] = False
+    for rows in (rng.normal(size=(3 + 3 + 4, 4)), proj[:10]):
+        with pytest.raises(ValueError, match="needs at least one negative"):
+            trainer._ntxent_rows(rows, empty, config)
 
 
 def test_run_protocol_survives_zero_projections(monkeypatch):
