@@ -450,11 +450,32 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
         raise CorpusError(f"{path}: malformed config file ({exc})") from exc
     if not isinstance(values, dict):
         raise CorpusError(f"{path}: config file must hold a json object")
-    defaults = {k.replace("-", "_"): v for k, v in values.items()}
+    keys = {k.replace("-", "_"): k for k in values}
     for sp in parser.get_default("_subcommands").values():
-        known = {a.dest for a in sp._actions}
-        sp.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+        for action in sp._actions:
+            if action.dest in keys:
+                key = keys[action.dest]
+                sp.set_defaults(**{action.dest: _config_value(action, values[key], f"{path}: config key {key!r}")})
     return argv
+
+
+def _config_value(action: argparse.Action, value, where: str):
+    """A config file value as its flag would parse it: a switch takes a json
+    boolean; any other flag a json string or number, read by the flag's own
+    type from its text.  Anything else raises CorpusError naming `where`."""
+    switch = action.nargs == 0
+    if isinstance(value, bool) != switch or not isinstance(value, (str, int, float)):
+        wanted = "true or false" if switch else "a string or a number"
+        raise CorpusError(f"{where}: takes {wanted}, not {json.dumps(value)}")
+    if switch:
+        return value
+    try:
+        parsed = action.type(str(value)) if action.type else str(value)
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+        raise CorpusError(f"{where}: invalid value {json.dumps(value)} ({exc})") from exc
+    if action.choices is not None and parsed not in action.choices:
+        raise CorpusError(f"{where}: {parsed!r} is not one of {', '.join(map(str, action.choices))}")
+    return parsed
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -17,7 +17,7 @@ for bit the masked per-cluster mean.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -192,14 +192,7 @@ def kmeans(points, config: KMeansConfig):
 
 def cluster_speaker(spk_id: str, utt_ids: list[str], points: np.ndarray, config: KMeansConfig) -> SpeakerClustering:
     seed = stable_seed(config.seed, "speaker", spk_id)
-    local = KMeansConfig(
-        k=config.k,
-        max_iters=config.max_iters,
-        tol=config.tol,
-        n_restarts=config.n_restarts,
-        seed=seed,
-    )
-    assign, centers, inertia = kmeans(points, local)
+    assign, centers, inertia = kmeans(points, replace(config, seed=seed))
     # kmeans runs with min(k, distinct points) centers
     if len(centers) < config.k:
         warnings.warn(
@@ -241,13 +234,7 @@ def center_distances(clustering: SpeakerClustering) -> np.ndarray:
 
 def run_to_dict(run: ClusteringRun) -> dict:
     return {
-        "config": {
-            "k": run.config.k,
-            "max_iters": run.config.max_iters,
-            "tol": run.config.tol,
-            "n_restarts": run.config.n_restarts,
-            "seed": run.config.seed,
-        },
+        "config": asdict(run.config),
         "per_speaker": {
             spk: {
                 "assignments": dict(sorted(sc.assignments.items())),

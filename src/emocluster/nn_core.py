@@ -1,5 +1,5 @@
-"""Minimal dense network substrate: layers, activations, gradient reversal,
-AdamW, finite-difference gradient checking, and checkpoint I/O.
+"""Minimal dense network substrate: layers, activations, AdamW,
+finite-difference gradient checking, and checkpoint I/O.
 
 Everything runs in float64; reverse-mode gradients are exact for the
 affine/activation stack (including the full softmax Jacobian), which keeps
@@ -178,14 +178,6 @@ def backward(params: ModelParams, cache, grad_out: np.ndarray, from_logits: bool
     return flat, g
 
 
-def grl_backward(grad: np.ndarray, lam: float) -> np.ndarray:
-    """Gradient reversal: identity forward, so only the backward leg exists;
-    it scales the gradient by -lambda."""
-    if lam < 0:
-        raise ValueError("grl lambda must be >= 0")
-    return -lam * grad
-
-
 # -------------------------------------------------------------------- optimizer
 
 @dataclass
@@ -245,6 +237,8 @@ def grad_check(loss_fn, params: np.ndarray, eps: float = 1e-5) -> float:
     evaluated at the params' current values.  It is re-invoked with each
     entry perturbed by +/- eps.
     """
+    if not eps > 0:
+        raise ValueError(f"grad-check eps must be > 0, got {eps}")
     _, analytic = loss_fn()
     analytic = np.asarray(analytic, dtype=np.float64)
     if params.ndim != 1 or analytic.shape != params.shape:

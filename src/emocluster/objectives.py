@@ -13,17 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def cosine_sim(x, y) -> float:
-    """Exactly x.y / (|x||y|)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    if nx == 0.0 or ny == 0.0:
-        raise ValueError("cosine similarity undefined for zero vectors")
-    return float(x @ y / (nx * ny))
-
-
 @dataclass
 class ContrastiveBatch:
     z_anchor: np.ndarray  # (B, P)

@@ -7,7 +7,7 @@ a small dense trunk whose output feeds each head directly.
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .nn_core import (
     clone_params,
     flatten_params,
     forward,
-    grl_backward,
     init_optimizer,
     make_mlp,
     param_count,
@@ -54,7 +53,6 @@ class TrainConfig:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     patience: int = 5
     mtl_weights: MtlWeights = field(default_factory=MtlWeights)
-    resample_pairs_each_epoch: bool = False
     include_positive_in_denominator: bool = False
     trunk_hidden: int = 32
     contrastive_hidden: int | None = None  # default: trunk output dim
@@ -86,33 +84,7 @@ class TrainConfig:
 
 
 def config_to_dict(config: TrainConfig) -> dict:
-    return {
-        "mode": config.mode,
-        "steps": config.steps,
-        "batch_size": config.batch_size,
-        "lr": config.lr,
-        "pretrain_lr": config.pretrain_lr,
-        "epochs_ser": config.epochs_ser,
-        "tau": config.tau,
-        "n_clusters_N": config.n_clusters_N,
-        "seeds": list(config.seeds),
-        "patience": config.patience,
-        "mtl_weights": {
-            "w_contrastive": config.mtl_weights.w_contrastive,
-            "w_speaker": config.mtl_weights.w_speaker,
-            "grl_lambda": config.mtl_weights.grl_lambda,
-        },
-        "resample_pairs_each_epoch": config.resample_pairs_each_epoch,
-        "include_positive_in_denominator": config.include_positive_in_denominator,
-        "trunk_hidden": config.trunk_hidden,
-        "contrastive_hidden": config.contrastive_hidden,
-        "contrastive_out": config.contrastive_out,
-        "head_hidden": config.head_hidden,
-        "split_fractions": list(config.split_fractions),
-        "pretrain_speaker_fraction": config.pretrain_speaker_fraction,
-        "weight_decay": config.weight_decay,
-        "seed": config.seed,
-    }
+    return asdict(config)
 
 
 # TrainConfig fields that only the SER stage and the protocol read
@@ -182,9 +154,7 @@ def _shuffled_batches(n_items: int, batch_size: int, rng: np.random.Generator):
     while True:
         order = rng.permutation(n_items)
         for start in range(0, n_items, batch_size):
-            chunk = order[start : start + batch_size]
-            if len(chunk):
-                yield chunk, start + batch_size >= n_items
+            yield order[start : start + batch_size]
 
 
 def _ntxent_rows(proj, neg_mask, config):
@@ -246,7 +216,7 @@ def _contrastive_step(encoder, con_head, spk_head, rows, neg_mask, spk_labels, c
         loss_spk, dlogits = cross_entropy(spk_cache[-1][1], spk_labels)
         spk_grads, d_spk_in = backward(spk_head, spk_cache, weights.w_speaker * dlogits, from_logits=True)
         if config.mode == "mtl_adversarial":
-            d_spk_in = grl_backward(d_spk_in, weights.grl_lambda)
+            d_spk_in *= -weights.grl_lambda  # gradient reversal: identity forward, -lambda backward
         d_enc[:B] += d_spk_in
 
     enc_grads, _ = backward(encoder, enc_cache, d_enc)
@@ -293,23 +263,14 @@ def _tuple_rows(tuples: list[ContrastiveTuple], corpus: Corpus, spk_index: dict[
     return anchors, positives, negatives, mask, np.array([spk_index[t.spk_id] for t in tuples])
 
 
-def pretrain(
-    corpus_unlabeled: Corpus,
-    config: TrainConfig,
-    run=None,
-    tuples: list[ContrastiveTuple] | None = None,
-) -> Checkpoint:
+def pretrain(corpus_unlabeled: Corpus, config: TrainConfig, tuples: list[ContrastiveTuple] | None = None) -> Checkpoint:
     """Train the trunk (plus mode-specific heads) for config.steps steps.
 
-    Contrastive modes need intra-speaker clusters and mined tuples.  When
-    not given, the clusters are k-means with k = n_clusters_N and seed
-    stable_seed(config.seed, "pretrain_cluster"), and the tuples are mined
-    from them with seed config.seed; both depend on config.seed alone, so
-    `run_protocol` builds them once per seed and passes them to every
-    contrastive mode.  Given tuples are the first epoch's pool.  With
-    resample_pairs_each_epoch, each later epoch mines a fresh pool from the
-    given run (clustering first when no run is given), whether or not
-    tuples were given.
+    Contrastive modes train on mined tuples.  When not given, they are
+    mined with seed config.seed from k-means clusters with k = n_clusters_N
+    and seed stable_seed(config.seed, "pretrain_cluster"); both depend on
+    config.seed alone, so `run_protocol` mines once per seed and passes
+    the tuples to every contrastive mode.
     """
     config.validate()
     if config.mode == "none":
@@ -334,12 +295,6 @@ def pretrain(
             enc_out_dim, len(speakers), "speaker_cls", config, config.seed
         )
 
-    def mine(seed: int):
-        nonlocal run
-        if run is None:
-            run = _pretrain_run(corpus_unlabeled, config)
-        return _tuple_rows(_mine(run, corpus_unlabeled, config, seed), corpus_unlabeled, spk_index)
-
     history: dict[str, list[float]] = {"contrastive": [], "speaker": [], "total": []}
     params = flatten_params(*components.values())
     opt = init_optimizer(params, lr=config.pretrain_lr, weight_decay=config.weight_decay)
@@ -352,11 +307,12 @@ def pretrain(
 
     X = corpus_unlabeled.vectors
     if contrastive_on:
-        epoch = 0
-        pool = mine(config.seed) if tuples is None else _tuple_rows(tuples, corpus_unlabeled, spk_index)
+        if tuples is None:
+            tuples = _mine(_pretrain_run(corpus_unlabeled, config), corpus_unlabeled, config, config.seed)
+        pool = _tuple_rows(tuples, corpus_unlabeled, spk_index)
         batches = _shuffled_batches(len(pool[0]), config.batch_size, rng)
         for _ in range(config.steps):
-            idx, epoch_end = next(batches)
+            idx = next(batches)
             anchors, positives, negatives, mask, labels = (column[idx] for column in pool)
             # pad only to the batch's widest negative set: the loss's sums over
             # the slots would round differently at another width
@@ -370,15 +326,11 @@ def pretrain(
             history["contrastive"].append(l_con)
             history["speaker"].append(l_spk)
             history["total"].append(mtl_combine(l_con, l_spk, config.mtl_weights))
-            if epoch_end and config.resample_pairs_each_epoch:
-                epoch += 1
-                pool = mine(stable_seed(config.seed, "resample", epoch))
-                batches = _shuffled_batches(len(pool[0]), config.batch_size, rng)
     else:  # speaker classification only
         labels = np.asarray([spk_index[s] for s in corpus_unlabeled.spk_ids])
         batches = _shuffled_batches(len(X), config.batch_size, rng)
         for _ in range(config.steps):
-            idx, _ = next(batches)
+            idx = next(batches)
             loss, flat = _classifier_step(encoder, components["speaker_cls"], X[idx], labels[idx])
             adamw_step(opt, params, flat)
             history["speaker"].append(loss)
@@ -397,13 +349,18 @@ def _speaker_rows(corpus: Corpus, speakers) -> list[int]:
     return sorted(i for spk in speakers for i in corpus.speakers[spk])
 
 
+def _shuffled_speakers(corpus: Corpus, *salt) -> list[str]:
+    """The corpus's speakers in an order seeded by stable_seed(*salt)."""
+    speakers = sorted(corpus.speakers)
+    rng = np.random.default_rng(stable_seed(*salt))
+    return [speakers[i] for i in rng.permutation(len(speakers))]
+
+
 def split_by_speaker(corpus: Corpus, fractions, seed: int):
     """Speaker-disjoint (train, val, test) split with seeded assignment."""
-    speakers = sorted(corpus.speakers)
-    if len(speakers) < 3:
+    if len(corpus.speakers) < 3:
         raise ValueError("need at least 3 speakers for a 3-way speaker split")
-    rng = np.random.default_rng(stable_seed(seed, "split"))
-    order = [speakers[i] for i in rng.permutation(len(speakers))]
+    order = _shuffled_speakers(corpus, seed, "split")
     n = len(order)
     n_val = max(1, round(fractions[1] * n))
     n_test = max(1, round(fractions[2] * n))
@@ -449,33 +406,20 @@ def train_ser(
     checkpoint: Checkpoint | None,
     corpus_labeled: Corpus,
     config: TrainConfig,
-    val_corpus: Corpus | None = None,
+    val_corpus: Corpus,
     seed: int | None = None,
 ):
     """Fine-tune (pretrained or fresh) encoder plus a new emotion head.
 
-    Stops on the best validation accuracy (with patience) and returns the
-    best-epoch model together with its validation EvalResult.  When no
-    val_corpus is given the labeled corpus is split by speaker internally.
+    Stops on the best accuracy on the speaker-disjoint val_corpus (with
+    patience) and returns the best-epoch model together with its
+    validation EvalResult.
     """
     config.validate()
     seed = config.seed if seed is None else seed
+    check_speaker_disjoint(corpus_labeled, val_corpus)
 
-    if val_corpus is None:
-        f_train, f_val, _ = config.split_fractions
-        speakers = sorted(corpus_labeled.speakers)
-        if len(speakers) < 2:
-            raise ValueError("need at least 2 speakers to carve out a validation split")
-        rng = np.random.default_rng(stable_seed(seed, "ser_split"))
-        order = [speakers[i] for i in rng.permutation(len(speakers))]
-        n_val = min(len(order) - 1, max(1, round(f_val / (f_train + f_val) * len(order))))
-        train_c = corpus_labeled.take(_speaker_rows(corpus_labeled, order[n_val:]))
-        val_c = corpus_labeled.take(_speaker_rows(corpus_labeled, order[:n_val]))
-    else:
-        train_c, val_c = corpus_labeled, val_corpus
-    check_speaker_disjoint(train_c, val_c)
-
-    emotions = sorted({e for e in train_c.emotions if e is not None})
+    emotions = sorted({e for e in corpus_labeled.emotions if e is not None})
     if len(emotions) < 2:
         raise ValueError(f"SER training needs >= 2 emotion classes, found {emotions}")
 
@@ -485,8 +429,8 @@ def train_ser(
         encoder = build_encoder(corpus_labeled.dim, config, stable_seed(seed, "ser_encoder"))
     head = build_classifier_head(encoder.output_dim, len(emotions), "emotion_cls", config, seed)
 
-    train_rows, train_labels = _labeled_arrays(train_c, emotions)
-    val_rows, val_labels = _labeled_arrays(val_c, emotions)
+    train_rows, train_labels = _labeled_arrays(corpus_labeled, emotions)
+    val_rows, val_labels = _labeled_arrays(val_corpus, emotions)
 
     params = flatten_params(encoder, head)
     opt = init_optimizer(params, lr=config.lr, weight_decay=config.weight_decay)
@@ -513,10 +457,10 @@ def train_ser(
         encoder=best[1],
         head=best[2],
         emotions=emotions,
-        train_speakers=set(train_c.speakers),
+        train_speakers=set(corpus_labeled.speakers),
         seed=seed,
     )
-    return model, evaluate_uar(model, val_c)
+    return model, evaluate_uar(model, val_corpus)
 
 
 def ser_predict(model: SerModel, rows: np.ndarray) -> np.ndarray:
@@ -597,17 +541,19 @@ def run_protocol(
     """
     config.validate()
     modes = list(MODES) if modes is None else modes
-    for mode in modes:
+    if not modes:
+        raise ValueError(f"no modes given; choose from {MODES}")
+    for i, mode in enumerate(modes):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
+        if mode in modes[:i]:
+            raise ValueError(f"mode {mode!r} given twice")
 
     from .corpus import length_normalize
 
     normalized = corpus if is_normalized(corpus) else length_normalize(corpus)
     if config.pretrain_speaker_fraction > 0.0:
-        speakers = sorted(normalized.speakers)
-        rng = np.random.default_rng(stable_seed(config.seed, "pretrain_pool"))
-        order = [speakers[i] for i in rng.permutation(len(speakers))]
+        order = _shuffled_speakers(normalized, config.seed, "pretrain_pool")
         n_pool = max(1, round(config.pretrain_speaker_fraction * len(order)))
         if len(order) - n_pool < 3:
             raise ValueError("pretrain_speaker_fraction leaves too few speakers for SER splits")
@@ -631,8 +577,7 @@ def run_protocol(
     mined = {}
     if any(mode in CONTRASTIVE_MODES for mode in modes):
         for s, cfg in run_configs.items():
-            run = _pretrain_run(pretrain_corpus, cfg)
-            mined[s] = {"run": run, "tuples": _mine(run, pretrain_corpus, cfg, cfg.seed)}
+            mined[s] = _mine(_pretrain_run(pretrain_corpus, cfg), pretrain_corpus, cfg, cfg.seed)
 
     rows = []
     for mode in modes:
@@ -640,7 +585,7 @@ def run_protocol(
         for s in config.seeds:
             ckpt = None
             if mode != "none":
-                ckpt = pretrain(pretrain_corpus, replace(run_configs[s], mode=mode), **mined.get(s, {}))
+                ckpt = pretrain(pretrain_corpus, replace(run_configs[s], mode=mode), tuples=mined.get(s))
             model, _val_result = train_ser(ckpt, ser_train, config, val_corpus=val_c, seed=s)
             result = evaluate_uar(model, test_c)
             per_seed.append({"seed": int(s), "uar": result.uar})
@@ -768,6 +713,7 @@ def _assemble_grad_check_cases(kind: str, nets, grl_lambda: float):
             cases.append((f"{hk} cross-entropy", loss_fn, flat))
     if kind in ("mtl", "all"):
         mtl_cfg = replace(cfg, mode="mtl_adversarial", mtl_weights=MtlWeights(grl_lambda=grl_lambda))
+        mtl_cfg.validate()
         w = mtl_cfg.mtl_weights
         copies, flat = _flat_copies(encoder, con_head, spk_head)
         n_enc = param_count(encoder)

@@ -137,6 +137,29 @@ def test_grad_check_exit_codes(tmp_path):
     assert main(["grad-check", "--head", "speaker_cls", "--tol", "1e-18", "--seed", "0"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["grad-check", "--head", "speaker_cls", "--eps", "0"], "grad-check eps must be > 0"),
+        (["grad-check", "--head", "mtl", "--grl-lambda", "-1"], "must be >= 0"),
+    ],
+    ids=["eps-zero", "grl-lambda-negative"],
+)
+def test_grad_check_invalid_setting_exits_2(capsys, argv, detail):
+    assert main(argv) == 2
+    assert detail in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "modes, detail", [(",", "no modes given"), ("none,none", "mode 'none' given twice")], ids=["empty", "repeated"]
+)
+def test_probe_without_distinct_modes_exits_2(tmp_path, small_corpus, capsys, modes, detail):
+    out = tmp_path / "probe.json"
+    assert main(["probe", "--corpus", str(small_corpus), "--modes", modes, "--out", str(out)]) == 2
+    assert detail in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exit_code():
     assert main(["cluster"]) == 1  # missing required flags
     assert main(["definitely-not-a-command"]) == 1
@@ -159,6 +182,67 @@ def test_config_file_supplies_defaults(tmp_path, small_corpus):
     run2 = tmp_path / "run2.json"
     assert main(["cluster", "--corpus", str(small_corpus), "--config", str(config), "--k", "2", "--out", str(run2)]) == 0
     assert json.loads(run2.read_text())["config"]["k"] == 2
+
+
+@pytest.mark.parametrize(
+    "command, values, detail",
+    [
+        (["cluster"], {"k": 2.5}, "config key 'k': invalid value 2.5"),
+        (["cluster"], {"no_normalize": "no"}, "config key 'no_normalize': takes true or false, not \"no\""),
+        (["cluster"], {"format": "xml"}, "config key 'format': 'xml' is not one of jsonl, bin"),
+        (["probe", "--modes", "none", "--epochs", "1"], {"seeds": 3}, None),
+    ],
+    ids=["int-flag-float", "switch-string", "choice-flag-unknown", "list-flag-number"],
+)
+def test_config_file_values_parse_as_their_flags(tmp_path, small_corpus, capsys, command, values, detail):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps(values))
+    out = tmp_path / "out.json"
+    code = main([*command, "--corpus", str(small_corpus), "--config", str(config), "--out", str(out)])
+    if detail is None:
+        assert code == 0
+        manifest = json.loads((tmp_path / "out.json.manifest.json").read_text())
+        assert manifest["config"]["seeds"] == [3]
+        assert [p["seed"] for p in json.loads(out.read_text())["rows"][0]["per_seed"]] == [3]
+    else:
+        assert code == 2
+        assert f"{config}: {detail}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_config_schema_of_artifacts(tmp_path, small_corpus):
+    from emocluster.nn_core import load_checkpoint
+    from emocluster.serialize import canonical_dumps
+    from emocluster.trainer import TrainConfig, config_to_dict
+
+    mtl_keys = {"w_contrastive", "w_speaker", "grl_lambda"}
+    pretrain_keys = {
+        "mode", "steps", "batch_size", "pretrain_lr", "tau", "n_clusters_N", "mtl_weights",
+        "include_positive_in_denominator", "trunk_hidden", "contrastive_hidden", "contrastive_out",
+        "head_hidden", "weight_decay", "seed",
+    }
+    train_keys = pretrain_keys | {"lr", "epochs_ser", "seeds", "patience", "split_fractions", "pretrain_speaker_fraction"}
+    payload = config_to_dict(TrainConfig())
+    assert set(payload) == train_keys and set(payload["mtl_weights"]) == mtl_keys
+    assert canonical_dumps(payload) == (
+        '{"batch_size":8,"contrastive_hidden":null,"contrastive_out":128,"epochs_ser":30,"head_hidden":null,'
+        '"include_positive_in_denominator":false,"lr":1.0000000000000001e-05,"mode":"contrastive",'
+        '"mtl_weights":{"grl_lambda":1.0,"w_contrastive":1.0,"w_speaker":1.0},"n_clusters_N":20,"patience":5,'
+        '"pretrain_lr":0.0001,"pretrain_speaker_fraction":0.0,"seed":0,"seeds":[0,1,2,3,4],'
+        '"split_fractions":[0.69999999999999996,0.10000000000000001,0.20000000000000001],"steps":5000,'
+        '"tau":0.10000000000000001,"trunk_hidden":32,"weight_decay":0.01}'
+    )
+
+    probe, ckpt, run = tmp_path / "probe.json", tmp_path / "ckpt.json", tmp_path / "run.json"
+    corpus = ["--corpus", str(small_corpus)]
+    assert main(["probe", *corpus, "--modes", "none", "--epochs", "1", "--seeds", "0", "--out", str(probe)]) == 0
+    assert main(["pretrain", *corpus, "--steps", "1", "--n-clusters", "4", "--out", str(ckpt)]) == 0
+    assert main(["cluster", *corpus, "--out", str(run)]) == 0
+    probe_config = json.loads(probe.read_text())["config"]
+    assert set(probe_config) == train_keys and set(probe_config["mtl_weights"]) == mtl_keys
+    ckpt_config = load_checkpoint(str(ckpt))[1]["config"]
+    assert set(ckpt_config) == pretrain_keys and set(ckpt_config["mtl_weights"]) == mtl_keys
+    assert set(json.loads(run.read_text())["config"]) == {"k", "max_iters", "tol", "n_restarts", "seed"}
 
 
 def test_binary_format_through_cli(tmp_path):

@@ -16,7 +16,6 @@ from emocluster.nn_core import (
     flatten_params,
     forward,
     grad_check,
-    grl_backward,
     init_dense,
     init_optimizer,
     load_checkpoint,
@@ -136,13 +135,13 @@ def test_softmax_backward_full_jacobian():
     assert grad_check(loss_fn, params, eps=1e-6) < 1e-7
 
 
-def test_grl_backward_scaled_negation():
-    g = np.array([[0.5, -1.5]])
-    assert np.array_equal(grl_backward(g, 1.0), -g)
-    assert np.array_equal(grl_backward(g, 0.0), np.zeros_like(g))
-    assert np.array_equal(grl_backward(g, 2.0), -2.0 * g)
-    with pytest.raises(ValueError):
-        grl_backward(g, -0.1)
+@pytest.mark.parametrize("eps", [0.0, -1e-5])
+def test_grad_check_rejects_nonpositive_eps(eps):
+    def loss_fn():
+        raise AssertionError("loss_fn must not run")
+
+    with pytest.raises(ValueError, match="eps must be > 0"):
+        grad_check(loss_fn, np.zeros(3), eps=eps)
 
 
 def test_adamw_zero_grad_zero_decay_is_noop():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from emocluster.objectives import (
     ContrastiveBatch,
     MtlWeights,
-    cosine_sim,
     cross_entropy,
     mtl_combine,
     ntxent_variant,
@@ -22,39 +21,6 @@ def _batch(anchor, positive, negs, tau):
     padded = np.zeros((*mask.shape, anchor.shape[1]))
     padded[mask] = np.concatenate(negs)
     return ContrastiveBatch(anchor, positive, padded, mask, tau)
-
-
-def test_cosine_orthogonal():
-    assert cosine_sim([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-
-
-def test_cosine_scale_invariance():
-    assert cosine_sim([2.0, 2.0], [1.0, 1.0]) == pytest.approx(1.0)
-
-
-def test_cosine_antiparallel():
-    assert cosine_sim([1.0, 0.0], [-1.0, 0.0]) == pytest.approx(-1.0)
-
-
-def test_cosine_zero_vector_rejected():
-    with pytest.raises(ValueError, match="zero"):
-        cosine_sim([0.0, 0.0], [1.0, 0.0])
-
-
-@given(
-    st.lists(st.floats(-5, 5), min_size=3, max_size=3),
-    st.lists(st.floats(-5, 5), min_size=3, max_size=3),
-    st.floats(-4, 4).filter(lambda a: abs(a) > 1e-3),
-    st.floats(-4, 4).filter(lambda b: abs(b) > 1e-3),
-)
-@settings(max_examples=60, deadline=None)
-def test_cosine_signed_scale_property(x, y, a, b):
-    x, y = np.asarray(x), np.asarray(y)
-    if np.linalg.norm(x) < 1e-6 or np.linalg.norm(y) < 1e-6:
-        return
-    lhs = cosine_sim(a * x, b * y)
-    rhs = np.sign(a * b) * cosine_sim(x, y)
-    assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
 def _batch_with_sims(sim_pos, sim_negs, tau):

@@ -253,33 +253,21 @@ def test_adversarial_reversal_changes_trunk_not_head_first_step():
     )
 
 
-def test_pretrain_resample_pairs_each_epoch_runs_and_differs():
-    corpus = strip_labels(_corpus(n_speakers=4, upc=8))
-    fixed = pretrain(corpus, _small_config(steps=80))
-    resampled = pretrain(corpus, _small_config(steps=80, resample_pairs_each_epoch=True))
-    # both deterministic, but the resampled pool changes the trajectory
-    assert fixed.history["contrastive"] != resampled.history["contrastive"]
-    again = pretrain(corpus, _small_config(steps=80, resample_pairs_each_epoch=True))
-    assert resampled.history["contrastive"] == again.history["contrastive"]
-
-
 def _weights_and_history(ckpt):
     arrays = [a for name in sorted(ckpt.components) for l in ckpt.components[name].layers for a in (l.W, l.b)]
     return b"".join(a.tobytes() for a in arrays), ckpt.history
 
 
-@pytest.mark.parametrize("resample", [False, True])
-def test_pretrain_given_run_and_tuples_matches_internal(resample):
+def test_pretrain_given_run_and_tuples_matches_internal():
     # the clusters and tuples pretrain builds depend on config.seed alone, so
-    # building them outside (as run_protocol does) must change nothing,
-    # including the per-epoch resampling that mines from the given run
+    # building them outside (as run_protocol does) must change nothing
     corpus = strip_labels(_corpus(n_speakers=4, upc=8))
-    config = _small_config(steps=80, mode="mtl_adversarial", resample_pairs_each_epoch=resample)
+    config = _small_config(steps=80, mode="mtl_adversarial")
     run = cluster_speakers(
         corpus, KMeansConfig(k=config.n_clusters_N, seed=stable_seed(config.seed, "pretrain_cluster"))
     )
     tuples = mine_tuples(run, corpus, MiningConfig(n_clusters_N=config.n_clusters_N, seed=config.seed))
-    given = pretrain(corpus, config, run=run, tuples=tuples)
+    given = pretrain(corpus, config, tuples=tuples)
     assert _weights_and_history(given) == _weights_and_history(pretrain(corpus, config))
 
 
@@ -310,8 +298,9 @@ def test_train_ser_requires_two_classes():
     single = build_corpus(
         [EmbeddingRecord(r.utt_id, r.spk_id, "only", r.vec) for r in corpus.records]
     )
+    train_c, val_c, _ = split_by_speaker(single, (0.5, 0.25, 0.25), seed=1)
     with pytest.raises(ValueError, match=">= 2 emotion classes"):
-        train_ser(None, single, _small_config())
+        train_ser(None, train_c, _small_config(), val_corpus=val_c)
 
 
 def test_train_ser_rejects_leaky_val():
