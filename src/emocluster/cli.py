@@ -288,7 +288,7 @@ def cmd_project(args) -> int:
     corpus = load_corpus(args.corpus, args.format)
     assignments = {}
     if args.run:
-        run = _load_run(args.run)
+        run = _load_run(args.run, corpus)
         for sc in run.per_speaker.values():
             assignments.update(sc.assignments)
     points = pca_project_2d(corpus.vectors)
@@ -435,14 +435,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
-    """Fold --config file values in as defaults; explicit flags still win."""
-    if "--config" not in argv:
-        return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        return argv
-    path = argv[at + 1]
+def _apply_config_file(parser: _Parser, path: str) -> None:
+    """Fold a --config file's values in as flag defaults; explicit flags still
+    win.  A key may name a flag of any subcommand, so one file can serve
+    several; a key that names none raises CorpusError."""
     try:
         with open(path, "rb") as fh:
             values = json.loads(fh.read().decode("utf-8"))
@@ -451,12 +447,16 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
     if not isinstance(values, dict):
         raise CorpusError(f"{path}: config file must hold a json object")
     keys = {k.replace("-", "_"): k for k in values}
+    known = set()
     for sp in parser.get_default("_subcommands").values():
         for action in sp._actions:
             if action.dest in keys:
+                known.add(action.dest)
                 key = keys[action.dest]
                 sp.set_defaults(**{action.dest: _config_value(action, values[key], f"{path}: config key {key!r}")})
-    return argv
+    for dest, key in keys.items():
+        if dest not in known:
+            raise CorpusError(f"{path}: config key {key!r} names no flag")
 
 
 def _config_value(action: argparse.Action, value, where: str):
@@ -482,8 +482,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        if args.config:
+            _apply_config_file(parser, args.config)
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (OSError, CorpusError) as exc:

@@ -14,8 +14,6 @@ import numpy as np
 from .clustering import GRAM_RECHECK, ClusteringRun
 from .corpus import Corpus
 
-NMI_NORMALIZERS = ("arithmetic", "min", "max", "geometric")
-
 METRIC_NAMES = ("nmi", "ari", "purity", "silhouette")
 
 SILHOUETTE_BLOCK = 1 << 20  # floats of silhouette temporaries at once (8 MB)
@@ -52,14 +50,13 @@ def _entropy(counts: np.ndarray, n: int) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def nmi(cluster_labels, true_labels, normalizer: str = "arithmetic") -> float:
-    """Normalized mutual information in [0, 1].
+def nmi(cluster_labels, true_labels) -> float:
+    """Normalized mutual information in [0, 1], over the arithmetic mean of
+    the two entropies.
 
     Single-class convention: 1 if both partitions are single-class, 0 if
     only one of them is (avoids 0/0 in the normalizer).
     """
-    if normalizer not in NMI_NORMALIZERS:
-        raise ValueError(f"unknown normalizer {normalizer!r}; choose from {NMI_NORMALIZERS}")
     table = contingency_table(cluster_labels, true_labels)
     n = int(table.sum())
     a = table.sum(axis=1)
@@ -75,15 +72,7 @@ def nmi(cluster_labels, true_labels, normalizer: str = "arithmetic") -> float:
             nij = table[i, j]
             if nij > 0:
                 mi += (nij / n) * np.log(nij * n / (a[i] * b[j]))
-    if normalizer == "arithmetic":
-        denom = 0.5 * (h_c + h_t)
-    elif normalizer == "min":
-        denom = min(h_c, h_t)
-    elif normalizer == "max":
-        denom = max(h_c, h_t)
-    else:
-        denom = float(np.sqrt(h_c * h_t))
-    return float(min(1.0, max(0.0, mi / denom)))
+    return float(min(1.0, max(0.0, mi / (0.5 * (h_c + h_t)))))
 
 
 def _comb2(m: int) -> int:

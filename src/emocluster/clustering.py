@@ -77,11 +77,6 @@ def _gram_sq_dists(points: np.ndarray, points_sq: np.ndarray, centers: np.ndarra
     return np.maximum(d, 0.0, out=d)
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """`_gram_sq_dists` for points met once."""
-    return _gram_sq_dists(points, _row_sq(points), centers)
-
-
 def _sq_dists_to_row(points: np.ndarray, points_sq: np.ndarray, i: int) -> np.ndarray:
     """Squared distances from every point to points[i]: Gram form, with each
     value at or below GRAM_RECHECK * (|x|^2 + |c|^2) recomputed exactly as

@@ -2,8 +2,9 @@
 finite-difference gradient checking, and checkpoint I/O.
 
 Everything runs in float64; reverse-mode gradients are exact for the
-affine/activation stack (including the full softmax Jacobian), which keeps
-finite-difference agreement tight enough for 1e-5 relative tolerances.
+affine/activation stack, which keeps finite-difference agreement tight
+enough for 1e-5 relative tolerances.  Classifier heads end at their
+logits: the softmax belongs to the cross-entropy loss, not the network.
 """
 
 import json
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "tanh", "softmax", "identity")
+ACTIVATIONS = ("relu", "tanh", "identity")
 
 
 @dataclass
@@ -99,19 +100,11 @@ def flatten_params(*models: ModelParams) -> np.ndarray:
     return flat
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     if activation == "relu":
         return np.maximum(z, 0.0)
     if activation == "tanh":
         return np.tanh(z)
-    if activation == "softmax":
-        return _softmax(z)
     return z
 
 
@@ -121,10 +114,6 @@ def _activation_backward(grad_a: np.ndarray, z: np.ndarray, activation: str) -> 
     if activation == "tanh":
         t = np.tanh(z)
         return grad_a * (1.0 - t * t)
-    if activation == "softmax":
-        s = _softmax(z)
-        dot = (grad_a * s).sum(axis=1, keepdims=True)
-        return s * (grad_a - dot)
     return grad_a
 
 
@@ -146,12 +135,8 @@ def forward(params: ModelParams, x: np.ndarray):
     return a, cache
 
 
-def backward(params: ModelParams, cache, grad_out: np.ndarray, from_logits: bool = False):
-    """Reverse-mode gradients through the stack.
-
-    grad_out is dLoss/d(output); with from_logits=True it is instead the
-    gradient at the final pre-activation (the fused softmax/cross-entropy
-    path), so the last activation derivative is skipped.
+def backward(params: ModelParams, cache, grad_out: np.ndarray):
+    """Reverse-mode gradients through the stack, given grad_out = dLoss/d(output).
 
     Returns (flat parameter gradient in `flatten_params` order, gradient
     wrt the input batch).
@@ -166,10 +151,7 @@ def backward(params: ModelParams, cache, grad_out: np.ndarray, from_logits: bool
         x_in, z = cache[i]
         if g.shape != z.shape:
             raise ValueError(f"layer {i}: gradient shape {g.shape} does not match {z.shape}")
-        if i == len(params.layers) - 1 and from_logits:
-            dz = g
-        else:
-            dz = _activation_backward(g, z, layer.activation)
+        dz = _activation_backward(g, z, layer.activation)
         off -= layer.b.size
         dz.sum(axis=0, out=flat[off : off + layer.b.size])
         off -= layer.W.size
@@ -192,17 +174,13 @@ class OptimizerState:
     weight_decay: float = 0.01
 
 
-def init_optimizer(params: np.ndarray, lr: float, weight_decay: float = 0.01,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> OptimizerState:
+def init_optimizer(params: np.ndarray, lr: float, weight_decay: float = 0.01) -> OptimizerState:
     """Zero moments shaped like the flat parameter buffer."""
     return OptimizerState(
         m=np.zeros_like(params),
         v=np.zeros_like(params),
         step=0,
         lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
         weight_decay=weight_decay,
     )
 

@@ -144,7 +144,7 @@ def build_contrastive_head(in_dim: int, config: TrainConfig, seed: int) -> Model
 def build_classifier_head(in_dim: int, n_classes: int, kind: str, config: TrainConfig, seed: int) -> ModelParams:
     rng = np.random.default_rng(stable_seed(seed, kind))
     hidden = config.head_hidden or in_dim
-    return make_mlp(rng, [in_dim, hidden, n_classes], ["relu", "softmax"], kind)
+    return make_mlp(rng, [in_dim, hidden, n_classes], ["relu", "identity"], kind)
 
 
 # ----------------------------------------------------------------- pretraining
@@ -212,9 +212,9 @@ def _contrastive_step(encoder, con_head, spk_head, rows, neg_mask, spk_labels, c
 
     loss_spk, spk_grads = 0.0, np.empty(0)
     if spk_head is not None:
-        _, spk_cache = forward(spk_head, enc_out[:B])
-        loss_spk, dlogits = cross_entropy(spk_cache[-1][1], spk_labels)
-        spk_grads, d_spk_in = backward(spk_head, spk_cache, weights.w_speaker * dlogits, from_logits=True)
+        logits, spk_cache = forward(spk_head, enc_out[:B])
+        loss_spk, dlogits = cross_entropy(logits, spk_labels)
+        spk_grads, d_spk_in = backward(spk_head, spk_cache, weights.w_speaker * dlogits)
         if config.mode == "mtl_adversarial":
             d_spk_in *= -weights.grl_lambda  # gradient reversal: identity forward, -lambda backward
         d_enc[:B] += d_spk_in
@@ -226,9 +226,9 @@ def _contrastive_step(encoder, con_head, spk_head, rows, neg_mask, spk_labels, c
 def _classifier_step(encoder, head, rows, labels):
     """Cross-entropy of a classifier head on the trunk; returns (loss, flat encoder + head gradient)."""
     enc_out, enc_cache = forward(encoder, rows)
-    _, head_cache = forward(head, enc_out)
-    loss, dlogits = cross_entropy(head_cache[-1][1], labels)
-    head_grads, d_enc = backward(head, head_cache, dlogits, from_logits=True)
+    logits, head_cache = forward(head, enc_out)
+    loss, dlogits = cross_entropy(logits, labels)
+    head_grads, d_enc = backward(head, head_cache, dlogits)
     enc_grads, _ = backward(encoder, enc_cache, d_enc)
     return loss, np.concatenate([enc_grads, head_grads])
 
@@ -396,24 +396,17 @@ def _labeled_arrays(corpus: Corpus, emotions: list[str]):
     return corpus.vectors[rows], np.asarray(labels)
 
 
-def _ser_accuracy(encoder, head, rows, labels) -> float:
-    enc_out, _ = forward(encoder, rows)
-    probs, _ = forward(head, enc_out)
-    return float((probs.argmax(axis=1) == labels).mean())
-
-
 def train_ser(
     checkpoint: Checkpoint | None,
     corpus_labeled: Corpus,
     config: TrainConfig,
     val_corpus: Corpus,
     seed: int | None = None,
-):
+) -> SerModel:
     """Fine-tune (pretrained or fresh) encoder plus a new emotion head.
 
     Stops on the best accuracy on the speaker-disjoint val_corpus (with
-    patience) and returns the best-epoch model together with its
-    validation EvalResult.
+    patience) and returns the best-epoch model.
     """
     config.validate()
     seed = config.seed if seed is None else seed
@@ -444,7 +437,7 @@ def train_ser(
             idx = order[start : start + config.batch_size]
             _, flat = _classifier_step(encoder, head, train_rows[idx], train_labels[idx])
             adamw_step(opt, params, flat)
-        acc = _ser_accuracy(encoder, head, val_rows, val_labels)
+        acc = float((ser_predict(encoder, head, val_rows) == val_labels).mean())
         if acc > best[0]:
             best = (acc, clone_params(encoder), clone_params(head))
             since_best = 0
@@ -453,20 +446,20 @@ def train_ser(
             if since_best >= config.patience:
                 break
 
-    model = SerModel(
+    return SerModel(
         encoder=best[1],
         head=best[2],
         emotions=emotions,
         train_speakers=set(corpus_labeled.speakers),
         seed=seed,
     )
-    return model, evaluate_uar(model, val_corpus)
 
 
-def ser_predict(model: SerModel, rows: np.ndarray) -> np.ndarray:
-    enc_out, _ = forward(model.encoder, rows)
-    probs, _ = forward(model.head, enc_out)
-    return probs.argmax(axis=1)
+def ser_predict(encoder: ModelParams, head: ModelParams, rows: np.ndarray) -> np.ndarray:
+    """Predicted class index per row: the argmax of the head's logits."""
+    enc_out, _ = forward(encoder, rows)
+    logits, _ = forward(head, enc_out)
+    return logits.argmax(axis=1)
 
 
 def evaluate_uar(model: SerModel, corpus_test: Corpus) -> EvalResult:
@@ -480,7 +473,7 @@ def evaluate_uar(model: SerModel, corpus_test: Corpus) -> EvalResult:
     if overlap:
         raise ValueError(f"test speakers overlap training speakers: {sorted(overlap)[:3]}")
     rows, labels = _labeled_arrays(corpus_test, model.emotions)
-    preds = ser_predict(model, rows)
+    preds = ser_predict(model.encoder, model.head, rows)
 
     C = len(model.emotions)
     confusion = np.zeros((C, C), dtype=np.int64)
@@ -586,7 +579,7 @@ def run_protocol(
             ckpt = None
             if mode != "none":
                 ckpt = pretrain(pretrain_corpus, replace(run_configs[s], mode=mode), tuples=mined.get(s))
-            model, _val_result = train_ser(ckpt, ser_train, config, val_corpus=val_c, seed=s)
+            model = train_ser(ckpt, ser_train, config, val_corpus=val_c, seed=s)
             result = evaluate_uar(model, test_c)
             per_seed.append({"seed": int(s), "uar": result.uar})
         rows.append(

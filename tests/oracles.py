@@ -19,7 +19,8 @@ def brute_contingency(clusters, labels):
     return rows, cols, counts
 
 
-def brute_nmi(clusters, labels, normalizer="arithmetic"):
+def brute_nmi(clusters, labels):
+    """NMI over the arithmetic mean of the two entropies."""
     n = len(clusters)
     rows, cols, counts = brute_contingency(clusters, labels)
     row_tot = Counter(clusters)
@@ -42,15 +43,7 @@ def brute_nmi(clusters, labels, normalizer="arithmetic"):
             nij = counts.get((r, c), 0)
             if nij:
                 mi += (nij / n) * math.log(nij * n / (row_tot[r] * col_tot[c]))
-    if normalizer == "arithmetic":
-        denom = (h_c + h_t) / 2.0
-    elif normalizer == "min":
-        denom = min(h_c, h_t)
-    elif normalizer == "max":
-        denom = max(h_c, h_t)
-    else:
-        denom = math.sqrt(h_c * h_t)
-    return min(1.0, max(0.0, mi / denom))
+    return min(1.0, max(0.0, mi / ((h_c + h_t) / 2.0)))
 
 
 def brute_ari(clusters, labels):

@@ -210,6 +210,30 @@ def test_config_file_values_parse_as_their_flags(tmp_path, small_corpus, capsys,
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "values, inline, detail",
+    [
+        ({"k": 2}, True, None),
+        ({"k": 2, "steps": 5}, False, None),
+        ({"kk": 2}, False, "config key 'kk' names no flag"),
+    ],
+    ids=["equals-form", "other-subcommand-key", "unknown-key"],
+)
+def test_config_file_read_in_either_form_and_keys_checked(tmp_path, small_corpus, capsys, values, inline, detail):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps(values))
+    flag = [f"--config={config}"] if inline else ["--config", str(config)]
+    run = tmp_path / "run.json"
+    code = main(["cluster", "--corpus", str(small_corpus), *flag, "--out", str(run)])
+    if detail is None:
+        assert code == 0
+        assert json.loads(run.read_text())["config"]["k"] == 2
+    else:
+        assert code == 2
+        assert f"{config}: {detail}" in capsys.readouterr().err
+        assert not run.exists()
+
+
 def test_config_schema_of_artifacts(tmp_path, small_corpus):
     from emocluster.nn_core import load_checkpoint
     from emocluster.serialize import canonical_dumps
@@ -378,7 +402,7 @@ def _clustered_run(tmp_path, corpus):
     return json.loads(good.read_text())
 
 
-@pytest.mark.parametrize("command", ["eval-clusters", "mine-pairs"])
+@pytest.mark.parametrize("command", _RUN_READERS)
 def test_run_naming_unknown_utterance_exits_2(tmp_path, small_corpus, capsys, command):
     payload = _clustered_run(tmp_path, small_corpus)
     spk = sorted(payload["per_speaker"])[0]

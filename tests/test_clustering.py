@@ -6,8 +6,9 @@ import pytest
 from emocluster.clustering import (
     KMeansConfig,
     _kmeanspp_init,
+    _gram_sq_dists,
     _lloyd,
-    _sq_dists,
+    _row_sq,
     _sq_dists_to_row,
     center_distances,
     cluster_speakers,
@@ -232,7 +233,7 @@ def test_gram_sq_dists_nearest_center_matches_broadcast():
         centers = 0.8 * _unit_rows(rng, 12, 48)
         diff = points[:, None, :] - centers[None, :, :]
         exact = np.einsum("ijk,ijk->ij", diff, diff)
-        gram = _sq_dists(points, centers)
+        gram = _gram_sq_dists(points, _row_sq(points), centers)
         assert gram.min() >= 0.0
         assert np.allclose(gram, exact, rtol=1e-12, atol=1e-14)
         picked = exact[np.arange(len(points)), np.argmin(gram, axis=1)]
@@ -255,7 +256,7 @@ def _lloyd_repair_per_cluster(points, init_centers, max_iters, tol):
     """_lloyd with the farthest-point ranking recomputed for every empty cluster."""
     centers = init_centers.copy()
     k = centers.shape[0]
-    assign = np.argmin(_sq_dists(points, centers), axis=1)
+    assign = np.argmin(_gram_sq_dists(points, _row_sq(points), centers), axis=1)
     for _ in range(max_iters):
         new_centers = centers.copy()
         for c in range(k):
@@ -274,7 +275,7 @@ def _lloyd_repair_per_cluster(points, init_centers, max_iters, tol):
         shift = np.linalg.norm(new_centers - centers, axis=1)
         converged = bool(np.all(shift < tol * (1.0 + np.linalg.norm(centers, axis=1))))
         centers = new_centers
-        assign = np.argmin(_sq_dists(points, centers), axis=1)
+        assign = np.argmin(_gram_sq_dists(points, _row_sq(points), centers), axis=1)
         if converged:
             break
     residual = points - centers[assign]
@@ -288,7 +289,7 @@ def test_empty_cluster_repair_fills_every_cluster(duplicates):
     # repeating the first center leaves its copies empty after the first assignment
     init = np.concatenate([np.repeat(points[:1], duplicates + 1, axis=0), points[1:4]])
     k = len(init)
-    assert np.sum(np.bincount(np.argmin(_sq_dists(points, init), axis=1), minlength=k) == 0) == duplicates
+    assert np.sum(np.bincount(np.argmin(_gram_sq_dists(points, _row_sq(points), init), axis=1), minlength=k) == 0) == duplicates
     for max_iters in (1, 2, 300):
         assign, centers, inertia = _lloyd(points, init, max_iters=max_iters, tol=1e-6)
         assert np.all(np.bincount(assign, minlength=k) > 0)
@@ -347,7 +348,7 @@ def test_lloyd_centers_are_masked_means_bit_for_bit(dim, repair):
     if repair:
         # a repeated center stays empty after the first assignment
         init = np.concatenate([init[:1], init])
-        assert np.any(np.bincount(np.argmin(_sq_dists(points, init), axis=1), minlength=len(init)) == 0)
+        assert np.any(np.bincount(np.argmin(_gram_sq_dists(points, _row_sq(points), init), axis=1), minlength=len(init)) == 0)
     for max_iters in (1, 2, 300):
         assign, centers, inertia = _lloyd(points, init, max_iters=max_iters, tol=1e-6)
         ref = _lloyd_repair_per_cluster(points, init, max_iters, 1e-6)

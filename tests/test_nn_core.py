@@ -1,3 +1,4 @@
+import json
 import os
 import tempfile
 
@@ -46,13 +47,6 @@ def test_relu_and_tanh_values():
     tanh = ModelParams([DenseLayer(np.eye(2), np.zeros(2), "tanh")], 2, 2, "encoder")
     out, _ = forward(tanh, np.zeros((1, 2)))
     assert np.array_equal(out, np.zeros((1, 2)))
-
-
-def test_softmax_rows_normalized():
-    model = ModelParams([DenseLayer(np.eye(3), np.zeros(3), "softmax")], 3, 3, "emotion_cls")
-    out, _ = forward(model, np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
-    assert np.allclose(out.sum(axis=1), 1.0)
-    assert np.allclose(out[1], [1 / 3] * 3)
 
 
 def test_forward_shape_mismatch():
@@ -119,22 +113,6 @@ def test_backward_finite_difference_random_net():
     assert grad_check(loss_fn, params, eps=1e-5) < 1e-5
 
 
-def test_softmax_backward_full_jacobian():
-    rng = np.random.default_rng(4)
-    model = make_mlp(rng, [3, 4, 3], ["tanh", "softmax"], "emotion_cls")
-    x = rng.normal(size=(4, 3))
-    weights = rng.normal(size=(4, 3))  # generic linear functional of the probabilities
-    params = flatten_params(model)
-
-    def loss_fn():
-        out, cache = forward(model, x)
-        loss = float((weights * out).sum())
-        grads, _ = backward(model, cache, weights)
-        return loss, grads
-
-    assert grad_check(loss_fn, params, eps=1e-6) < 1e-7
-
-
 @pytest.mark.parametrize("eps", [0.0, -1e-5])
 def test_grad_check_rejects_nonpositive_eps(eps):
     def loss_fn():
@@ -153,8 +131,8 @@ def test_adamw_zero_grad_zero_decay_is_noop():
 
 def test_adamw_sign_limit_single_step():
     p = np.array([1.0])
-    state = init_optimizer(p, lr=0.1, weight_decay=0.0, beta1=0.0, beta2=0.0)
-    adamw_step(state, p, np.array([1.0]))
+    state = init_optimizer(p, lr=0.1, weight_decay=0.0)
+    adamw_step(state, p, np.array([1.0]))  # bias correction makes the first step lr * sign(g)
     assert p[0] == pytest.approx(1.0 - 0.1, abs=1e-8)
 
 
@@ -221,7 +199,7 @@ def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(8)
     components = {
         "encoder": make_mlp(rng, [6, 5, 5], ["relu", "relu"], "encoder"),
-        "emotion_cls": make_mlp(rng, [5, 5, 3], ["relu", "softmax"], "emotion_cls"),
+        "emotion_cls": make_mlp(rng, [5, 5, 3], ["relu", "identity"], "emotion_cls"),
     }
     meta = {"mode": "contrastive", "seed": 3, "step": 100}
     path = str(tmp_path / "ckpt.json")
@@ -252,11 +230,24 @@ def _two_component_checkpoint(path):
     rng = np.random.default_rng(9)
     components = {
         "encoder": make_mlp(rng, [3, 3], ["relu"], "encoder"),
-        "head": make_mlp(rng, [3, 2], ["softmax"], "emotion_cls"),
+        "head": make_mlp(rng, [3, 2], ["identity"], "emotion_cls"),
     }
     save_checkpoint(path, components, {})
     with open(path + ".bin", "rb") as fh:
         return fh.read()
+
+
+def test_checkpoint_naming_unknown_activation_raises_value_error(tmp_path):
+    # heads end at their logits; a manifest that names a softmax layer is not loadable
+    path = str(tmp_path / "ckpt.json")
+    _two_component_checkpoint(path)
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["components"]["head"]["layers"][-1]["activation"] = "softmax"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(ValueError, match="unknown activation 'softmax'"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_short_header_raises_value_error(tmp_path):
@@ -308,7 +299,7 @@ def test_clone_params_is_deep():
 def test_flatten_params_layers_view_one_buffer():
     rng = np.random.default_rng(12)
     enc = make_mlp(rng, [3, 4, 2], ["relu", "tanh"], "encoder")
-    head = make_mlp(rng, [2, 3], ["softmax"], "emotion_cls")
+    head = make_mlp(rng, [2, 3], ["identity"], "emotion_cls")
     expected = np.concatenate([a.ravel() for m in (enc, head) for l in m.layers for a in (l.W, l.b)])
     flat = flatten_params(enc, head)
     assert flat.shape == (param_count(enc, head),) and flat.flags.c_contiguous

@@ -81,7 +81,7 @@ def test_evaluate_uar_all_correct_is_one():
     from emocluster.trainer import ser_predict
 
     rows = np.stack([r.vec for r in corpus.records])
-    preds = ser_predict(model, rows)
+    preds = ser_predict(encoder, head, rows)
     relabeled = build_corpus(
         [
             EmbeddingRecord(r.utt_id, r.spk_id, emotions[p], r.vec)
@@ -105,7 +105,7 @@ def _argmax_passthrough_model(emotions):
 
     dim = len(emotions)
     encoder = ModelParams([DenseLayer(np.eye(dim), np.zeros(dim), "identity")], dim, dim, "encoder")
-    head = ModelParams([DenseLayer(np.eye(dim), np.zeros(dim), "softmax")], dim, dim, "emotion_cls")
+    head = ModelParams([DenseLayer(np.eye(dim), np.zeros(dim), "identity")], dim, dim, "emotion_cls")
     return SerModel(encoder, head, list(emotions), train_speakers=set(), seed=0)
 
 
@@ -313,8 +313,9 @@ def test_train_ser_seeded_determinism():
     corpus = _corpus(n_speakers=6)
     train_c, val_c, _ = split_by_speaker(corpus, (0.5, 0.25, 0.25), seed=1)
     config = _small_config(epochs_ser=4)
-    m1, r1 = train_ser(None, train_c, config, val_corpus=val_c, seed=5)
-    m2, r2 = train_ser(None, train_c, config, val_corpus=val_c, seed=5)
+    m1 = train_ser(None, train_c, config, val_corpus=val_c, seed=5)
+    m2 = train_ser(None, train_c, config, val_corpus=val_c, seed=5)
+    r1, r2 = evaluate_uar(m1, val_c), evaluate_uar(m2, val_c)
     assert r1.uar == r2.uar
     assert r1.per_class_recall == r2.per_class_recall
     assert np.array_equal(r1.confusion, r2.confusion)
