@@ -3,7 +3,7 @@
 Every command is a pure function of (inputs, flags, seed): artifacts are
 written in canonical form so reruns are byte-identical.  A RunManifest
 json (command, resolved config, paths, seed, version, duration) is placed
-next to each declared output.
+next to each command's first output.
 
 Exit codes: 0 success, 1 usage error, 2 data/invariant error, 3 numerical
 failure.
@@ -60,30 +60,25 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_manifest(command: str, args: argparse.Namespace, inputs: list, outputs: list, started: float) -> None:
-    resolved = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("func", "config", "inputs", "outputs")
-        and not k.startswith("_")
-        and not callable(v)
-    }
+def _write_manifest(args: argparse.Namespace, started: float) -> None:
+    """The files a command read and wrote are the values of its path flags;
+    pretrain's checkpoint blob sits at <out>.bin."""
+    flags = vars(args)
+    inputs = [flags[k] for k in ("corpus", "run") if flags.get(k)]
+    outputs = [flags[k] for k in ("out", "table", "svg") if flags.get(k)]
+    if args.command == "pretrain":
+        outputs.append(args.out + ".bin")
     manifest = {
-        "command": command,
-        "config": resolved,
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
+        "command": args.command,
+        "config": {k: v for k, v in sorted(flags.items()) if k not in ("func", "config") and not k.startswith("_")},
+        "inputs": inputs,
+        "outputs": outputs,
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
         "duration_seconds": round(time.monotonic() - started, 6),
     }
     if outputs:
-        _write_text(str(outputs[0]) + ".manifest.json", canonical_dumps(manifest) + "\n")
-
-
-def _load_input_corpus(args, normalize: bool) -> Corpus:
-    corpus = load_corpus(args.corpus, args.format)
-    return length_normalize(corpus) if normalize else corpus
+        _write_text(outputs[0] + ".manifest.json", canonical_dumps(manifest) + "\n")
 
 
 def _load_run(path: str, corpus: Corpus | None = None) -> ClusteringRun:
@@ -133,7 +128,7 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    corpus = _load_input_corpus(args, not args.no_normalize)
+    corpus = length_normalize(load_corpus(args.corpus, args.format))
     config = KMeansConfig(
         k=args.k, max_iters=args.max_iters, tol=args.tol, n_restarts=args.restarts, seed=args.seed
     )
@@ -143,7 +138,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_eval_clusters(args) -> int:
-    corpus = _load_input_corpus(args, not args.no_normalize)
+    corpus = length_normalize(load_corpus(args.corpus, args.format))
     report = evaluate_run(_load_run(args.run, corpus), corpus)
     _write_text(args.out, canonical_dumps(report_to_dict(report)) + "\n")
     if args.table:
@@ -188,7 +183,7 @@ def _train_config_from_args(args, **extra) -> TrainConfig:
 
 
 def cmd_pretrain(args) -> int:
-    corpus = _load_input_corpus(args, not args.no_normalize)
+    corpus = length_normalize(load_corpus(args.corpus, args.format))
     config = _train_config_from_args(args, mode=args.mode)
     checkpoint = pretrain(corpus, config)
     final_losses = {
@@ -236,8 +231,8 @@ def cmd_grad_check(args) -> int:
             "passed": worst <= args.tol,
         }
         _write_text(args.out, canonical_dumps(payload) + "\n")
-    if worst > args.tol:
-        print(f"grad-check FAILED: {worst:.3e} > {args.tol:.3e}", file=sys.stderr)
+    if not worst <= args.tol:
+        print(f"grad-check FAILED: {worst:.3e} is not within tolerance {args.tol:.3e}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 
@@ -305,11 +300,6 @@ def cmd_project(args) -> int:
 
 # ----------------------------------------------------------------- arg wiring
 
-def _add_corpus_args(p: _Parser) -> None:
-    p.add_argument("--corpus", required=True, help="corpus file path")
-    p.add_argument("--format", choices=("jsonl", "bin"), default="jsonl")
-
-
 def _int_list(raw: str) -> list[int]:
     return [int(x) for x in raw.split(",") if x.strip()]
 
@@ -319,7 +309,31 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"emocluster {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-synth", help="generate a synthetic embedding corpus", parents=[])
+    # built per call: a parent's Action objects are shared by its subcommands,
+    # and main() toggles their `required`
+    fmt, corpus, seed, out, train, config = (argparse.ArgumentParser(add_help=False) for _ in range(6))
+    fmt.add_argument("--format", choices=("jsonl", "bin"), default="jsonl")
+    corpus.add_argument("--corpus", required=True, help="corpus file path")
+    seed.add_argument("--seed", type=int, default=0)
+    out.add_argument("--out", required=True, help="output path")
+    config.add_argument("--config", default=None, help="json file supplying flag values")
+    train.add_argument("--steps", type=int, default=1000)
+    train.add_argument("--batch-size", type=int, default=8)
+    train.add_argument("--pre-lr", type=float, default=1e-4)
+    train.add_argument("--tau", type=float, default=0.1)
+    train.add_argument("--n-clusters", type=int, default=20)
+    train.add_argument("--mtl-w-spk", type=float, default=1.0)
+    train.add_argument("--grl-lambda", type=float, default=1.0)
+    train.add_argument("--include-positive-denominator", action="store_true")
+    train.add_argument("--trunk-hidden", type=int, default=32)
+    train.add_argument("--contrastive-out", type=int, default=128)
+
+    def command(name: str, func, summary: str, *parents) -> _Parser:
+        p = sub.add_parser(name, help=summary, parents=[*parents, config])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen-synth", cmd_gen_synth, "generate a synthetic embedding corpus", fmt, seed, out)
     p.add_argument("--n-speakers", type=int, default=10)
     p.add_argument("--n-emotions", type=int, default=4)
     p.add_argument("--utts-per-cell", type=int, default=80)
@@ -328,117 +342,58 @@ def build_parser() -> _Parser:
     p.add_argument("--emotion-offset", type=float, default=1.0)
     p.add_argument("--within-noise", type=float, default=0.25)
     p.add_argument("--emotion-dir-jitter", type=float, default=0.0)
-    p.add_argument("--format", choices=("jsonl", "bin"), default="jsonl")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_synth, inputs=lambda a: [], outputs=lambda a: [a.out])
 
-    p = sub.add_parser("cluster", help="per-speaker k-means over a corpus")
-    _add_corpus_args(p)
+    p = command("cluster", cmd_cluster, "per-speaker k-means over a corpus", corpus, fmt, seed, out)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--max-iters", type=int, default=300)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--no-normalize", action="store_true", help="skip length normalization")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_cluster, inputs=lambda a: [a.corpus], outputs=lambda a: [a.out])
 
-    p = sub.add_parser("eval-clusters", help="NMI/ARI/purity/silhouette per speaker")
-    _add_corpus_args(p)
+    p = command("eval-clusters", cmd_eval_clusters, "NMI/ARI/purity/silhouette per speaker", corpus, fmt, out)
     p.add_argument("--run", required=True, help="clustering run json")
-    p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--table", default=None, help="also write an aligned text table here")
-    p.add_argument("--out", required=True)
-    p.set_defaults(
-        func=cmd_eval_clusters,
-        inputs=lambda a: [a.corpus, a.run],
-        outputs=lambda a: [a.out] + ([a.table] if a.table else []),
-    )
 
-    p = sub.add_parser("mine-pairs", help="mine contrastive tuples from intra-speaker clusters")
-    _add_corpus_args(p)
+    p = command("mine-pairs", cmd_mine_pairs, "mine contrastive tuples from intra-speaker clusters",
+                corpus, fmt, seed, out)
     p.add_argument("--run", required=True)
     p.add_argument("--n-clusters", type=int, default=20)
     p.add_argument("--exact-negatives", action="store_true",
                    help="skip anchors that cannot fill the N/2 negative window")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_mine_pairs, inputs=lambda a: [a.corpus, a.run], outputs=lambda a: [a.out])
 
-    def add_train_flags(p: _Parser) -> None:
-        p.add_argument("--steps", type=int, default=1000)
-        p.add_argument("--batch-size", type=int, default=8)
-        p.add_argument("--pre-lr", type=float, default=1e-4)
-        p.add_argument("--tau", type=float, default=0.1)
-        p.add_argument("--n-clusters", type=int, default=20)
-        p.add_argument("--mtl-w-spk", type=float, default=1.0)
-        p.add_argument("--grl-lambda", type=float, default=1.0)
-        p.add_argument("--include-positive-denominator", action="store_true")
-        p.add_argument("--trunk-hidden", type=int, default=32)
-        p.add_argument("--contrastive-out", type=int, default=128)
-
-    p = sub.add_parser("pretrain", help="pretrain encoder + heads on an unlabeled corpus")
-    _add_corpus_args(p)
+    p = command("pretrain", cmd_pretrain, "pretrain encoder + heads on an unlabeled corpus (blob at <out>.bin)",
+                corpus, fmt, train, seed, out)
     p.add_argument("--mode", choices=[m for m in MODES if m != "none"], default="contrastive")
-    add_train_flags(p)
-    p.add_argument("--no-normalize", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="checkpoint manifest path (blob at <out>.bin)")
-    p.set_defaults(
-        func=cmd_pretrain, inputs=lambda a: [a.corpus], outputs=lambda a: [a.out, a.out + ".bin"]
-    )
 
-    p = sub.add_parser("probe", help="full protocol: pretrain modes x SER seeds, report UAR")
-    _add_corpus_args(p)
+    p = command("probe", cmd_probe, "full protocol: pretrain modes x SER seeds, report UAR",
+                corpus, fmt, train, seed, out)
     p.add_argument("--modes", default="none,spk_cls,contrastive,mtl_adversarial,mtl")
     p.add_argument("--label-fraction", type=float, default=0.05)
-    add_train_flags(p)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--seeds", type=_int_list, default=[0, 1, 2, 3, 4])
     p.add_argument("--table", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(
-        func=cmd_probe,
-        inputs=lambda a: [a.corpus],
-        outputs=lambda a: [a.out] + ([a.table] if a.table else []),
-    )
 
-    p = sub.add_parser("grad-check", help="finite-difference check of analytic gradients")
+    p = command("grad-check", cmd_grad_check, "finite-difference check of analytic gradients", seed)
     p.add_argument("--head", choices=("contrastive", "speaker_cls", "emotion_cls", "mtl", "all"), default="all")
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--eps", type=float, default=1e-5)
     p.add_argument("--tau", type=float, default=0.1)
     p.add_argument("--grl-lambda", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(
-        func=cmd_grad_check, inputs=lambda a: [], outputs=lambda a: [a.out] if a.out else []
-    )
 
-    p = sub.add_parser("project", help="2D PCA projection export (csv, optional svg)")
-    _add_corpus_args(p)
+    p = command("project", cmd_project, "2D PCA projection export (csv, optional svg)", corpus, fmt, out)
     p.add_argument("--run", default=None, help="optional clustering run json for cluster column")
     p.add_argument("--svg", default=None, help="also write a scatter svg here")
-    p.add_argument("--out", required=True)
-    p.set_defaults(
-        func=cmd_project,
-        inputs=lambda a: [a.corpus] + ([a.run] if a.run else []),
-        outputs=lambda a: [a.out] + ([a.svg] if a.svg else []),
-    )
 
-    for sp in sub.choices.values():
-        sp.add_argument("--config", default=None, help="json file supplying flag defaults")
     parser.set_defaults(_subcommands=sub.choices)
     return parser
 
 
-def _apply_config_file(parser: _Parser, path: str) -> None:
-    """Fold a --config file's values in as flag defaults; explicit flags still
-    win.  A key may name a flag of any subcommand, so one file can serve
-    several; a key that names none raises CorpusError."""
+def _apply_config_file(parser: _Parser, path: str) -> set[str]:
+    """Fold a --config file's values in as flag defaults and return the dests
+    it supplied; explicit flags still win.  A key may name a flag of any
+    subcommand, so one file can serve several; a key that names none raises
+    CorpusError."""
     try:
         with open(path, "rb") as fh:
             values = json.loads(fh.read().decode("utf-8"))
@@ -457,6 +412,7 @@ def _apply_config_file(parser: _Parser, path: str) -> None:
     for dest, key in keys.items():
         if dest not in known:
             raise CorpusError(f"{path}: config key {key!r} names no flag")
+    return known
 
 
 def _config_value(action: argparse.Action, value, where: str):
@@ -481,11 +437,16 @@ def _config_value(action: argparse.Action, value, where: str):
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    # the first parse only locates --config, which may supply required flags
+    required = [a for sp in parser.get_default("_subcommands").values() for a in sp._actions if a.required]
     try:
+        for action in required:
+            action.required = False
         args = parser.parse_args(argv)
-        if args.config:
-            _apply_config_file(parser, args.config)
-            args = parser.parse_args(argv)
+        supplied = _apply_config_file(parser, args.config) if args.config else set()
+        for action in required:
+            action.required = action.dest not in supplied
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (OSError, CorpusError) as exc:
@@ -502,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"emocluster: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     if code == EXIT_OK:
-        _write_manifest(args.command, args, args.inputs(args), args.outputs(args), started)
+        _write_manifest(args, started)
     return code
 
 

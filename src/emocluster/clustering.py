@@ -16,6 +16,7 @@ cluster once per iteration and averages contiguous slices, which is bit
 for bit the masked per-cluster mean.
 """
 
+import math
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 
@@ -42,8 +43,8 @@ class KMeansConfig:
             raise ValueError("k must be >= 1")
         if self.max_iters < 1 or self.n_restarts < 1:
             raise ValueError("max_iters and n_restarts must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be >= 0 and finite, got {self.tol}")
 
 
 @dataclass

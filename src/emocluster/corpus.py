@@ -8,6 +8,7 @@ supported: human-readable jsonl and a compact binary layout for large pools.
 """
 
 import json
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -125,10 +126,11 @@ class SynthSpec:
             raise ValueError("n_speakers, n_emotions, utts_per_cell must be >= 1")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.speaker_spread < 0 or self.emotion_offset_norm < 0:
-            raise ValueError("speaker_spread and emotion_offset_norm must be >= 0")
-        if self.within_noise <= 0:
-            raise ValueError("within_noise must be > 0")
+        for name in ("speaker_spread", "emotion_offset_norm"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
+        if not 0.0 < self.within_noise < math.inf:
+            raise ValueError(f"within_noise must be > 0 and finite, got {self.within_noise}")
         if not 0.0 <= self.emotion_dir_jitter <= 1.0:
             raise ValueError("emotion_dir_jitter must lie in [0, 1]")
 

@@ -213,7 +213,8 @@ def grad_check(loss_fn, params: np.ndarray, eps: float = 1e-5) -> float:
     params is a flat parameter buffer (or a slice view of one); loss_fn()
     must return (scalar loss, gradient vector aligned with params)
     evaluated at the params' current values.  It is re-invoked with each
-    entry perturbed by +/- eps.
+    entry perturbed by +/- eps.  A non-finite error (a NaN or infinite loss,
+    gradient or difference) returns inf, so no tolerance passes it.
     """
     if not eps > 0:
         raise ValueError(f"grad-check eps must be > 0, got {eps}")
@@ -231,7 +232,10 @@ def grad_check(loss_fn, params: np.ndarray, eps: float = 1e-5) -> float:
         params[j] = orig
         numeric = (lp - lm) / (2.0 * eps)
         denom = max(1e-8, abs(analytic[j]) + abs(numeric))
-        worst = max(worst, abs(analytic[j] - numeric) / denom)
+        err = abs(analytic[j] - numeric) / denom
+        if not np.isfinite(err):
+            return float("inf")
+        worst = max(worst, err)
     return float(worst)
 
 

@@ -8,6 +8,7 @@ the standard form that also includes the positive is available via a flag
 and is bounded below by zero.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,12 +123,11 @@ class MtlWeights:
     grl_lambda: float = 1.0
 
     def validate(self) -> None:
-        if self.w_contrastive < 0 or self.w_speaker < 0:
-            raise ValueError("loss weights must be >= 0")
+        for name in ("w_contrastive", "w_speaker", "grl_lambda"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
         if self.w_contrastive == 0 and self.w_speaker == 0:
             raise ValueError("at least one loss weight must be > 0")
-        if self.grl_lambda < 0:
-            raise ValueError("grl_lambda must be >= 0")
 
 
 def mtl_combine(l_contrastive: float, l_speaker: float, weights: MtlWeights) -> float:

@@ -6,6 +6,7 @@ Inputs are utterance-level embedding vectors, so the desk-scale encoder is
 a small dense trunk whose output feeds each head directly.
 """
 
+import math
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 
@@ -68,15 +69,21 @@ class TrainConfig:
             raise ValueError(f"unknown mode {self.mode!r}; choose from {MODES}")
         if self.steps < 0 or self.batch_size < 1 or self.epochs_ser < 1 or self.patience < 1:
             raise ValueError("steps must be >= 0; batch_size, epochs_ser, patience >= 1")
-        if self.lr <= 0 or self.pretrain_lr <= 0 or self.tau <= 0:
-            raise ValueError("lr, pretrain_lr, tau must be > 0")
+        for name in ("lr", "pretrain_lr", "tau"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be > 0 and finite, got {getattr(self, name)}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if self.n_clusters_N < 2:
             raise ValueError("n_clusters_N must be >= 2")
         if not self.seeds:
             raise ValueError("at least one seed required")
-        if len(self.split_fractions) != 3 or any(f < 0 for f in self.split_fractions):
-            raise ValueError("split_fractions must be 3 nonnegative values")
-        if abs(sum(self.split_fractions) - 1.0) > 1e-9:
+        for i, seed in enumerate(self.seeds):
+            if seed in self.seeds[:i]:
+                raise ValueError(f"seed {seed} given twice")
+        if len(self.split_fractions) != 3 or not all(0.0 <= f <= 1.0 for f in self.split_fractions):
+            raise ValueError("split_fractions must be 3 values in [0, 1]")
+        if not abs(sum(self.split_fractions) - 1.0) <= 1e-9:
             raise ValueError("split_fractions must sum to 1")
         if not 0.0 <= self.pretrain_speaker_fraction < 1.0:
             raise ValueError("pretrain_speaker_fraction must lie in [0, 1)")

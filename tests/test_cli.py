@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from emocluster.cli import main, pca_project_2d
+from emocluster.cli import build_parser, main, pca_project_2d
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -151,6 +151,43 @@ def test_grad_check_invalid_setting_exits_2(capsys, argv, detail):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["grad-check", "--head", "contrastive", "--tau", "nan"],
+        ["grad-check", "--head", "speaker_cls", "--eps", "inf"],
+        ["grad-check", "--tol", "nan"],
+    ],
+    ids=["tau-nan", "eps-inf", "tol-nan"],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_grad_check_nonfinite_error_or_tolerance_fails(capsys, argv):
+    assert main(argv) == 3
+    assert "grad-check FAILED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, field",
+    [
+        ("gen-synth", "--within-noise", "nan", "within_noise"),
+        ("gen-synth", "--speaker-spread", "nan", "speaker_spread"),
+        ("gen-synth", "--emotion-offset", "inf", "emotion_offset_norm"),
+        ("cluster", "--tol", "nan", "tol"),
+        ("pretrain", "--tau", "nan", "tau"),
+        ("pretrain", "--pre-lr", "nan", "pretrain_lr"),
+        ("pretrain", "--grl-lambda", "nan", "grl_lambda"),
+        ("pretrain", "--mtl-w-spk", "nan", "w_speaker"),
+        ("probe", "--lr", "nan", "lr"),
+    ],
+)
+def test_nonfinite_setting_exits_2_naming_its_field(tmp_path, small_corpus, capsys, command, flag, value, field):
+    out = tmp_path / "out.json"
+    corpus = [] if command == "gen-synth" else ["--corpus", str(small_corpus)]
+    assert main([command, *corpus, flag, value, "--out", str(out)]) == 2
+    assert f"emocluster: error: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "modes, detail", [(",", "no modes given"), ("none,none", "mode 'none' given twice")], ids=["empty", "repeated"]
 )
 def test_probe_without_distinct_modes_exits_2(tmp_path, small_corpus, capsys, modes, detail):
@@ -158,6 +195,43 @@ def test_probe_without_distinct_modes_exits_2(tmp_path, small_corpus, capsys, mo
     assert main(["probe", "--corpus", str(small_corpus), "--modes", modes, "--out", str(out)]) == 2
     assert detail in capsys.readouterr().err
     assert not out.exists()
+
+
+_CORPUS_FLAGS = {"--corpus", "--format", "--out", "--config"}
+_TRAIN_FLAGS = {
+    "--steps", "--batch-size", "--pre-lr", "--tau", "--n-clusters", "--mtl-w-spk", "--grl-lambda",
+    "--include-positive-denominator", "--trunk-hidden", "--contrastive-out",
+}
+# (option strings, required ones) of every subcommand
+_SUBCOMMAND_FLAGS = {
+    "gen-synth": (
+        {"--n-speakers", "--n-emotions", "--utts-per-cell", "--dim", "--speaker-spread", "--emotion-offset",
+         "--within-noise", "--emotion-dir-jitter", "--format", "--seed", "--out", "--config"},
+        {"--out"},
+    ),
+    "cluster": (_CORPUS_FLAGS | {"--k", "--max-iters", "--tol", "--restarts", "--seed"}, {"--corpus", "--out"}),
+    "eval-clusters": (_CORPUS_FLAGS | {"--run", "--table"}, {"--corpus", "--run", "--out"}),
+    "mine-pairs": (
+        _CORPUS_FLAGS | {"--run", "--n-clusters", "--exact-negatives", "--seed"}, {"--corpus", "--run", "--out"}
+    ),
+    "pretrain": (_CORPUS_FLAGS | _TRAIN_FLAGS | {"--mode", "--seed"}, {"--corpus", "--out"}),
+    "probe": (
+        _CORPUS_FLAGS | _TRAIN_FLAGS | {"--modes", "--label-fraction", "--lr", "--epochs", "--seeds", "--table", "--seed"},
+        {"--corpus", "--out"},
+    ),
+    "grad-check": ({"--head", "--tol", "--eps", "--tau", "--grl-lambda", "--seed", "--out", "--config"}, set()),
+    "project": (_CORPUS_FLAGS | {"--run", "--svg"}, {"--corpus", "--out"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_FLAGS))
+def test_subcommand_flags_and_help(capsys, command):
+    sp = build_parser().get_default("_subcommands")[command]
+    options = {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+    required = {o for a in sp._actions if a.required for o in a.option_strings}
+    assert (options, required) == _SUBCOMMAND_FLAGS[command]
+    assert main([command, "-h"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: emocluster {command} ")
 
 
 def test_usage_error_exit_code():
@@ -184,11 +258,23 @@ def test_config_file_supplies_defaults(tmp_path, small_corpus):
     assert json.loads(run2.read_text())["config"]["k"] == 2
 
 
+def test_config_file_supplies_required_flag(tmp_path, small_corpus, capsys):
+    config = tmp_path / "conf.json"
+    run = tmp_path / "run.json"
+    config.write_text(json.dumps({"out": str(run)}))
+    assert main(["cluster", "--corpus", str(small_corpus), "--k", "2", "--config", str(config)]) == 0
+    assert json.loads(run.read_text())["config"]["k"] == 2
+    assert json.loads((tmp_path / "run.json.manifest.json").read_text())["outputs"] == [str(run)]
+    # named neither in argv nor in a config file, a required flag is still a usage error
+    assert main(["cluster", "--corpus", str(small_corpus)]) == 1
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command, values, detail",
     [
         (["cluster"], {"k": 2.5}, "config key 'k': invalid value 2.5"),
-        (["cluster"], {"no_normalize": "no"}, "config key 'no_normalize': takes true or false, not \"no\""),
+        (["cluster"], {"exact_negatives": "no"}, "config key 'exact_negatives': takes true or false, not \"no\""),
         (["cluster"], {"format": "xml"}, "config key 'format': 'xml' is not one of jsonl, bin"),
         (["probe", "--modes", "none", "--epochs", "1"], {"seeds": 3}, None),
     ],

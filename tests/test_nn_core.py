@@ -122,6 +122,19 @@ def test_grad_check_rejects_nonpositive_eps(eps):
         grad_check(loss_fn, np.zeros(3), eps=eps)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_grad_check_returns_inf_for_nonfinite_gradient(bad):
+    params = np.array([0.5, -1.0, 2.0])
+
+    def loss_fn():
+        grad = 2.0 * params
+        grad[1] = bad
+        return float(params @ params), grad
+
+    assert grad_check(loss_fn, params, eps=1e-5) == np.inf
+
+
 def test_adamw_zero_grad_zero_decay_is_noop():
     p = np.array([1.0, -2.0])
     state = init_optimizer(p, lr=0.1, weight_decay=0.0)

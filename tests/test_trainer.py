@@ -380,6 +380,11 @@ def test_config_validation_and_serialization():
     assert payload["mtl_weights"]["w_speaker"] == 1.0
 
 
+def test_config_rejects_repeated_seed():
+    with pytest.raises(ValueError, match="seed 3 given twice"):
+        TrainConfig(seeds=(3, 0, 3)).validate()
+
+
 def test_ntxent_rows_drops_zero_projections():
     from emocluster.objectives import ContrastiveBatch, ntxent_variant
 
