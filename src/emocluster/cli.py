@@ -11,6 +11,7 @@ failure.
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -215,6 +216,7 @@ def cmd_probe(args) -> int:
 
 def cmd_grad_check(args) -> int:
     config = TrainConfig(tau=args.tau, seed=args.seed)
+    config.validate()
     cases = grad_check_cases(args.head, config, seed=args.seed, grl_lambda=args.grl_lambda)
     results = {}
     worst = 0.0
@@ -224,10 +226,11 @@ def cmd_grad_check(args) -> int:
         worst = max(worst, err)
         print(f"{name}: max relative error {err:.3e}")
     if args.out:
+        finite = lambda x: x if math.isfinite(x) else None  # json has no inf or nan
         payload = {
-            "tolerance": args.tol,
-            "max_relative_error": worst,
-            "cases": {k: v for k, v in sorted(results.items())},
+            "tolerance": finite(args.tol),
+            "max_relative_error": finite(worst),
+            "cases": {k: finite(v) for k, v in sorted(results.items())},
             "passed": worst <= args.tol,
         }
         _write_text(args.out, canonical_dumps(payload) + "\n")

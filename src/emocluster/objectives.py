@@ -5,7 +5,8 @@ The contrastive loss scores one positive against the mined negatives with
 temperature-scaled cosine similarities.  By default the denominator sums
 over the negatives only (the literal printed form, which can go negative);
 the standard form that also includes the positive is available via a flag
-and is bounded below by zero.
+and is bounded below by zero.  A zero projection has no direction and
+leaves the loss.
 """
 
 import math
@@ -14,64 +15,55 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
-class ContrastiveBatch:
-    z_anchor: np.ndarray  # (B, P)
-    z_positive: np.ndarray  # (B, P)
-    z_negatives: np.ndarray  # (B, M, P): anchor i's negatives in the slots of mask row i, zeros elsewhere
-    negative_mask: np.ndarray  # (B, M) bool, at least one slot per anchor
-    tau: float
-
-    def validate(self) -> None:
-        if self.tau <= 0:
-            raise ValueError("temperature must be > 0")
-        B, P = self.z_anchor.shape
-        if self.z_positive.shape != (B, P):
-            raise ValueError("anchor/positive shape mismatch")
-        if self.z_negatives.ndim != 3 or self.z_negatives.shape[::2] != (B, P):
-            raise ValueError(f"negatives must be a ({B}, M, {P}) array")
-        if self.negative_mask.shape != self.z_negatives.shape[:2]:
-            raise ValueError("negative mask must be (B, M)")
-        empty = np.flatnonzero(~self.negative_mask.any(axis=1))
-        if empty.size:
-            raise ValueError(f"anchor {empty[0]}: needs at least one negative")
-
-
-@dataclass
-class ContrastiveGrads:
-    d_anchor: np.ndarray
-    d_positive: np.ndarray
-    d_negatives: np.ndarray  # (B, M, P), zero in the unmasked slots
-
-
-def ntxent_variant(batch: ContrastiveBatch, include_positive_in_denominator: bool = False):
+def ntxent_variant(proj: np.ndarray, neg_mask: np.ndarray, tau: float, include_positive_in_denominator: bool = False):
     """Per-anchor -log( exp(sim_pos/tau) / sum_k exp(sim_k/tau) ), averaged.
 
-    The sum runs over the mined negatives, plus the positive itself when
-    the flag is set.  Returns (loss, analytic gradients wrt every z).
+    proj holds a batch's projection rows: B anchors, then their B
+    positives, then one negative per set slot of the (B, M) neg_mask, in
+    row-major order.  The sum runs over the anchor's negatives, plus the
+    positive itself when the flag is set.  Returns (loss, gradient wrt
+    proj) in the same row layout.
 
-    The whole batch is scored at once over the zero-padded (B, M, P)
-    negatives; d cos(a, y)/da is the closed form (y_hat - cos * a_hat) / |a|
-    on the unit vectors.
+    A projection whose norm is 0 has no direction, so it leaves the loss:
+    a zero negative frees its slot, and an anchor whose own or positive
+    projection is zero, or whose negatives are all zero, leaves the mean.
+    Such rows get a zero gradient; with no anchor left the loss is 0.
+
+    The batch is scored at once over the negatives' unit vectors padded
+    into a (B, M, P) block; d cos(a, y)/da is the closed form
+    (y_hat - cos * a_hat) / |a| on the unit vectors.
     """
-    batch.validate()
-    B = batch.z_anchor.shape[0]
-    tau = batch.tau
-    mask, negs = batch.negative_mask, batch.z_negatives
+    if not tau > 0:
+        raise ValueError("temperature must be > 0")
+    B, M = neg_mask.shape
+    empty = np.flatnonzero(~neg_mask.any(axis=1))
+    if empty.size:
+        raise ValueError(f"anchor {empty[0]}: needs at least one negative")
+    owner = np.nonzero(neg_mask)[0]  # the anchor of each negative row
+    if proj.ndim != 2 or len(proj) != 2 * B + len(owner):
+        raise ValueError(f"need {2 * B + len(owner)} projection rows: {B} anchors, {B} positives, one per negative slot")
 
-    n_a = np.linalg.norm(batch.z_anchor, axis=1)
-    n_p = np.linalg.norm(batch.z_positive, axis=1)
-    n_n = np.linalg.norm(negs, axis=2)
-    if not (n_a.all() and n_p.all() and n_n[mask].all()):
-        raise ValueError("cosine similarity undefined for zero vectors")
-    n_n[~mask] = 1.0  # padding stays a zero vector
-    a_hat = batch.z_anchor / n_a[:, None]
-    p_hat = batch.z_positive / n_p[:, None]
-    n_hat = negs / n_n[:, :, None]
+    norms = np.linalg.norm(proj, axis=1)
+    zero = norms == 0
+    if zero.any():
+        live = neg_mask.copy()
+        live[neg_mask] = ~zero[2 * B :]
+        keep = ~zero[:B] & ~zero[B : 2 * B] & live.any(axis=1)
+        dproj = np.zeros_like(proj)
+        if not keep.any():
+            return 0.0, dproj
+        rows = np.flatnonzero(np.concatenate([keep, keep, live[neg_mask] & keep[owner]]))
+        loss, dproj[rows] = ntxent_variant(proj[rows], live[keep], tau, include_positive_in_denominator)
+        return loss, dproj
+
+    unit = proj / norms[:, None]
+    a_hat, p_hat, negs_hat = unit[:B], unit[B : 2 * B], unit[2 * B :]
+    n_hat = np.zeros((B, M, proj.shape[1]))  # padding stays a zero vector
+    n_hat[neg_mask] = negs_hat
     s_pos = np.einsum("bp,bp->b", a_hat, p_hat)
     s_neg = np.einsum("bp,bmp->bm", a_hat, n_hat)
 
-    scaled = np.where(mask, s_neg / tau, -np.inf)
+    scaled = np.where(neg_mask, s_neg / tau, -np.inf)
     if include_positive_in_denominator:
         scaled = np.concatenate([scaled, (s_pos / tau)[:, None]], axis=1)
     mx = scaled.max(axis=1)
@@ -80,7 +72,7 @@ def ntxent_variant(batch: ContrastiveBatch, include_positive_in_denominator: boo
     w = np.exp(scaled - lse[:, None])  # softmax over the denominator terms; padding gets 0
 
     # d(loss)/d(sim): negatives get w_k/tau, the positive -1/tau (+w_pos/tau), all over B
-    c_neg = w[:, : mask.shape[1]] / (tau * B)
+    c_neg = w[:, :M] / (tau * B)
     c_pos = np.full(B, -1.0 / (tau * B))
     if include_positive_in_denominator:
         c_pos += w[:, -1] / (tau * B)
@@ -88,10 +80,11 @@ def ntxent_variant(batch: ContrastiveBatch, include_positive_in_denominator: boo
         c_pos[:, None] * p_hat
         + np.einsum("bm,bmp->bp", c_neg, n_hat)
         - (c_pos * s_pos + (c_neg * s_neg).sum(axis=1))[:, None] * a_hat
-    ) / n_a[:, None]
-    d_positive = c_pos[:, None] * (a_hat - s_pos[:, None] * p_hat) / n_p[:, None]
-    d_negatives = c_neg[:, :, None] * (a_hat[:, None, :] - s_neg[:, :, None] * n_hat) / n_n[:, :, None]
-    return loss, ContrastiveGrads(d_anchor, d_positive, d_negatives)
+    ) / norms[:B, None]
+    d_positive = c_pos[:, None] * (a_hat - s_pos[:, None] * p_hat) / norms[B : 2 * B, None]
+    c, s = c_neg[neg_mask][:, None], s_neg[neg_mask][:, None]
+    d_negatives = c * (a_hat[owner] - s * negs_hat) / norms[2 * B :, None]
+    return loss, np.concatenate([d_anchor, d_positive, d_negatives])
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):

@@ -25,7 +25,7 @@ from .nn_core import (
     make_mlp,
     param_count,
 )
-from .objectives import ContrastiveBatch, MtlWeights, cross_entropy, mtl_combine, ntxent_variant
+from .objectives import MtlWeights, cross_entropy, mtl_combine, ntxent_variant
 from .pair_miner import ContrastiveTuple, MiningConfig, mine_tuples
 from .serialize import stable_seed
 
@@ -87,6 +87,12 @@ class TrainConfig:
             raise ValueError("split_fractions must sum to 1")
         if not 0.0 <= self.pretrain_speaker_fraction < 1.0:
             raise ValueError("pretrain_speaker_fraction must lie in [0, 1)")
+        for name in ("trunk_hidden", "contrastive_out", "contrastive_hidden", "head_hidden"):
+            width = getattr(self, name)
+            if width is None and name in ("contrastive_hidden", "head_hidden"):
+                continue  # the trunk output width
+            if width < 1:
+                raise ValueError(f"{name} must be >= 1, got {width}")
         self.mtl_weights.validate()
 
 
@@ -164,48 +170,12 @@ def _shuffled_batches(n_items: int, batch_size: int, rng: np.random.Generator):
             yield order[start : start + batch_size]
 
 
-def _ntxent_rows(proj, neg_mask, config):
-    """NT-Xent of one batch's projection rows, laid out as `_contrastive_step`'s
-    rows; returns (loss, gradient wrt proj).
-
-    The projections are scattered into the padded (B, M, P) block the loss
-    takes, and its gradient gathered back in row order.
-
-    A projection whose norm is 0, the test the loss itself applies, has
-    no direction, so it leaves the loss: a zero negative frees its slot,
-    and an anchor whose own or positive projection is zero, or whose
-    negatives were all zero, leaves the mean.  With no anchor left the
-    loss and its gradient are 0.  An anchor mined with no negative at all
-    still reaches the loss, which rejects it.
-    """
-    B = len(neg_mask)
-    zn = np.zeros((*neg_mask.shape, proj.shape[1]))
-    zn[neg_mask] = proj[2 * B :]
-    zero = np.linalg.norm(proj, axis=1) == 0
-    live = neg_mask.copy()
-    live[neg_mask] = ~zero[2 * B :]
-    keep = np.flatnonzero((~zero[:B] & ~zero[B : 2 * B] & live.any(axis=1)) | ~neg_mask.any(axis=1))
-    dproj = np.zeros_like(proj)
-    if not len(keep):
-        return 0.0, dproj
-    loss, cg = ntxent_variant(
-        ContrastiveBatch(proj[keep], proj[B + keep], zn[keep], live[keep], config.tau),
-        config.include_positive_in_denominator,
-    )
-    dproj[keep] = cg.d_anchor
-    dproj[B + keep] = cg.d_positive
-    d_neg = np.zeros_like(zn)
-    d_neg[keep] = cg.d_negatives
-    dproj[2 * B :] = d_neg[neg_mask]
-    return loss, dproj
-
-
 def _contrastive_step(encoder, con_head, spk_head, rows, neg_mask, spk_labels, config):
     """Forward/backward one contrastive batch; returns (l_con, l_spk, flat gradient).
 
     rows holds the B anchors, then their B positives, then the negatives:
     one per set slot of the (B, M) neg_mask, in row-major order.  The
-    projections are scored by `_ntxent_rows`.  The speaker head, when
+    projections are scored by `ntxent_variant`.  The speaker head, when
     present, classifies the anchors; in mtl_adversarial mode its gradient
     reaches the trunk through gradient reversal.  The gradient vector is
     in `flatten_params(encoder, con_head, spk_head)` order.
@@ -214,7 +184,7 @@ def _contrastive_step(encoder, con_head, spk_head, rows, neg_mask, spk_labels, c
     B = len(neg_mask)
     enc_out, enc_cache = forward(encoder, rows)
     proj, head_cache = forward(con_head, enc_out)
-    loss_con, dproj = _ntxent_rows(proj, neg_mask, config)
+    loss_con, dproj = ntxent_variant(proj, neg_mask, config.tau, config.include_positive_in_denominator)
     con_grads, d_enc = backward(con_head, head_cache, dproj * weights.w_contrastive)
 
     loss_spk, spk_grads = 0.0, np.empty(0)

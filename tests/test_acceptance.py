@@ -16,7 +16,7 @@ from emocluster.cluster_metrics import ari, evaluate_run, nmi, purity, silhouett
 from emocluster.clustering import KMeansConfig, cluster_speakers
 from emocluster.corpus import SynthSpec, generate_synthetic, length_normalize
 from emocluster.nn_core import grad_check
-from emocluster.objectives import ContrastiveBatch, MtlWeights, ntxent_variant
+from emocluster.objectives import MtlWeights, ntxent_variant
 from emocluster.pair_miner import MiningConfig, mine_tuples
 from emocluster.trainer import TrainConfig, grad_check_cases, run_protocol
 
@@ -295,7 +295,7 @@ def test_criterion_7_contrastive_scalar_conformance():
         anchor = np.array([[1.0, 0.0]])
         positive = np.array([[sim_pos, np.sqrt(1.0 - sim_pos**2)]])
         negs = np.stack([[s, np.sqrt(1.0 - s**2)] for s in sim_negs])
-        return ContrastiveBatch(anchor, positive, negs[None], np.ones((1, len(negs)), dtype=bool), tau)
+        return np.concatenate([anchor, positive, negs]), np.ones((1, len(negs)), dtype=bool), tau
 
     cases = [
         ("equal sims, one negative, negatives-only", 0.5, [0.5], 0.7, False),
@@ -304,7 +304,7 @@ def test_criterion_7_contrastive_scalar_conformance():
     ]
     worst = 0.0
     for _, sp, sn, tau, include in cases:
-        loss, _ = ntxent_variant(batch_for(sp, sn, tau), include)
+        loss, _ = ntxent_variant(*batch_for(sp, sn, tau), include)
         reference = longdouble_ntxent(sp, sn, tau, include)
         worst = max(worst, abs(loss - reference))
     ok = worst <= 1e-9

@@ -142,8 +142,10 @@ def test_grad_check_exit_codes(tmp_path):
     [
         (["grad-check", "--head", "speaker_cls", "--eps", "0"], "grad-check eps must be > 0"),
         (["grad-check", "--head", "mtl", "--grl-lambda", "-1"], "must be >= 0"),
+        (["grad-check", "--head", "contrastive", "--tau", "nan"], "tau must be > 0 and finite"),
+        (["grad-check", "--head", "contrastive", "--tau", "inf"], "tau must be > 0 and finite"),
     ],
-    ids=["eps-zero", "grl-lambda-negative"],
+    ids=["eps-zero", "grl-lambda-negative", "tau-nan", "tau-inf"],
 )
 def test_grad_check_invalid_setting_exits_2(capsys, argv, detail):
     assert main(argv) == 2
@@ -153,16 +155,25 @@ def test_grad_check_invalid_setting_exits_2(capsys, argv, detail):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["grad-check", "--head", "contrastive", "--tau", "nan"],
         ["grad-check", "--head", "speaker_cls", "--eps", "inf"],
         ["grad-check", "--tol", "nan"],
     ],
-    ids=["tau-nan", "eps-inf", "tol-nan"],
+    ids=["eps-inf", "tol-nan"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_grad_check_nonfinite_error_or_tolerance_fails(capsys, argv):
+def test_grad_check_nonfinite_error_or_tolerance_fails(tmp_path, capsys, argv):
     assert main(argv) == 3
     assert "grad-check FAILED" in capsys.readouterr().err
+    # with --out the payload is still written, each non-finite number as null
+    out = tmp_path / "gc.json"
+    assert main([*argv, "--out", str(out)]) == 3
+    assert "grad-check FAILED" in capsys.readouterr().err
+    payload = json.loads(out.read_text())
+    assert payload["passed"] is False
+    if "--eps" in argv:
+        assert payload["max_relative_error"] is None and set(payload["cases"].values()) == {None}
+    else:
+        assert payload["tolerance"] is None and payload["max_relative_error"] is not None
 
 
 @pytest.mark.parametrize(
@@ -177,6 +188,9 @@ def test_grad_check_nonfinite_error_or_tolerance_fails(capsys, argv):
         ("pretrain", "--grl-lambda", "nan", "grl_lambda"),
         ("pretrain", "--mtl-w-spk", "nan", "w_speaker"),
         ("probe", "--lr", "nan", "lr"),
+        ("pretrain", "--trunk-hidden", "0", "trunk_hidden"),
+        ("pretrain", "--contrastive-out", "0", "contrastive_out"),
+        ("probe", "--trunk-hidden", "-1", "trunk_hidden"),
     ],
 )
 def test_nonfinite_setting_exits_2_naming_its_field(tmp_path, small_corpus, capsys, command, flag, value, field):
