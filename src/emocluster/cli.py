@@ -191,9 +191,9 @@ def cmd_pretrain(args) -> int:
         name: (values[-1] if values else None) for name, values in checkpoint.history.items()
     }
     meta = {
-        "mode": checkpoint.mode,
-        "seed": checkpoint.seed,
-        "step": checkpoint.steps,
+        "mode": config.mode,
+        "seed": config.seed,
+        "step": config.steps,
         "final_losses": final_losses,
         "config": pretrain_config_to_dict(config),
     }
@@ -215,9 +215,8 @@ def cmd_probe(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    config = TrainConfig(tau=args.tau, seed=args.seed)
-    config.validate()
-    cases = grad_check_cases(args.head, config, seed=args.seed, grl_lambda=args.grl_lambda)
+    config = TrainConfig(tau=args.tau, seed=args.seed, mtl_weights=MtlWeights(grl_lambda=args.grl_lambda))
+    cases = grad_check_cases(args.head, config)
     results = {}
     worst = 0.0
     for name, loss_fn, params in cases:
@@ -225,17 +224,20 @@ def cmd_grad_check(args) -> int:
         results[name] = err
         worst = max(worst, err)
         print(f"{name}: max relative error {err:.3e}")
+    passed = math.isfinite(worst) and worst <= args.tol  # a non-finite error passes no tolerance, not even inf
     if args.out:
         finite = lambda x: x if math.isfinite(x) else None  # json has no inf or nan
         payload = {
             "tolerance": finite(args.tol),
             "max_relative_error": finite(worst),
             "cases": {k: finite(v) for k, v in sorted(results.items())},
-            "passed": worst <= args.tol,
+            "passed": passed,
         }
         _write_text(args.out, canonical_dumps(payload) + "\n")
-    if not worst <= args.tol:
-        print(f"grad-check FAILED: {worst:.3e} is not within tolerance {args.tol:.3e}", file=sys.stderr)
+    if not passed:
+        print(
+            f"grad-check FAILED: {worst:.3e} is not a finite error within tolerance {args.tol:.3e}", file=sys.stderr
+        )
         return EXIT_NUMERIC
     return EXIT_OK
 

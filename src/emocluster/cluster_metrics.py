@@ -13,6 +13,7 @@ import numpy as np
 
 from .clustering import GRAM_RECHECK, ClusteringRun
 from .corpus import Corpus
+from .serialize import aligned_table
 
 METRIC_NAMES = ("nmi", "ari", "purity", "silhouette")
 
@@ -241,8 +242,4 @@ def report_to_table(report: ClusterMetricsReport) -> str:
         m = report.per_speaker[spk]
         rows.append([spk] + [_cell(m[name]) for name in METRIC_NAMES])
     rows.append(["average"] + [_cell(report.averages[name]) for name in METRIC_NAMES])
-    widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
+    return aligned_table(header, rows)

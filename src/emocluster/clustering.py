@@ -49,7 +49,6 @@ class KMeansConfig:
 
 @dataclass
 class SpeakerClustering:
-    spk_id: str
     assignments: dict[str, int]  # utt_id -> cluster index
     centers: np.ndarray  # (effective_k, dim)
     inertia: float
@@ -198,7 +197,6 @@ def cluster_speaker(spk_id: str, utt_ids: list[str], points: np.ndarray, config:
         )
     effective_k = int(len(np.unique(assign)))
     return SpeakerClustering(
-        spk_id=spk_id,
         assignments={u: int(a) for u, a in zip(utt_ids, assign)},
         centers=centers,
         inertia=inertia,
@@ -267,7 +265,7 @@ def run_from_dict(obj: dict) -> ClusteringRun:
     wrong type raises ValueError naming its speaker (or the config) and key."""
     config = KMeansConfig(**_typed_fields(obj["config"], _CONFIG_FIELDS, "config"))
     per_speaker = {
-        spk: SpeakerClustering(spk_id=spk, **_typed_fields(payload, _SPEAKER_FIELDS, f"speaker {spk!r}"))
+        spk: SpeakerClustering(**_typed_fields(payload, _SPEAKER_FIELDS, f"speaker {spk!r}"))
         for spk, payload in obj["per_speaker"].items()
     }
     return ClusteringRun(per_speaker=per_speaker, config=config)

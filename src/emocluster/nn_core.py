@@ -162,15 +162,15 @@ def backward(params: ModelParams, cache, grad_out: np.ndarray):
 
 # -------------------------------------------------------------------- optimizer
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptimizerState:
     m: np.ndarray
     v: np.ndarray
     step: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.01
 
 
@@ -194,14 +194,14 @@ def adamw_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray) -> 
         raise FloatingPointError(f"non-finite gradient for parameter {first}")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     m, v, p = state.m, state.v, params
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grads
-    v *= state.beta2
-    v += (1.0 - state.beta2) * grads * grads
-    p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grads * grads
+    p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     p -= state.lr * state.weight_decay * p
 
 
@@ -216,8 +216,8 @@ def grad_check(loss_fn, params: np.ndarray, eps: float = 1e-5) -> float:
     entry perturbed by +/- eps.  A non-finite error (a NaN or infinite loss,
     gradient or difference) returns inf, so no tolerance passes it.
     """
-    if not eps > 0:
-        raise ValueError(f"grad-check eps must be > 0, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"grad-check eps must be > 0 and finite, got {eps}")
     _, analytic = loss_fn()
     analytic = np.asarray(analytic, dtype=np.float64)
     if params.ndim != 1 or analytic.shape != params.shape:

@@ -111,20 +111,16 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 @dataclass
 class MtlWeights:
-    w_contrastive: float = 1.0
     w_speaker: float = 1.0
     grl_lambda: float = 1.0
 
     def validate(self) -> None:
-        for name in ("w_contrastive", "w_speaker", "grl_lambda"):
+        for name in ("w_speaker", "grl_lambda"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
-        if self.w_contrastive == 0 and self.w_speaker == 0:
-            raise ValueError("at least one loss weight must be > 0")
 
 
 def mtl_combine(l_contrastive: float, l_speaker: float, weights: MtlWeights) -> float:
-    """Weighted sum of the two task losses (the reported scalar is the same
-    in adversarial mode; the reversal only affects gradient routing)."""
-    weights.validate()
-    return weights.w_contrastive * l_contrastive + weights.w_speaker * l_speaker
+    """L_con + w_speaker * L_spk (the reported scalar is the same in
+    adversarial mode; the reversal only affects gradient routing)."""
+    return l_contrastive + weights.w_speaker * l_speaker

@@ -1,4 +1,4 @@
-"""Canonical JSON emission and stable seed derivation.
+"""Canonical JSON emission, aligned text tables and stable seed derivation.
 
 Every artifact this toolkit writes goes through canonical_dumps so that
 reruns with identical inputs produce byte-identical files: keys sorted,
@@ -69,3 +69,9 @@ def stable_seed(*parts) -> int:
     """Derive a u64 seed from arbitrary parts, stable across runs and platforms."""
     h = hashlib.sha256(":".join(str(p) for p in parts).encode("utf-8"))
     return int.from_bytes(h.digest()[:8], "little")
+
+
+def aligned_table(header: list[str], rows: list[list[str]]) -> str:
+    """Plain-text table: each column left-justified to its widest cell, two spaces apart."""
+    widths = [max(len(r[i]) for r in [header, *rows]) for i in range(len(header))]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(r, widths)) + "\n" for r in [header, *rows])

@@ -27,7 +27,7 @@ from .nn_core import (
 )
 from .objectives import MtlWeights, cross_entropy, mtl_combine, ntxent_variant
 from .pair_miner import ContrastiveTuple, MiningConfig, mine_tuples
-from .serialize import stable_seed
+from .serialize import aligned_table, stable_seed
 
 MODES = ("none", "spk_cls", "contrastive", "mtl_adversarial", "mtl")
 CONTRASTIVE_MODES = ("contrastive", "mtl_adversarial", "mtl")
@@ -39,6 +39,8 @@ MODE_LABELS = {
     "mtl_adversarial": "speaker-adversarial MTL",
     "mtl": "contrastive + speaker MTL",
 }
+
+PATIENCE = 5  # SER early stopping: epochs without a better val accuracy
 
 
 @dataclass
@@ -52,7 +54,6 @@ class TrainConfig:
     tau: float = 0.1
     n_clusters_N: int = 20
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    patience: int = 5
     mtl_weights: MtlWeights = field(default_factory=MtlWeights)
     include_positive_in_denominator: bool = False
     trunk_hidden: int = 32
@@ -61,19 +62,16 @@ class TrainConfig:
     head_hidden: int | None = None  # classifier heads; default: trunk output dim
     split_fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
     pretrain_speaker_fraction: float = 0.0  # protocol: speakers reserved for the unlabeled pool
-    weight_decay: float = 0.01
     seed: int = 0
 
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; choose from {MODES}")
-        if self.steps < 0 or self.batch_size < 1 or self.epochs_ser < 1 or self.patience < 1:
-            raise ValueError("steps must be >= 0; batch_size, epochs_ser, patience >= 1")
+        if self.steps < 0 or self.batch_size < 1 or self.epochs_ser < 1:
+            raise ValueError("steps must be >= 0; batch_size, epochs_ser >= 1")
         for name in ("lr", "pretrain_lr", "tau"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be > 0 and finite, got {getattr(self, name)}")
-        if not 0.0 <= self.weight_decay < math.inf:
-            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if self.n_clusters_N < 2:
             raise ValueError("n_clusters_N must be >= 2")
         if not self.seeds:
@@ -96,25 +94,18 @@ class TrainConfig:
         self.mtl_weights.validate()
 
 
-def config_to_dict(config: TrainConfig) -> dict:
-    return asdict(config)
-
-
 # TrainConfig fields that only the SER stage and the protocol read
-_SER_ONLY_FIELDS = ("lr", "epochs_ser", "seeds", "patience", "split_fractions", "pretrain_speaker_fraction")
+_SER_ONLY_FIELDS = ("lr", "epochs_ser", "seeds", "split_fractions", "pretrain_speaker_fraction")
 
 
 def pretrain_config_to_dict(config: TrainConfig) -> dict:
-    """config_to_dict restricted to the fields `pretrain` reads."""
-    return {k: v for k, v in config_to_dict(config).items() if k not in _SER_ONLY_FIELDS}
+    """asdict(config) restricted to the fields `pretrain` reads."""
+    return {k: v for k, v in asdict(config).items() if k not in _SER_ONLY_FIELDS}
 
 
 @dataclass
 class Checkpoint:
     components: dict[str, ModelParams]  # "encoder" plus the heads used by the mode
-    mode: str
-    seed: int
-    steps: int
     history: dict[str, list[float]]
 
     @property
@@ -128,16 +119,13 @@ class SerModel:
     head: ModelParams
     emotions: list[str]
     train_speakers: set[str]
-    seed: int
 
 
 @dataclass
 class EvalResult:
     uar: float
     per_class_recall: dict[str, float]
-    confusion: np.ndarray  # (C, C) over `emotions`, rows true / cols predicted
-    emotions: list[str]
-    seed: int
+    confusion: np.ndarray  # (C, C) over the model's emotions, rows true / cols predicted
 
 
 # ------------------------------------------------------------- model building
@@ -185,7 +173,7 @@ def _contrastive_step(encoder, con_head, spk_head, rows, neg_mask, spk_labels, c
     enc_out, enc_cache = forward(encoder, rows)
     proj, head_cache = forward(con_head, enc_out)
     loss_con, dproj = ntxent_variant(proj, neg_mask, config.tau, config.include_positive_in_denominator)
-    con_grads, d_enc = backward(con_head, head_cache, dproj * weights.w_contrastive)
+    con_grads, d_enc = backward(con_head, head_cache, dproj)
 
     loss_spk, spk_grads = 0.0, np.empty(0)
     if spk_head is not None:
@@ -274,13 +262,13 @@ def pretrain(corpus_unlabeled: Corpus, config: TrainConfig, tuples: list[Contras
 
     history: dict[str, list[float]] = {"contrastive": [], "speaker": [], "total": []}
     params = flatten_params(*components.values())
-    opt = init_optimizer(params, lr=config.pretrain_lr, weight_decay=config.weight_decay)
+    opt = init_optimizer(params, lr=config.pretrain_lr)
     # batch order is seeded independently of the mode so runs that share a
     # seed differ only in their loss composition (paired comparisons)
     rng = np.random.default_rng(stable_seed(config.seed, "pretrain_batches"))
 
     if config.steps == 0:
-        return Checkpoint(components=components, mode=config.mode, seed=config.seed, steps=0, history=history)
+        return Checkpoint(components=components, history=history)
 
     X = corpus_unlabeled.vectors
     if contrastive_on:
@@ -314,9 +302,7 @@ def pretrain(corpus_unlabeled: Corpus, config: TrainConfig, tuples: list[Contras
             history["contrastive"].append(0.0)
             history["total"].append(loss)
 
-    return Checkpoint(
-        components=components, mode=config.mode, seed=config.seed, steps=config.steps, history=history
-    )
+    return Checkpoint(components=components, history=history)
 
 
 # ------------------------------------------------------------------ SER stage
@@ -378,15 +364,14 @@ def train_ser(
     corpus_labeled: Corpus,
     config: TrainConfig,
     val_corpus: Corpus,
-    seed: int | None = None,
 ) -> SerModel:
-    """Fine-tune (pretrained or fresh) encoder plus a new emotion head.
+    """Fine-tune (pretrained or fresh) encoder plus a new emotion head,
+    seeded by config.seed.
 
-    Stops on the best accuracy on the speaker-disjoint val_corpus (with
-    patience) and returns the best-epoch model.
+    Stops after PATIENCE epochs without a better accuracy on the
+    speaker-disjoint val_corpus and returns the best-epoch model.
     """
     config.validate()
-    seed = config.seed if seed is None else seed
     check_speaker_disjoint(corpus_labeled, val_corpus)
 
     emotions = sorted({e for e in corpus_labeled.emotions if e is not None})
@@ -396,19 +381,19 @@ def train_ser(
     if checkpoint is not None:
         encoder = clone_params(checkpoint.encoder)
     else:
-        encoder = build_encoder(corpus_labeled.dim, config, stable_seed(seed, "ser_encoder"))
-    head = build_classifier_head(encoder.output_dim, len(emotions), "emotion_cls", config, seed)
+        encoder = build_encoder(corpus_labeled.dim, config, stable_seed(config.seed, "ser_encoder"))
+    head = build_classifier_head(encoder.output_dim, len(emotions), "emotion_cls", config, config.seed)
 
     train_rows, train_labels = _labeled_arrays(corpus_labeled, emotions)
     val_rows, val_labels = _labeled_arrays(val_corpus, emotions)
 
     params = flatten_params(encoder, head)
-    opt = init_optimizer(params, lr=config.lr, weight_decay=config.weight_decay)
+    opt = init_optimizer(params, lr=config.lr)
 
     best = (-1.0, clone_params(encoder), clone_params(head))
     since_best = 0
     for epoch in range(config.epochs_ser):
-        rng = np.random.default_rng(stable_seed(seed, "ser_epoch", epoch))
+        rng = np.random.default_rng(stable_seed(config.seed, "ser_epoch", epoch))
         order = rng.permutation(len(train_rows))
         for start in range(0, len(order), config.batch_size):
             idx = order[start : start + config.batch_size]
@@ -420,16 +405,10 @@ def train_ser(
             since_best = 0
         else:
             since_best += 1
-            if since_best >= config.patience:
+            if since_best >= PATIENCE:
                 break
 
-    return SerModel(
-        encoder=best[1],
-        head=best[2],
-        emotions=emotions,
-        train_speakers=set(corpus_labeled.speakers),
-        seed=seed,
-    )
+    return SerModel(encoder=best[1], head=best[2], emotions=emotions, train_speakers=set(corpus_labeled.speakers))
 
 
 def ser_predict(encoder: ModelParams, head: ModelParams, rows: np.ndarray) -> np.ndarray:
@@ -467,9 +446,7 @@ def evaluate_uar(model: SerModel, corpus_test: Corpus) -> EvalResult:
     if not per_class:
         raise ValueError("no test class has support; UAR undefined")
     uar = float(np.mean(list(per_class.values())))
-    return EvalResult(
-        uar=uar, per_class_recall=per_class, confusion=confusion, emotions=list(model.emotions), seed=model.seed
-    )
+    return EvalResult(uar=uar, per_class_recall=per_class, confusion=confusion)
 
 
 # ------------------------------------------------------------------- protocol
@@ -556,7 +533,7 @@ def run_protocol(
             ckpt = None
             if mode != "none":
                 ckpt = pretrain(pretrain_corpus, replace(run_configs[s], mode=mode), tuples=mined.get(s))
-            model = train_ser(ckpt, ser_train, config, val_corpus=val_c, seed=s)
+            model = train_ser(ckpt, ser_train, replace(config, seed=s), val_corpus=val_c)
             result = evaluate_uar(model, test_c)
             per_seed.append({"seed": int(s), "uar": result.uar})
         rows.append(
@@ -567,7 +544,7 @@ def run_protocol(
                 "per_seed": per_seed,
             }
         )
-    return {"rows": rows, "label_fraction": label_fraction, "config": config_to_dict(config)}
+    return {"rows": rows, "label_fraction": label_fraction, "config": asdict(config)}
 
 
 # ------------------------------------------------------------ gradient checks
@@ -581,7 +558,7 @@ def _relu_margin(model, cache) -> float:
     return min(margins) if margins else np.inf
 
 
-def _grad_check_nets(kind: str, config: TrainConfig, seed: int, attempt: int):
+def _grad_check_nets(kind: str, config: TrainConfig, attempt: int):
     """One candidate configuration of small nets plus an input batch.
 
     Inputs cluster around a common direction (as length-normalized
@@ -593,7 +570,7 @@ def _grad_check_nets(kind: str, config: TrainConfig, seed: int, attempt: int):
     """
     dim, B, n_neg, margin = 5, 3, 3, 1e-3
     cfg = replace(config, trunk_hidden=6, contrastive_hidden=6, contrastive_out=4, head_hidden=6)
-    salt = stable_seed(seed, "gradcheck", kind, attempt)
+    salt = stable_seed(config.seed, "gradcheck", kind, attempt)
     rng = np.random.default_rng(salt)
     encoder = build_encoder(dim, cfg, salt)
     con_head = build_contrastive_head(encoder.output_dim, cfg, salt)
@@ -625,20 +602,23 @@ def _grad_check_nets(kind: str, config: TrainConfig, seed: int, attempt: int):
     return cfg, encoder, con_head, spk_head, emo_head, rows, neg_mask, labels
 
 
-def grad_check_cases(kind: str, config: TrainConfig, seed: int = 0, grl_lambda: float = 1.0):
-    """Named (loss_fn, params) cases for finite-difference verification.
+def grad_check_cases(kind: str, config: TrainConfig):
+    """Named (loss_fn, params) cases for finite-difference verification,
+    sampled from config.seed.
 
-    For the adversarial trunk the finite differences run against the
-    effective objective w_con*L_con - lambda*w_spk*L_spk, whose gradient is
-    what the reversal layer routes into the trunk.  Configurations whose
-    smallest nonzero analytic gradient entry falls below what float64
-    central differences can resolve are resampled.
+    The mtl cases run in adversarial mode with config.mtl_weights; for the
+    trunk the finite differences run against the effective objective
+    L_con - lambda*w_spk*L_spk, whose gradient is what the reversal layer
+    routes into the trunk.  Configurations whose smallest nonzero analytic
+    gradient entry falls below what float64 central differences can
+    resolve are resampled.
     """
+    config.validate()
     for attempt in range(500):
-        nets = _grad_check_nets(kind, config, seed, attempt)
+        nets = _grad_check_nets(kind, config, attempt)
         if nets is None:
             continue
-        cases = _assemble_grad_check_cases(kind, nets, grl_lambda)
+        cases = _assemble_grad_check_cases(kind, nets)
         floor = 3e-6
         ok = True
         for _, loss_fn, _params in cases:
@@ -658,7 +638,7 @@ def _flat_copies(*nets: ModelParams):
     return copies, flatten_params(*copies)
 
 
-def _assemble_grad_check_cases(kind: str, nets, grl_lambda: float):
+def _assemble_grad_check_cases(kind: str, nets):
     """Each case owns copies of the nets flattened as training flattens them,
     and passes the part of that buffer its gradient covers."""
     cfg, encoder, con_head, spk_head, emo_head, rows, neg_mask, labels = nets
@@ -682,22 +662,21 @@ def _assemble_grad_check_cases(kind: str, nets, grl_lambda: float):
             loss_fn = lambda copies=copies: _classifier_step(*copies, anchors, labels)
             cases.append((f"{hk} cross-entropy", loss_fn, flat))
     if kind in ("mtl", "all"):
-        mtl_cfg = replace(cfg, mode="mtl_adversarial", mtl_weights=MtlWeights(grl_lambda=grl_lambda))
-        mtl_cfg.validate()
-        w = mtl_cfg.mtl_weights
+        mtl_cfg = replace(cfg, mode="mtl_adversarial")
+        w = cfg.mtl_weights
         copies, flat = _flat_copies(encoder, con_head, spk_head)
         n_enc = param_count(encoder)
 
         def trunk_loss_fn(copies=copies):
             l_con, l_spk, grads = _contrastive_step(*copies, rows, neg_mask, labels, mtl_cfg)
-            return w.w_contrastive * l_con - w.grl_lambda * w.w_speaker * l_spk, grads[:n_enc]
+            return l_con - w.grl_lambda * w.w_speaker * l_spk, grads[:n_enc]
 
         def head_loss_fn(copies=copies):
             l_con, l_spk, grads = _contrastive_step(*copies, rows, neg_mask, labels, mtl_cfg)
             return mtl_combine(l_con, l_spk, w), grads[n_enc:]
 
-        cases.append((f"mtl trunk through GRL (lambda={grl_lambda})", trunk_loss_fn, flat[:n_enc]))
-        cases.append((f"mtl heads (lambda={grl_lambda})", head_loss_fn, flat[n_enc:]))
+        cases.append((f"mtl trunk through GRL (lambda={w.grl_lambda})", trunk_loss_fn, flat[:n_enc]))
+        cases.append((f"mtl heads (lambda={w.grl_lambda})", head_loss_fn, flat[n_enc:]))
     if not cases:
         raise ValueError(f"unknown grad-check kind {kind!r}")
     return cases
@@ -705,13 +684,8 @@ def _assemble_grad_check_cases(kind: str, nets, grl_lambda: float):
 
 def protocol_to_table(report: dict) -> str:
     """Aligned text table of mean UAR per pretraining mode."""
-    header = ["pretraining", "mean UAR", "per-seed UAR"]
-    body = []
-    for row in report["rows"]:
-        per_seed = " ".join(f"{p['uar']:.4f}" for p in row["per_seed"])
-        body.append([row["label"], f"{row['mean_uar']:.4f}", per_seed])
-    widths = [max(len(r[i]) for r in [header] + body) for i in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for row in body:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
+    rows = [
+        [row["label"], f"{row['mean_uar']:.4f}", " ".join(f"{p['uar']:.4f}" for p in row["per_seed"])]
+        for row in report["rows"]
+    ]
+    return aligned_table(["pretraining", "mean UAR", "per-seed UAR"], rows)

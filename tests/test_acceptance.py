@@ -7,6 +7,7 @@ seed are frozen so reruns reproduce these numbers exactly.
 import hashlib
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,16 +120,16 @@ def test_criterion_3_gradient_correctness():
     worst = 0.0
     details = {}
     config = TrainConfig()
-    for name, loss_fn, params in grad_check_cases("contrastive", config, seed=0):
+    for name, loss_fn, params in grad_check_cases("contrastive", config):
         err = grad_check(loss_fn, params, eps=1e-5)
         details[name] = err
         worst = max(worst, err)
-    for name, loss_fn, params in grad_check_cases("speaker_cls", config, seed=0):
+    for name, loss_fn, params in grad_check_cases("speaker_cls", config):
         err = grad_check(loss_fn, params, eps=1e-5)
         details[name] = err
         worst = max(worst, err)
     for lam in (0.0, 0.5, 1.0):
-        for name, loss_fn, params in grad_check_cases("mtl", config, seed=0, grl_lambda=lam):
+        for name, loss_fn, params in grad_check_cases("mtl", replace(config, mtl_weights=MtlWeights(grl_lambda=lam))):
             err = grad_check(loss_fn, params, eps=1e-5)
             details[name] = err
             worst = max(worst, err)

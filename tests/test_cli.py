@@ -141,11 +141,13 @@ def test_grad_check_exit_codes(tmp_path):
     "argv, detail",
     [
         (["grad-check", "--head", "speaker_cls", "--eps", "0"], "grad-check eps must be > 0"),
+        (["grad-check", "--head", "speaker_cls", "--eps", "inf"], "grad-check eps must be > 0 and finite"),
         (["grad-check", "--head", "mtl", "--grl-lambda", "-1"], "must be >= 0"),
+        (["grad-check", "--head", "contrastive", "--grl-lambda", "-1"], "grl_lambda must be >= 0"),
         (["grad-check", "--head", "contrastive", "--tau", "nan"], "tau must be > 0 and finite"),
         (["grad-check", "--head", "contrastive", "--tau", "inf"], "tau must be > 0 and finite"),
     ],
-    ids=["eps-zero", "grl-lambda-negative", "tau-nan", "tau-inf"],
+    ids=["eps-zero", "eps-inf", "grl-lambda-negative", "grl-lambda-negative-contrastive", "tau-nan", "tau-inf"],
 )
 def test_grad_check_invalid_setting_exits_2(capsys, argv, detail):
     assert main(argv) == 2
@@ -155,10 +157,11 @@ def test_grad_check_invalid_setting_exits_2(capsys, argv, detail):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["grad-check", "--head", "speaker_cls", "--eps", "inf"],
+        ["grad-check", "--head", "speaker_cls", "--eps", "1e308"],
+        ["grad-check", "--head", "speaker_cls", "--eps", "1e308", "--tol", "inf"],
         ["grad-check", "--tol", "nan"],
     ],
-    ids=["eps-inf", "tol-nan"],
+    ids=["eps-overflow", "eps-overflow-tol-inf", "tol-nan"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_grad_check_nonfinite_error_or_tolerance_fails(tmp_path, capsys, argv):
@@ -335,26 +338,28 @@ def test_config_file_read_in_either_form_and_keys_checked(tmp_path, small_corpus
 
 
 def test_config_schema_of_artifacts(tmp_path, small_corpus):
+    from dataclasses import asdict
+
     from emocluster.nn_core import load_checkpoint
     from emocluster.serialize import canonical_dumps
-    from emocluster.trainer import TrainConfig, config_to_dict
+    from emocluster.trainer import TrainConfig
 
-    mtl_keys = {"w_contrastive", "w_speaker", "grl_lambda"}
+    mtl_keys = {"w_speaker", "grl_lambda"}
     pretrain_keys = {
         "mode", "steps", "batch_size", "pretrain_lr", "tau", "n_clusters_N", "mtl_weights",
         "include_positive_in_denominator", "trunk_hidden", "contrastive_hidden", "contrastive_out",
-        "head_hidden", "weight_decay", "seed",
+        "head_hidden", "seed",
     }
-    train_keys = pretrain_keys | {"lr", "epochs_ser", "seeds", "patience", "split_fractions", "pretrain_speaker_fraction"}
-    payload = config_to_dict(TrainConfig())
+    train_keys = pretrain_keys | {"lr", "epochs_ser", "seeds", "split_fractions", "pretrain_speaker_fraction"}
+    payload = asdict(TrainConfig())
     assert set(payload) == train_keys and set(payload["mtl_weights"]) == mtl_keys
     assert canonical_dumps(payload) == (
         '{"batch_size":8,"contrastive_hidden":null,"contrastive_out":128,"epochs_ser":30,"head_hidden":null,'
         '"include_positive_in_denominator":false,"lr":1.0000000000000001e-05,"mode":"contrastive",'
-        '"mtl_weights":{"grl_lambda":1.0,"w_contrastive":1.0,"w_speaker":1.0},"n_clusters_N":20,"patience":5,'
+        '"mtl_weights":{"grl_lambda":1.0,"w_speaker":1.0},"n_clusters_N":20,'
         '"pretrain_lr":0.0001,"pretrain_speaker_fraction":0.0,"seed":0,"seeds":[0,1,2,3,4],'
         '"split_fractions":[0.69999999999999996,0.10000000000000001,0.20000000000000001],"steps":5000,'
-        '"tau":0.10000000000000001,"trunk_hidden":32,"weight_decay":0.01}'
+        '"tau":0.10000000000000001,"trunk_hidden":32}'
     )
 
     probe, ckpt, run = tmp_path / "probe.json", tmp_path / "ckpt.json", tmp_path / "run.json"

@@ -169,7 +169,7 @@ def test_center_distances_345():
     from emocluster.clustering import SpeakerClustering
 
     sc = SpeakerClustering(
-        spk_id="s", assignments={}, centers=np.array([[0.0, 0.0], [3.0, 4.0]]),
+        assignments={}, centers=np.array([[0.0, 0.0], [3.0, 4.0]]),
         inertia=0.0, effective_k=2, seed_used=0,
     )
     d = center_distances(sc)
@@ -184,7 +184,7 @@ def test_center_distances_matches_elementwise_recomputation():
     from emocluster.clustering import SpeakerClustering
 
     centers = rng.normal(size=(5, 4))
-    sc = SpeakerClustering("s", {}, centers, 0.0, 5, 0)
+    sc = SpeakerClustering({}, centers, 0.0, 5, 0)
     d = center_distances(sc)
     for i in range(5):
         for j in range(5):

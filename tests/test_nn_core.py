@@ -113,7 +113,7 @@ def test_backward_finite_difference_random_net():
     assert grad_check(loss_fn, params, eps=1e-5) < 1e-5
 
 
-@pytest.mark.parametrize("eps", [0.0, -1e-5])
+@pytest.mark.parametrize("eps", [0.0, -1e-5, np.inf, np.nan])
 def test_grad_check_rejects_nonpositive_eps(eps):
     def loss_fn():
         raise AssertionError("loss_fn must not run")

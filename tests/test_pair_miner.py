@@ -120,7 +120,6 @@ def test_singleton_anchor_skipped():
     ]
     corpus = build_corpus(recs)
     sc = SpeakerClustering(
-        spk_id="s",
         assignments={"a": 0, "b": 0, "c": 1},
         centers=np.array([[0.05, 0.0], [5.0, 5.0]]),
         inertia=0.0,
@@ -141,7 +140,7 @@ def test_speaker_with_single_cluster_skipped():
 
     recs = [EmbeddingRecord(f"u{i}", "s", None, np.array([float(i)])) for i in range(4)]
     corpus = build_corpus(recs)
-    sc = SpeakerClustering("s", {f"u{i}": 0 for i in range(4)}, np.array([[1.5]]), 0.0, 1, 0)
+    sc = SpeakerClustering({f"u{i}": 0 for i in range(4)}, np.array([[1.5]]), 0.0, 1, 0)
     run = ClusteringRun(per_speaker={"s": sc}, config=KMeansConfig(k=1))
     report = {}
     tuples = mine_tuples(run, corpus, MiningConfig(n_clusters_N=2, seed=0), report=report)

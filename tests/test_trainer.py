@@ -1,3 +1,5 @@
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,6 @@ from emocluster.trainer import (
     build_classifier_head,
     build_encoder,
     check_speaker_disjoint,
-    config_to_dict,
     evaluate_uar,
     labeled_fraction,
     pretrain,
@@ -47,7 +48,7 @@ def _corpus(seed=3, n_speakers=8, upc=12, dim=8, delta=2.0, noise=0.4):
 def _small_config(**overrides):
     defaults = dict(
         mode="contrastive", steps=60, batch_size=8, lr=1e-3, pretrain_lr=1e-3,
-        epochs_ser=8, tau=0.1, n_clusters_N=4, seeds=(0, 1), patience=4,
+        epochs_ser=8, tau=0.1, n_clusters_N=4, seeds=(0, 1),
         trunk_hidden=16, contrastive_hidden=16, contrastive_out=8, head_hidden=16, seed=2,
     )
     defaults.update(overrides)
@@ -76,7 +77,7 @@ def test_evaluate_uar_all_correct_is_one():
     encoder = build_encoder(corpus.dim, config, 0)
     head = build_classifier_head(encoder.output_dim, 4, "emotion_cls", config, 0)
     emotions = sorted({r.emotion for r in corpus.records})
-    model = SerModel(encoder, head, emotions, train_speakers=set(), seed=0)
+    model = SerModel(encoder, head, emotions, train_speakers=set())
     preds_emotions = []  # force perfect predictions by relabeling the corpus
     from emocluster.trainer import ser_predict
 
@@ -96,7 +97,7 @@ def test_evaluate_uar_all_correct_is_one():
 def _stub_model_for(emotions, dim, config):
     encoder = build_encoder(dim, config, 1)
     head = build_classifier_head(encoder.output_dim, len(emotions), "emotion_cls", config, 1)
-    return SerModel(encoder, head, list(emotions), train_speakers={"trainspk"}, seed=0)
+    return SerModel(encoder, head, list(emotions), train_speakers={"trainspk"})
 
 
 def _argmax_passthrough_model(emotions):
@@ -106,7 +107,7 @@ def _argmax_passthrough_model(emotions):
     dim = len(emotions)
     encoder = ModelParams([DenseLayer(np.eye(dim), np.zeros(dim), "identity")], dim, dim, "encoder")
     head = ModelParams([DenseLayer(np.eye(dim), np.zeros(dim), "identity")], dim, dim, "emotion_cls")
-    return SerModel(encoder, head, list(emotions), train_speakers=set(), seed=0)
+    return SerModel(encoder, head, list(emotions), train_speakers=set())
 
 
 def test_evaluate_uar_direct_recall_average():
@@ -135,7 +136,7 @@ def test_evaluate_uar_majority_predictor_balanced_classes():
     head = build_classifier_head(encoder.output_dim, 4, "emotion_cls", config, 1)
     # force the head to always pick class 0
     head.layers[-1].b[:] = np.array([100.0, 0.0, 0.0, 0.0])
-    model = SerModel(encoder, head, emotions, train_speakers=set(), seed=0)
+    model = SerModel(encoder, head, emotions, train_speakers=set())
     rng = np.random.default_rng(1)
     records = [
         EmbeddingRecord(f"u{i}", "spkX", emotions[i % 4], rng.normal(size=4)) for i in range(40)
@@ -223,7 +224,7 @@ def test_adversarial_lambda_zero_trunk_matches_contrastive_only():
         corpus,
         _small_config(
             steps=25, mode="mtl_adversarial",
-            mtl_weights=MtlWeights(w_contrastive=1.0, w_speaker=1.0, grl_lambda=0.0),
+            mtl_weights=MtlWeights(w_speaker=1.0, grl_lambda=0.0),
         ),
     )
     # lambda=0 blocks the speaker gradient at the reversal layer, so the
@@ -240,7 +241,7 @@ def test_adversarial_reversal_changes_trunk_not_head_first_step():
         corpus,
         _small_config(
             steps=1, mode="mtl_adversarial",
-            mtl_weights=MtlWeights(w_contrastive=1.0, w_speaker=1.0, grl_lambda=1.0),
+            mtl_weights=MtlWeights(w_speaker=1.0, grl_lambda=1.0),
         ),
     )
     # heads receive identical gradients on the first step (reversal only
@@ -313,8 +314,8 @@ def test_train_ser_seeded_determinism():
     corpus = _corpus(n_speakers=6)
     train_c, val_c, _ = split_by_speaker(corpus, (0.5, 0.25, 0.25), seed=1)
     config = _small_config(epochs_ser=4)
-    m1 = train_ser(None, train_c, config, val_corpus=val_c, seed=5)
-    m2 = train_ser(None, train_c, config, val_corpus=val_c, seed=5)
+    m1 = train_ser(None, train_c, replace(config, seed=5), val_corpus=val_c)
+    m2 = train_ser(None, train_c, replace(config, seed=5), val_corpus=val_c)
     r1, r2 = evaluate_uar(m1, val_c), evaluate_uar(m2, val_c)
     assert r1.uar == r2.uar
     assert r1.per_class_recall == r2.per_class_recall
@@ -375,7 +376,7 @@ def test_config_validation_and_serialization():
         TrainConfig(split_fractions=(0.5, 0.5, 0.5)).validate()
     with pytest.raises(ValueError):
         TrainConfig(seeds=()).validate()
-    payload = config_to_dict(_small_config())
+    payload = asdict(_small_config())
     assert payload["mode"] == "contrastive"
     assert payload["mtl_weights"]["w_speaker"] == 1.0
 
