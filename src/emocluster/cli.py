@@ -32,6 +32,7 @@ from .corpus import (
 from .nn_core import grad_check, save_checkpoint
 from .objectives import MtlWeights
 from .pair_miner import MiningConfig, mine_tuples, save_tuples
+from .parallel import worker_count
 from .serialize import canonical_dumps, format_float
 from .trainer import (
     MODES,
@@ -76,6 +77,7 @@ def _write_manifest(args: argparse.Namespace, started: float) -> None:
         "outputs": outputs,
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
+        "workers": worker_count(),
         "duration_seconds": round(time.monotonic() - started, 6),
     }
     if outputs:

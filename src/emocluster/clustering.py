@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .corpus import Corpus, warn_if_unnormalized
+from .parallel import fork_map
 from .serialize import stable_seed
 
 # Gram-form squared distances at or below this fraction of |x|^2 + |y|^2 may
@@ -193,7 +194,7 @@ def cluster_speaker(spk_id: str, utt_ids: list[str], points: np.ndarray, config:
         warnings.warn(
             f"speaker {spk_id!r}: k={config.k} exceeds its {len(centers)} distinct points"
             f" (of {len(points)}); degrading",
-            stacklevel=3,
+            stacklevel=2,
         )
     effective_k = int(len(np.unique(assign)))
     return SpeakerClustering(
@@ -209,13 +210,15 @@ def cluster_speakers(corpus: Corpus, config: KMeansConfig) -> ClusteringRun:
     """Independent k-means per speaker; results keyed by speaker id."""
     config.validate()
     warn_if_unnormalized(corpus, "cluster_speakers")
-    per_speaker = {}
-    for spk_id, indices in corpus.speakers.items():
+
+    def job(spk_id):
         # canonical utt_id order makes results independent of record order
-        ordered = sorted(indices, key=corpus.utt_ids.__getitem__)
+        ordered = sorted(corpus.speakers[spk_id], key=corpus.utt_ids.__getitem__)
         utt_ids = [corpus.utt_ids[i] for i in ordered]
-        per_speaker[spk_id] = cluster_speaker(spk_id, utt_ids, corpus.vectors[ordered], config)
-    return ClusteringRun(per_speaker=per_speaker, config=config)
+        return cluster_speaker(spk_id, utt_ids, corpus.vectors[ordered], config)
+
+    speakers = list(corpus.speakers)
+    return ClusteringRun(per_speaker=dict(zip(speakers, fork_map(job, speakers))), config=config)
 
 
 def center_distances(clustering: SpeakerClustering) -> np.ndarray:

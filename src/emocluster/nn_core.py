@@ -225,10 +225,12 @@ def grad_check(loss_fn, params: np.ndarray, eps: float = 1e-5) -> float:
     worst = 0.0
     for j in range(params.size):
         orig = params[j]
-        params[j] = orig + eps
-        lp, _ = loss_fn()
-        params[j] = orig - eps
-        lm, _ = loss_fn()
+        # a huge eps may overflow; the non-finite error below reports that
+        with np.errstate(over="ignore", invalid="ignore"):
+            params[j] = orig + eps
+            lp, _ = loss_fn()
+            params[j] = orig - eps
+            lm, _ = loss_fn()
         params[j] = orig
         numeric = (lp - lm) / (2.0 * eps)
         denom = max(1e-8, abs(analytic[j]) + abs(numeric))

@@ -27,6 +27,7 @@ from .nn_core import (
 )
 from .objectives import MtlWeights, cross_entropy, mtl_combine, ntxent_variant
 from .pair_miner import ContrastiveTuple, MiningConfig, mine_tuples
+from .parallel import fork_map
 from .serialize import aligned_table, stable_seed
 
 MODES = ("none", "spk_cls", "contrastive", "mtl_adversarial", "mtl")
@@ -526,16 +527,18 @@ def run_protocol(
         for s, cfg in run_configs.items():
             mined[s] = _mine(_pretrain_run(pretrain_corpus, cfg), pretrain_corpus, cfg, cfg.seed)
 
+    def cell(job) -> float:
+        mode, s = job
+        ckpt = None
+        if mode != "none":
+            ckpt = pretrain(pretrain_corpus, replace(run_configs[s], mode=mode), tuples=mined.get(s))
+        model = train_ser(ckpt, ser_train, replace(config, seed=s), val_corpus=val_c)
+        return evaluate_uar(model, test_c).uar
+
+    uars = iter(fork_map(cell, [(m, s) for m in modes for s in config.seeds]))
     rows = []
     for mode in modes:
-        per_seed = []
-        for s in config.seeds:
-            ckpt = None
-            if mode != "none":
-                ckpt = pretrain(pretrain_corpus, replace(run_configs[s], mode=mode), tuples=mined.get(s))
-            model = train_ser(ckpt, ser_train, replace(config, seed=s), val_corpus=val_c)
-            result = evaluate_uar(model, test_c)
-            per_seed.append({"seed": int(s), "uar": result.uar})
+        per_seed = [{"seed": int(s), "uar": next(uars)} for s in config.seeds]
         rows.append(
             {
                 "mode": mode,

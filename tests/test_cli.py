@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from emocluster import parallel
 from emocluster.cli import build_parser, main, pca_project_2d
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -31,6 +32,7 @@ def test_gen_synth_writes_manifest(small_corpus):
     assert manifest["command"] == "gen-synth"
     assert manifest["outputs"] == [str(small_corpus)]
     assert manifest["tool_version"]
+    assert manifest["workers"] == parallel.worker_count()
     assert manifest["config"]["n_speakers"] == 4
 
 
@@ -163,10 +165,10 @@ def test_grad_check_invalid_setting_exits_2(capsys, argv, detail):
     ],
     ids=["eps-overflow", "eps-overflow-tol-inf", "tol-nan"],
 )
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_grad_check_nonfinite_error_or_tolerance_fails(tmp_path, capsys, argv):
     assert main(argv) == 3
-    assert "grad-check FAILED" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "grad-check FAILED" in err and "RuntimeWarning" not in err
     # with --out the payload is still written, each non-finite number as null
     out = tmp_path / "gc.json"
     assert main([*argv, "--out", str(out)]) == 3

@@ -11,7 +11,7 @@ from emocluster.corpus import (
     length_normalize,
     strip_labels,
 )
-from emocluster import trainer
+from emocluster import parallel, trainer
 from emocluster.clustering import KMeansConfig, cluster_speakers
 from emocluster.nn_core import forward
 from emocluster.objectives import MtlWeights
@@ -435,6 +435,8 @@ def test_run_protocol_survives_zero_projections(monkeypatch):
         return ntxent_variant(proj, neg_mask, tau, include_positive_in_denominator)
 
     monkeypatch.setattr(trainer, "ntxent_variant", counting)
+    # the counter lives in this process, so the cells must run here too
+    monkeypatch.setattr(parallel, "worker_count", lambda: 1)
     spec = SynthSpec(
         n_speakers=12, n_emotions=4, utts_per_cell=10, dim=12, emotion_offset_norm=2.0, within_noise=0.8, seed=5
     )
