@@ -47,9 +47,8 @@ def test_worker_warnings_reach_the_caller(monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         run = cluster_speakers(build_corpus(recs), KMeansConfig(k=3, seed=0))
-    degrading = [str(w.message) for w in caught if "degrading" in str(w.message)]
-    assert [m.split()[1] for m in degrading] == ["'a':", "'b':"]
-    assert all(w.category is UserWarning for w in caught if "degrading" in str(w.message))
+    degrading = [(w.category, str(w.message).split()[1]) for w in caught if "degrading" in str(w.message)]
+    assert degrading == [(UserWarning, "'a':"), (UserWarning, "'b':")]
     assert [sc.effective_k for sc in run.per_speaker.values()] == [2, 2]
 
 
