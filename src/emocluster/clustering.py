@@ -186,19 +186,22 @@ def kmeans(points, config: KMeansConfig):
     return best
 
 
-def cluster_speaker(spk_id: str, utt_ids: list[str], points: np.ndarray, config: KMeansConfig) -> SpeakerClustering:
+def cluster_speaker(corpus: Corpus, spk_id: str, config: KMeansConfig) -> SpeakerClustering:
+    """k-means over one speaker's utterances, taken in utt_id order so the
+    result does not depend on record order, with a seed derived from the speaker."""
+    rows = sorted(corpus.speakers[spk_id], key=corpus.utt_ids.__getitem__)
     seed = stable_seed(config.seed, "speaker", spk_id)
-    assign, centers, inertia = kmeans(points, replace(config, seed=seed))
+    assign, centers, inertia = kmeans(corpus.vectors[rows], replace(config, seed=seed))
     # kmeans runs with min(k, distinct points) centers
     if len(centers) < config.k:
         warnings.warn(
             f"speaker {spk_id!r}: k={config.k} exceeds its {len(centers)} distinct points"
-            f" (of {len(points)}); degrading",
+            f" (of {len(rows)}); degrading",
             stacklevel=2,
         )
     effective_k = int(len(np.unique(assign)))
     return SpeakerClustering(
-        assignments={u: int(a) for u, a in zip(utt_ids, assign)},
+        assignments={corpus.utt_ids[i]: int(a) for i, a in zip(rows, assign)},
         centers=centers,
         inertia=inertia,
         effective_k=effective_k,
@@ -210,15 +213,9 @@ def cluster_speakers(corpus: Corpus, config: KMeansConfig) -> ClusteringRun:
     """Independent k-means per speaker; results keyed by speaker id."""
     config.validate()
     warn_if_unnormalized(corpus, "cluster_speakers")
-
-    def job(spk_id):
-        # canonical utt_id order makes results independent of record order
-        ordered = sorted(corpus.speakers[spk_id], key=corpus.utt_ids.__getitem__)
-        utt_ids = [corpus.utt_ids[i] for i in ordered]
-        return cluster_speaker(spk_id, utt_ids, corpus.vectors[ordered], config)
-
     speakers = list(corpus.speakers)
-    return ClusteringRun(per_speaker=dict(zip(speakers, fork_map(job, speakers))), config=config)
+    clusterings = fork_map(lambda spk_id: cluster_speaker(corpus, spk_id, config), speakers)
+    return ClusteringRun(per_speaker=dict(zip(speakers, clusterings)), config=config)
 
 
 def center_distances(clustering: SpeakerClustering) -> np.ndarray:

@@ -8,11 +8,12 @@ clusters in that window are replaced by the next-farthest populated ones.
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClusteringRun, center_distances
+from .clustering import ClusteringRun, SpeakerClustering, center_distances
 from .corpus import Corpus
 from .serialize import canonical_dumps, stable_seed
 
@@ -61,6 +62,62 @@ def ranked_negative_clusters(dist_row: np.ndarray, own_cluster: int, populated: 
     return sorted(others, key=lambda c: (-dist_row[c], c))
 
 
+def mine_speaker(sc: SpeakerClustering, corpus: Corpus, config: MiningConfig, counts: Counter):
+    """One speaker's tuples as corpus-row columns, anchors in utt_id order.
+
+    Returns the anchor rows (T,), the positive rows (T,), and the (T, W)
+    negative rows with their (T, W) source clusters: every anchor of a
+    speaker has a window of W = min(N/2, populated clusters - 1).  Skipped
+    anchors are added to `counts` under the keys `mine_tuples` reports.
+    """
+    missing = [u for u in sc.assignments if u not in corpus.row_of]
+    if missing:
+        raise ValueError(f"clustered utterances missing from corpus: {missing[:3]}")
+    utts = sorted(sc.assignments)
+    members: dict[int, list[int]] = {}  # cluster -> its utterances' corpus rows, in utt_id order
+    for utt_id in utts:
+        members.setdefault(sc.assignments[utt_id], []).append(corpus.row_of[utt_id])
+    populated = set(members)
+    if len(populated) < 2:
+        counts["skipped_too_few_clusters"] += len(utts)
+        none = np.empty(0, dtype=np.intp)
+        return none, none, none.reshape(0, 0), none.reshape(0, 0)
+    # the negative window depends only on the anchor's cluster
+    dists = center_distances(sc)
+    window = {c: ranked_negative_clusters(dists[c], c, populated)[: config.negatives_per_anchor] for c in populated}
+    window_sizes = {c: np.array([len(members[d]) for d in window[c]]) for c in populated}
+    width = min(config.negatives_per_anchor, len(populated) - 1)
+    position = {row: p for group in members.values() for p, row in enumerate(group)}
+
+    anchors, positives, negatives, clusters = [], [], [], []
+    for utt_id in utts:
+        own = sc.assignments[utt_id]
+        group = members[own]
+        if len(group) == 1:
+            counts["skipped_singleton"] += 1
+            continue
+        if not config.allow_fewer_negatives and width < config.negatives_per_anchor:
+            counts["skipped_short_window"] += 1
+            continue
+        row = corpus.row_of[utt_id]
+        rng = np.random.default_rng(stable_seed(config.seed, "mine", utt_id))
+        # a uniform draw over the cluster's other members, skipping the anchor's
+        # slot; then one member of each window cluster, drawn in a single call
+        j = int(rng.integers(len(group) - 1))
+        picks = rng.integers(window_sizes[own]).tolist()
+        anchors.append(row)
+        positives.append(group[j + (j >= position[row])])
+        negatives.append([members[c][k] for c, k in zip(window[own], picks)])
+        clusters.append(window[own])
+    shape = (len(anchors), width)
+    return (
+        np.array(anchors, dtype=np.intp),
+        np.array(positives, dtype=np.intp),
+        np.array(negatives, dtype=np.intp).reshape(shape),
+        np.array(clusters, dtype=np.intp).reshape(shape),
+    )
+
+
 def mine_tuples(
     run: ClusteringRun,
     corpus: Corpus,
@@ -79,46 +136,21 @@ def mine_tuples(
             f"clustering used k={run.config.k} but mining expects N={config.n_clusters_N}",
             stacklevel=2,
         )
-    counts = {"emitted": 0, "skipped_singleton": 0, "skipped_too_few_clusters": 0, "skipped_short_window": 0}
-    m_target = config.negatives_per_anchor
-
+    counts = Counter(emitted=0, skipped_singleton=0, skipped_too_few_clusters=0, skipped_short_window=0)
+    ids = corpus.utt_ids
     tuples: list[ContrastiveTuple] = []
     for spk in sorted(run.per_speaker):
-        sc = run.per_speaker[spk]
-        missing = [u for u in sc.assignments if u not in corpus.row_of]
-        if missing:
-            raise ValueError(f"clustered utterances missing from corpus: {missing[:3]}")
-        utts = sorted(sc.assignments)
-        members: dict[int, list[str]] = {}
-        for utt_id in utts:
-            members.setdefault(sc.assignments[utt_id], []).append(utt_id)
-        populated = set(members)
-        if len(populated) < 2:
-            counts["skipped_too_few_clusters"] += len(utts)
-            continue
-        # the negative window depends only on the anchor's cluster
-        dists = center_distances(sc)
-        window = {c: ranked_negative_clusters(dists[c], c, populated)[:m_target] for c in populated}
-        position = {u: p for group in members.values() for p, u in enumerate(group)}
-        for utt_id in utts:
-            own = sc.assignments[utt_id]
-            if len(members[own]) == 1:
-                counts["skipped_singleton"] += 1
-                continue
-            selected = window[own]
-            if not config.allow_fewer_negatives and len(selected) < m_target:
-                counts["skipped_short_window"] += 1
-                continue
-            rng = np.random.default_rng(stable_seed(config.seed, "mine", utt_id))
-            # a uniform draw over the cluster's other members, skipping the anchor's slot
-            j = int(rng.integers(len(members[own]) - 1))
-            positive = members[own][j + (j >= position[utt_id])]
-            negatives = [
-                Negative(utt_id=members[c][int(rng.integers(len(members[c])))], cluster=c)
-                for c in selected
-            ]
-            tuples.append(ContrastiveTuple(anchor=utt_id, positive=positive, negatives=negatives, spk_id=spk))
-            counts["emitted"] += 1
+        columns = mine_speaker(run.per_speaker[spk], corpus, config, counts)
+        for anchor, positive, negatives, clusters in zip(*(c.tolist() for c in columns)):
+            tuples.append(
+                ContrastiveTuple(
+                    anchor=ids[anchor],
+                    positive=ids[positive],
+                    negatives=[Negative(utt_id=ids[n], cluster=c) for n, c in zip(negatives, clusters)],
+                    spk_id=spk,
+                )
+            )
+    counts["emitted"] = len(tuples)
     if report is not None:
         report.update(counts)
     return tuples

@@ -8,11 +8,12 @@ a small dense trunk whose output feeds each head directly.
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .clustering import KMeansConfig, cluster_speakers
+from .clustering import KMeansConfig, cluster_speaker
 from .corpus import Corpus, is_normalized, strip_labels, warn_if_unnormalized
 from .nn_core import (
     ModelParams,
@@ -26,7 +27,7 @@ from .nn_core import (
     param_count,
 )
 from .objectives import MtlWeights, cross_entropy, mtl_combine, ntxent_variant
-from .pair_miner import ContrastiveTuple, MiningConfig, mine_tuples
+from .pair_miner import MiningConfig, mine_speaker
 from .parallel import fork_map
 from .serialize import aligned_table, stable_seed
 
@@ -199,44 +200,49 @@ def _classifier_step(encoder, head, rows, labels):
     return loss, np.concatenate([enc_grads, head_grads])
 
 
-def _pretrain_run(corpus: Corpus, config: TrainConfig):
-    """The intra-speaker clusters pretraining mines from (k = n_clusters_N)."""
-    return cluster_speakers(
-        corpus, KMeansConfig(k=config.n_clusters_N, seed=stable_seed(config.seed, "pretrain_cluster"))
-    )
+def _tuple_pools(corpus: Corpus, n_clusters: int, seeds: list[int]) -> list[tuple]:
+    """One training pool per seed, from the intra-speaker clusters with
+    k = n_clusters and seed stable_seed(seed, "pretrain_cluster"), mined with
+    that seed.  Each (seed, speaker) is clustered and mined as one fork_map
+    job, which returns row arrays only; the parts join in sorted-speaker
+    order, so a pool lists what mine_tuples would for that seed.
+
+    A pool holds the anchor and positive rows, the (T, M) negative rows and
+    their mask (each tuple's negatives left-aligned), and each anchor's
+    speaker index in sorted(corpus.speakers).
+    """
+    MiningConfig(n_clusters_N=n_clusters).validate()
+    speakers = sorted(corpus.speakers)
+
+    def job(key):
+        seed, spk_id = key
+        kmeans = KMeansConfig(k=n_clusters, seed=stable_seed(seed, "pretrain_cluster"))
+        mining = MiningConfig(n_clusters_N=n_clusters, seed=seed)
+        return mine_speaker(cluster_speaker(corpus, spk_id, kmeans), corpus, mining, Counter())[:3]
+
+    parts = fork_map(job, [(seed, spk_id) for seed in seeds for spk_id in speakers])
+    pools = []
+    for i in range(len(seeds)):
+        anchors, positives, negatives = zip(*parts[i * len(speakers) : (i + 1) * len(speakers)])
+        sizes = [len(a) for a in anchors]
+        if not sum(sizes):
+            raise ValueError("no mineable tuples: every anchor was skipped")
+        widths = np.repeat([n.shape[1] for n in negatives], sizes)
+        mask = np.arange(widths.max()) < widths[:, None]
+        padded = np.zeros(mask.shape, dtype=np.intp)
+        padded[mask] = np.concatenate([n.ravel() for n in negatives])
+        labels = np.repeat(np.arange(len(speakers)), sizes)
+        pools.append((np.concatenate(anchors), np.concatenate(positives), padded, mask, labels))
+    return pools
 
 
-def _mine(run, corpus: Corpus, config: TrainConfig, seed: int) -> list[ContrastiveTuple]:
-    mined = mine_tuples(run, corpus, MiningConfig(n_clusters_N=config.n_clusters_N, seed=seed))
-    if not mined:
-        raise ValueError("no mineable tuples: every anchor was skipped")
-    return mined
-
-
-def _tuple_rows(tuples: list[ContrastiveTuple], corpus: Corpus, spk_index: dict[str, int]):
-    """A tuple pool as arrays over the corpus rows: anchors, positives, the
-    (T, M) negatives and their mask (each tuple's negatives left-aligned),
-    and each anchor's speaker label."""
-    if not tuples:
-        raise ValueError("no contrastive tuples to train on")
-    row = corpus.row_of
-    counts = np.array([len(t.negatives) for t in tuples])
-    mask = np.arange(counts.max()) < counts[:, None]
-    negatives = np.zeros(mask.shape, dtype=np.intp)
-    negatives[mask] = [row[n.utt_id] for t in tuples for n in t.negatives]
-    anchors = np.array([row[t.anchor] for t in tuples])
-    positives = np.array([row[t.positive] for t in tuples])
-    return anchors, positives, negatives, mask, np.array([spk_index[t.spk_id] for t in tuples])
-
-
-def pretrain(corpus_unlabeled: Corpus, config: TrainConfig, tuples: list[ContrastiveTuple] | None = None) -> Checkpoint:
+def pretrain(corpus_unlabeled: Corpus, config: TrainConfig, tuples: tuple | None = None) -> Checkpoint:
     """Train the trunk (plus mode-specific heads) for config.steps steps.
 
-    Contrastive modes train on mined tuples.  When not given, they are
-    mined with seed config.seed from k-means clusters with k = n_clusters_N
-    and seed stable_seed(config.seed, "pretrain_cluster"); both depend on
-    config.seed alone, so `run_protocol` mines once per seed and passes
-    the tuples to every contrastive mode.
+    Contrastive modes train on a tuple pool as `_tuple_pools` builds it.
+    When not given, it is built for config.seed with k = n_clusters_N; it
+    depends on config.seed alone, so `run_protocol` builds one pool per
+    seed and passes it to every contrastive mode.
     """
     config.validate()
     if config.mode == "none":
@@ -273,9 +279,7 @@ def pretrain(corpus_unlabeled: Corpus, config: TrainConfig, tuples: list[Contras
 
     X = corpus_unlabeled.vectors
     if contrastive_on:
-        if tuples is None:
-            tuples = _mine(_pretrain_run(corpus_unlabeled, config), corpus_unlabeled, config, config.seed)
-        pool = _tuple_rows(tuples, corpus_unlabeled, spk_index)
+        pool = tuples if tuples is not None else _tuple_pools(corpus_unlabeled, config.n_clusters_N, [config.seed])[0]
         batches = _shuffled_batches(len(pool[0]), config.batch_size, rng)
         for _ in range(config.steps):
             idx = next(batches)
@@ -519,26 +523,29 @@ def run_protocol(
     pretrain_corpus = strip_labels(pretrain_base if pretrain_base is not None else train_c)
 
     # one pretraining run per (mode, seed); the derived seed is shared across
-    # modes so their initializations pair up, and so are the clusters and
-    # tuples, which depend on that seed alone
+    # modes so their initializations pair up, and so is the tuple pool, which
+    # depends on that seed alone
     run_configs = {s: replace(config, seed=stable_seed(config.seed, "protocol_run", s)) for s in config.seeds}
-    mined = {}
+    pools = {}
     if any(mode in CONTRASTIVE_MODES for mode in modes):
-        for s, cfg in run_configs.items():
-            mined[s] = _mine(_pretrain_run(pretrain_corpus, cfg), pretrain_corpus, cfg, cfg.seed)
+        seeds = [cfg.seed for cfg in run_configs.values()]
+        pools = dict(zip(config.seeds, _tuple_pools(pretrain_corpus, config.n_clusters_N, seeds)))
 
     def cell(job) -> float:
         mode, s = job
         ckpt = None
         if mode != "none":
-            ckpt = pretrain(pretrain_corpus, replace(run_configs[s], mode=mode), tuples=mined.get(s))
+            ckpt = pretrain(pretrain_corpus, replace(run_configs[s], mode=mode), tuples=pools.get(s))
         model = train_ser(ckpt, ser_train, replace(config, seed=s), val_corpus=val_c)
         return evaluate_uar(model, test_c).uar
 
-    uars = iter(fork_map(cell, [(m, s) for m in modes for s in config.seeds]))
+    # the costliest modes (the last in MODES) go first, so no worker idles
+    # behind a long cell at the end
+    cells = [(m, s) for m in sorted(modes, key=MODES.index, reverse=True) for s in config.seeds]
+    uar = dict(zip(cells, fork_map(cell, cells)))
     rows = []
     for mode in modes:
-        per_seed = [{"seed": int(s), "uar": next(uars)} for s in config.seeds]
+        per_seed = [{"seed": int(s), "uar": uar[mode, s]} for s in config.seeds]
         rows.append(
             {
                 "mode": mode,

@@ -196,3 +196,21 @@ def exact_kmeanspp_init(points, k, rng):
         diff = points - centers[c]
         closest = np.minimum(closest, np.einsum("ij,ij->i", diff, diff))
     return centers
+
+
+def tuple_pool(tuples, corpus):
+    """The training pool a ContrastiveTuple list describes, built tuple by
+    tuple: anchor rows, positive rows, the (T, M) negative rows and their
+    mask with each tuple's negatives left-aligned, and each anchor's speaker
+    index in the sorted speakers."""
+    speakers = sorted(corpus.speakers)
+    width = max(len(t.negatives) for t in tuples)
+    negatives = np.zeros((len(tuples), width), dtype=np.intp)
+    mask = np.zeros((len(tuples), width), dtype=bool)
+    for i, t in enumerate(tuples):
+        for j, negative in enumerate(t.negatives):
+            negatives[i, j] = corpus.row_of[negative.utt_id]
+            mask[i, j] = True
+    anchors = np.array([corpus.row_of[t.anchor] for t in tuples], dtype=np.intp)
+    positives = np.array([corpus.row_of[t.positive] for t in tuples], dtype=np.intp)
+    return anchors, positives, negatives, mask, np.array([speakers.index(t.spk_id) for t in tuples])

@@ -219,6 +219,28 @@ def test_large_roundtrip_hash_identical(tmp_path):
     assert h(p1) == h(p2)
 
 
+@pytest.mark.filterwarnings("ignore:n_clusters_N=7 is odd")
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (2, "158f0ff6ebb90d69a354e0336fb0a00af6c3d42ef50792d5d5dacda28f0b88f3"),
+        (4, "7f9eb31287c8dd6a87b2f923333005ca291ff9b1d94e0774a926f28c19b81367"),
+        (7, "7b944f65c5761e27270c85dcda9a5e4b3256d701eb3d13a7029ac25aeb88aa68"),
+        (12, "3f7e1e2ec6d6de752730e7f1ff04f870b7c61c57aef2e7f82d02cd993d9142fc"),
+    ],
+)
+def test_mined_tuple_file_is_pinned(tmp_path, n, digest):
+    # the files the per-cluster negative draws gave; one rng.integers call
+    # over the whole window must reproduce them byte for byte
+    corpus = length_normalize(
+        generate_synthetic(SynthSpec(n_speakers=5, n_emotions=4, utts_per_cell=10, dim=8, seed=12))
+    )
+    run = cluster_speakers(corpus, KMeansConfig(k=n, seed=5))
+    path = tmp_path / "tuples.jsonl"
+    save_tuples(mine_tuples(run, corpus, MiningConfig(n_clusters_N=n, seed=8)), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_malformed_line_reports_lineno(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"anchor": "a", "positive": "p", "negatives": [{"utt_id": "n", "cluster": 0}], "spk": "s"}\n{broken\n')

@@ -4,11 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from emocluster import parallel
+from emocluster import parallel, trainer
 from emocluster.clustering import KMeansConfig, cluster_speakers, run_to_dict
 from emocluster.corpus import EmbeddingRecord, SynthSpec, build_corpus, generate_synthetic, length_normalize
+from emocluster.pair_miner import MiningConfig, mine_tuples
 from emocluster.parallel import fork_map
-from emocluster.trainer import TrainConfig, run_protocol
+from emocluster.serialize import stable_seed
+from emocluster.trainer import TrainConfig, pretrain, run_protocol
+from oracles import tuple_pool
 
 
 def _with_workers(monkeypatch, n, fn):
@@ -39,6 +42,91 @@ def test_run_protocol_same_for_any_worker_count(monkeypatch):
         for n in (1, 2)
     ]
     assert reports[0] == reports[1]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_protocol_pool_equals_mined_tuples(monkeypatch, workers):
+    # odd speakers hold only 3 distinct vectors, so their windows are narrower
+    # than the others' and the pool pads them; the records run backwards, so
+    # the corpus lists its speakers out of sorted order
+    base = generate_synthetic(SynthSpec(n_speakers=8, n_emotions=3, utts_per_cell=6, dim=8, seed=6))
+    corners = np.random.default_rng(0).normal(size=(3, 8))
+    recs = [
+        EmbeddingRecord(r.utt_id, r.spk_id, r.emotion, corners[i % 3] if int(r.spk_id[-1]) % 2 else r.vec)
+        for i, r in enumerate(base.records)
+    ][::-1]
+    config = TrainConfig(
+        steps=20, batch_size=8, epochs_ser=3, n_clusters_N=8, seeds=(0, 1), trunk_hidden=8, contrastive_out=8,
+        seed=1, pretrain_speaker_fraction=0.5, split_fractions=(0.5, 0.25, 0.25),
+    )
+    built = []
+    tuple_pools = trainer._tuple_pools
+
+    def capture(corpus, n_clusters, seeds):
+        built.append((corpus, n_clusters, seeds, tuple_pools(corpus, n_clusters, seeds)))
+        return built[-1][-1]
+
+    monkeypatch.setattr(trainer, "_tuple_pools", capture)
+    _with_workers(monkeypatch, workers, lambda: run_protocol(build_corpus(recs), config, modes=["contrastive"]))
+    [(corpus, n_clusters, seeds, pools)] = built
+    assert len(pools) == len(seeds) == 2
+    widths = set()
+    for seed, pool in zip(seeds, pools):
+        run = cluster_speakers(corpus, KMeansConfig(k=n_clusters, seed=stable_seed(seed, "pretrain_cluster")))
+        expected = tuple_pool(mine_tuples(run, corpus, MiningConfig(n_clusters_N=n_clusters, seed=seed)), corpus)
+        for got, want in zip(pool, expected, strict=True):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        widths |= set(pool[3].sum(axis=1).tolist())
+    assert len(widths) > 1
+
+
+def _one_vector_per_speaker():
+    return build_corpus([
+        EmbeddingRecord(f"{spk}_{i}", spk, ("happy", "sad")[i % 2], np.eye(6)[s])
+        for s, spk in enumerate("abcdef") for i in range(6)
+    ])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_mineable_tuples_raise_after_the_degrade_warnings(monkeypatch, workers):
+    # one distinct vector per speaker: k-means degrades to one cluster, so no
+    # anchor has a negative; each (seed, speaker)'s warning still arrives, in order
+    monkeypatch.setattr(parallel, "worker_count", lambda: workers)
+    corpus = _one_vector_per_speaker()
+    config = TrainConfig(steps=5, n_clusters_N=2, seeds=(0, 1), trunk_hidden=4, contrastive_out=4, seed=1)
+    for call, n_seeds in ((lambda: pretrain(corpus, config), 1), (lambda: run_protocol(corpus, config), 2)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="^no mineable tuples: every anchor was skipped$"):
+                call()
+        degrading = [str(w.message).split()[1] for w in caught if "degrading" in str(w.message)]
+        assert len(degrading) % n_seeds == 0 and degrading
+        assert degrading == sorted(set(degrading)) * n_seeds
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_run_protocol_rows_follow_the_given_modes(monkeypatch):
+    corpus = generate_synthetic(SynthSpec(n_speakers=8, n_emotions=3, utts_per_cell=6, dim=8, seed=6))
+    config = TrainConfig(
+        steps=20, batch_size=8, epochs_ser=3, n_clusters_N=3, seeds=(0, 1), trunk_hidden=8, contrastive_out=8, seed=1,
+    )
+    modes = ["mtl", "none", "contrastive"]
+    dispatched = []
+    cells = trainer.fork_map
+
+    def recording(fn, items):
+        dispatched.append(items)
+        return cells(fn, items)
+
+    monkeypatch.setattr(trainer, "fork_map", recording)
+    reports = [_with_workers(monkeypatch, n, lambda: run_protocol(corpus, config, modes=modes)) for n in (1, 2)]
+    assert reports[0] == reports[1]
+    assert [row["mode"] for row in reports[0]["rows"]] == modes
+    # the costliest cells go out first: mode by descending MODES index, then seed
+    assert dispatched[-1] == [(m, s) for m in ("mtl", "contrastive", "none") for s in (0, 1)]
+    for row in reports[0]["rows"]:
+        assert run_protocol(corpus, config, modes=[row["mode"]])["rows"] == [row]
 
 
 def test_worker_warnings_reach_the_caller(monkeypatch):

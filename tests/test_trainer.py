@@ -33,6 +33,7 @@ from emocluster.trainer import (
     split_by_speaker,
     train_ser,
 )
+from oracles import tuple_pool
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -260,38 +261,43 @@ def _weights_and_history(ckpt):
 
 
 def test_pretrain_given_run_and_tuples_matches_internal():
-    # the clusters and tuples pretrain builds depend on config.seed alone, so
-    # building them outside (as run_protocol does) must change nothing
+    # the pool pretrain builds depends on config.seed alone, so a pool built
+    # outside from a clustering run and its mined tuples must change nothing
     corpus = strip_labels(_corpus(n_speakers=4, upc=8))
     config = _small_config(steps=80, mode="mtl_adversarial")
     run = cluster_speakers(
         corpus, KMeansConfig(k=config.n_clusters_N, seed=stable_seed(config.seed, "pretrain_cluster"))
     )
     tuples = mine_tuples(run, corpus, MiningConfig(n_clusters_N=config.n_clusters_N, seed=config.seed))
-    given = pretrain(corpus, config, tuples=tuples)
+    given = pretrain(corpus, config, tuples=tuple_pool(tuples, corpus))
     assert _weights_and_history(given) == _weights_and_history(pretrain(corpus, config))
 
 
 def test_run_protocol_clusters_and_mines_once_per_seed(monkeypatch):
+    # each (seed, speaker) is clustered and mined exactly once, however many
+    # contrastive modes share its pool; the counters live in this process
+    monkeypatch.setattr(parallel, "worker_count", lambda: 1)
     calls = {"cluster": [], "mine": []}
+    cluster_speaker, mine_speaker = trainer.cluster_speaker, trainer.mine_speaker
 
-    def counting(name, fn, seed_of):
-        def wrapper(*args):
-            calls[name].append(seed_of(args))
-            return fn(*args)
+    def clustering(corpus, spk_id, config):
+        calls["cluster"].append((config.seed, spk_id))
+        return cluster_speaker(corpus, spk_id, config)
 
-        return wrapper
+    def mining(sc, corpus, config, counts):
+        calls["mine"].append((config.seed, corpus.spk_ids[corpus.row_of[min(sc.assignments)]]))
+        return mine_speaker(sc, corpus, config, counts)
 
-    monkeypatch.setattr(
-        trainer, "cluster_speakers", counting("cluster", trainer.cluster_speakers, lambda a: a[1].seed)
-    )
-    monkeypatch.setattr(trainer, "mine_tuples", counting("mine", trainer.mine_tuples, lambda a: a[2].seed))
+    monkeypatch.setattr(trainer, "cluster_speaker", clustering)
+    monkeypatch.setattr(trainer, "mine_speaker", mining)
     corpus = _corpus(n_speakers=8, upc=8)
     config = _small_config(steps=20, seeds=(0, 1), epochs_ser=2, split_fractions=(0.5, 0.25, 0.25))
     report = run_protocol(corpus, config, label_fraction=0.5)
     assert [row["mode"] for row in report["rows"]] == list(MODES)
-    for name in ("cluster", "mine"):
-        assert len(calls[name]) == 2 and len(set(calls[name])) == 2, (name, calls[name])
+    for name, keys in calls.items():
+        seeds, speakers = {s for s, _ in keys}, {spk for _, spk in keys}
+        assert len(seeds) == 2 and len(speakers) == 4, (name, keys)
+        assert sorted(keys) == sorted({(s, spk) for s in seeds for spk in speakers}), (name, keys)
 
 
 def test_train_ser_requires_two_classes():
