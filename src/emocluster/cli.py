@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .cluster_metrics import evaluate_run, report_to_dict, report_to_table
-from .clustering import ClusteringRun, KMeansConfig, cluster_speakers, run_from_dict, run_to_dict
+from .clustering import ClusteringRun, KMeansConfig, SpeakerClustering, cluster_speakers, run_from_dict, run_to_dict
 from .corpus import (
     Corpus,
     CorpusError,
@@ -84,9 +84,10 @@ def _write_manifest(args: argparse.Namespace, started: float) -> None:
         _write_text(outputs[0] + ".manifest.json", canonical_dumps(manifest) + "\n")
 
 
-def _load_run(path: str, corpus: Corpus | None = None) -> ClusteringRun:
-    """Read a clustering run json; damaged contents, or (given a corpus) an
-    utterance the corpus lacks, raise CorpusError naming the file."""
+def _load_run(path: str, corpus: Corpus) -> ClusteringRun:
+    """Read a clustering run json and check each speaker's clustering against
+    the corpus; damaged contents or a mismatch raise CorpusError naming the
+    file (and the speaker)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -104,11 +105,35 @@ def _load_run(path: str, corpus: Corpus | None = None) -> ClusteringRun:
         raise CorpusError(f"{path}: clustering run is missing key {exc}") from exc
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise CorpusError(f"{path}: ill-typed value in clustering run ({exc})") from exc
-    if corpus is not None:
-        unknown = sorted(u for sc in run.per_speaker.values() for u in sc.assignments if u not in corpus.row_of)
-        if unknown:
-            raise CorpusError(f"{path}: clustered utterance {unknown[0]!r} missing from corpus")
+    for spk_id in sorted(run.per_speaker):
+        problem = _clustering_mismatch(run.per_speaker[spk_id], spk_id, corpus)
+        if problem:
+            raise CorpusError(f"{path}: speaker {spk_id!r}: {problem}")
     return run
+
+
+def _clustering_mismatch(sc: SpeakerClustering, spk_id: str, corpus: Corpus) -> str | None:
+    """The first way one speaker's clustering does not fit the corpus, or None:
+    centers that are not finite rows of the corpus's dimension, an assignment
+    outside [0, len(centers)), or clustered utterances other than exactly the
+    speaker's utterances in the corpus."""
+    centers = sc.centers
+    if centers.ndim != 2 or centers.shape[1] != corpus.dim:
+        return f"centers have shape {centers.shape}, not (k, {corpus.dim})"
+    bad = np.flatnonzero(~np.isfinite(centers).all(axis=1))
+    if bad.size:
+        return f"center {bad[0]} is not finite"
+    for utt_id, cluster in sorted(sc.assignments.items()):
+        if not 0 <= cluster < len(centers):
+            return f"utterance {utt_id!r} has cluster {cluster}, not one of its {len(centers)} centers"
+    own = {corpus.utt_ids[i] for i in corpus.speakers.get(spk_id, ())}
+    extra = sorted(set(sc.assignments) - own)
+    if extra:
+        return f"clustered utterance {extra[0]!r} is not one of the speaker's utterances in the corpus"
+    missing = sorted(own - set(sc.assignments))
+    if missing:
+        return f"the speaker's utterance {missing[0]!r} is not clustered"
+    return None
 
 
 # ------------------------------------------------------------------- commands
@@ -263,24 +288,25 @@ def pca_project_2d(matrix: np.ndarray) -> np.ndarray:
     return centered @ components.T
 
 
+_SVG_SIZE = 640  # scatter plot width and height, px
 _SVG_PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
     "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 )
 
 
-def _scatter_svg(points: np.ndarray, groups: list[str], size: int = 640) -> str:
+def _scatter_svg(points: np.ndarray, groups: list[str]) -> str:
     span = max(1e-12, float(np.abs(points).max()))
-    scale = (size / 2 - 20) / span
+    scale = (_SVG_SIZE / 2 - 20) / span
     palette = {g: _SVG_PALETTE[i % len(_SVG_PALETTE)] for i, g in enumerate(sorted(set(groups)))}
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
+        f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
+        f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>',
     ]
     for (x, y), group in zip(points, groups):
-        cx = size / 2 + x * scale
-        cy = size / 2 - y * scale
+        cx = _SVG_SIZE / 2 + x * scale
+        cy = _SVG_SIZE / 2 - y * scale
         parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3" fill="{palette[group]}" fill-opacity="0.7"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

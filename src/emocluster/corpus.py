@@ -22,6 +22,8 @@ BIN_MAGIC = b"EMB1"
 
 DEFAULT_EMOTIONS = ("neutral", "happy", "sad", "angry")
 
+UNIT_NORM_TOL = 1e-6  # is_normalized: how far a row's norm may sit from 1
+
 
 class CorpusError(ValueError):
     """Raised when a corpus file or record violates the format contract."""
@@ -278,10 +280,10 @@ def length_normalize(corpus: Corpus) -> Corpus:
     return Corpus(X / norms[:, None], corpus.utt_ids, corpus.spk_ids, corpus.emotions)
 
 
-def is_normalized(corpus: Corpus, tol: float = 1e-6) -> bool:
+def is_normalized(corpus: Corpus) -> bool:
     X = corpus.vectors
     norms = np.sqrt(np.einsum("ij,ij->i", X, X))
-    return bool(np.all(np.abs(norms - 1.0) <= tol))
+    return bool(np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
 
 
 def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:

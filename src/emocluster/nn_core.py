@@ -34,19 +34,23 @@ class DenseLayer:
 @dataclass
 class ModelParams:
     layers: list[DenseLayer]
-    input_dim: int
-    output_dim: int
-    kind: str  # encoder | contrastive | speaker_cls | emotion_cls
+
+    @property
+    def input_dim(self) -> int:
+        return self.layers[0].W.shape[1]
+
+    @property
+    def output_dim(self) -> int:
+        return self.layers[-1].W.shape[0]
 
     def validate(self) -> None:
-        dim = self.input_dim
-        for i, layer in enumerate(self.layers):
+        if not self.layers:
+            raise ValueError("a model needs at least one layer")
+        for layer in self.layers:
             layer.validate()
-            if layer.W.shape[1] != dim:
-                raise ValueError(f"layer {i}: expects input dim {layer.W.shape[1]}, got {dim}")
-            dim = layer.W.shape[0]
-        if dim != self.output_dim:
-            raise ValueError(f"declared output dim {self.output_dim} but layers end at {dim}")
+        for i, (prev, layer) in enumerate(zip(self.layers, self.layers[1:]), start=1):
+            if layer.W.shape[1] != prev.W.shape[0]:
+                raise ValueError(f"layer {i}: expects input dim {layer.W.shape[1]}, got {prev.W.shape[0]}")
 
 
 def init_dense(rng: np.random.Generator, in_dim: int, out_dim: int, activation: str) -> DenseLayer:
@@ -56,24 +60,19 @@ def init_dense(rng: np.random.Generator, in_dim: int, out_dim: int, activation: 
     return DenseLayer(W=W, b=np.zeros(out_dim), activation=activation)
 
 
-def make_mlp(rng: np.random.Generator, dims: list[int], activations: list[str], kind: str) -> ModelParams:
+def make_mlp(rng: np.random.Generator, dims: list[int], activations: list[str]) -> ModelParams:
     if len(dims) != len(activations) + 1:
         raise ValueError("dims must have one more entry than activations")
     layers = [
         init_dense(rng, dims[i], dims[i + 1], activations[i]) for i in range(len(activations))
     ]
-    model = ModelParams(layers=layers, input_dim=dims[0], output_dim=dims[-1], kind=kind)
+    model = ModelParams(layers)
     model.validate()
     return model
 
 
 def clone_params(model: ModelParams) -> ModelParams:
-    return ModelParams(
-        layers=[DenseLayer(l.W.copy(), l.b.copy(), l.activation) for l in model.layers],
-        input_dim=model.input_dim,
-        output_dim=model.output_dim,
-        kind=model.kind,
-    )
+    return ModelParams([DenseLayer(l.W.copy(), l.b.copy(), l.activation) for l in model.layers])
 
 
 def param_count(*models: ModelParams) -> int:
@@ -163,6 +162,7 @@ def backward(params: ModelParams, cache, grad_out: np.ndarray):
 # -------------------------------------------------------------------- optimizer
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+ADAM_WEIGHT_DECAY = 0.01
 
 
 @dataclass
@@ -171,18 +171,11 @@ class OptimizerState:
     v: np.ndarray
     step: int
     lr: float
-    weight_decay: float = 0.01
 
 
-def init_optimizer(params: np.ndarray, lr: float, weight_decay: float = 0.01) -> OptimizerState:
+def init_optimizer(params: np.ndarray, lr: float) -> OptimizerState:
     """Zero moments shaped like the flat parameter buffer."""
-    return OptimizerState(
-        m=np.zeros_like(params),
-        v=np.zeros_like(params),
-        step=0,
-        lr=lr,
-        weight_decay=weight_decay,
-    )
+    return OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params), step=0, lr=lr)
 
 
 def adamw_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray) -> None:
@@ -202,7 +195,7 @@ def adamw_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray) -> 
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * grads * grads
     p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    p -= state.lr * state.weight_decay * p
+    p -= state.lr * ADAM_WEIGHT_DECAY * p
 
 
 # ------------------------------------------------------------------ grad check
@@ -257,7 +250,7 @@ def save_checkpoint(path: str, components: dict[str, ModelParams], meta: dict) -
         "meta": meta,
         "components": {
             name: {
-                "kind": model.kind,
+                "kind": name,
                 "input_dim": model.input_dim,
                 "output_dim": model.output_dim,
                 "layers": [
@@ -312,13 +305,11 @@ def load_checkpoint(path: str) -> tuple[dict[str, ModelParams], dict]:
         for lspec in spec["layers"]:
             W = take(lspec["out"] * lspec["in"], name).reshape(lspec["out"], lspec["in"])
             layers.append(DenseLayer(W=W, b=take(lspec["out"], name), activation=lspec["activation"]))
-        model = ModelParams(
-            layers=layers,
-            input_dim=int(spec["input_dim"]),
-            output_dim=int(spec["output_dim"]),
-            kind=str(spec["kind"]),
-        )
+        model = ModelParams(layers)
         model.validate()
+        dims = (model.input_dim, model.output_dim)
+        if (int(spec["input_dim"]), int(spec["output_dim"])) != dims:
+            raise ValueError(f"{path}: component {name!r} declares other dims than its layers' {dims}")
         components[name] = model
     if off != len(blob):
         raise ValueError(f"{path}.bin: blob size does not match manifest")

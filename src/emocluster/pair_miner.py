@@ -68,7 +68,8 @@ def mine_speaker(sc: SpeakerClustering, corpus: Corpus, config: MiningConfig, co
     Returns the anchor rows (T,), the positive rows (T,), and the (T, W)
     negative rows with their (T, W) source clusters: every anchor of a
     speaker has a window of W = min(N/2, populated clusters - 1).  Skipped
-    anchors are added to `counts` under the keys `mine_tuples` reports.
+    anchors are added to `counts` under the keys `mine_tuples` reports.  An
+    assignment outside [0, len(centers)) raises ValueError naming the first.
     """
     missing = [u for u in sc.assignments if u not in corpus.row_of]
     if missing:
@@ -76,7 +77,10 @@ def mine_speaker(sc: SpeakerClustering, corpus: Corpus, config: MiningConfig, co
     utts = sorted(sc.assignments)
     members: dict[int, list[int]] = {}  # cluster -> its utterances' corpus rows, in utt_id order
     for utt_id in utts:
-        members.setdefault(sc.assignments[utt_id], []).append(corpus.row_of[utt_id])
+        cluster = sc.assignments[utt_id]
+        if not 0 <= cluster < len(sc.centers):
+            raise ValueError(f"utterance {utt_id!r} has cluster {cluster}, not one of the {len(sc.centers)} centers")
+        members.setdefault(cluster, []).append(corpus.row_of[utt_id])
     populated = set(members)
     if len(populated) < 2:
         counts["skipped_too_few_clusters"] += len(utts)

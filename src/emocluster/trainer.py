@@ -135,19 +135,19 @@ class EvalResult:
 def build_encoder(dim: int, config: TrainConfig, seed: int) -> ModelParams:
     rng = np.random.default_rng(stable_seed(seed, "encoder"))
     h = config.trunk_hidden
-    return make_mlp(rng, [dim, h, h], ["relu", "relu"], "encoder")
+    return make_mlp(rng, [dim, h, h], ["relu", "relu"])
 
 
 def build_contrastive_head(in_dim: int, config: TrainConfig, seed: int) -> ModelParams:
     rng = np.random.default_rng(stable_seed(seed, "contrastive_head"))
     hidden = config.contrastive_hidden or in_dim
-    return make_mlp(rng, [in_dim, hidden, config.contrastive_out], ["relu", "tanh"], "contrastive")
+    return make_mlp(rng, [in_dim, hidden, config.contrastive_out], ["relu", "tanh"])
 
 
 def build_classifier_head(in_dim: int, n_classes: int, kind: str, config: TrainConfig, seed: int) -> ModelParams:
     rng = np.random.default_rng(stable_seed(seed, kind))
     hidden = config.head_hidden or in_dim
-    return make_mlp(rng, [in_dim, hidden, n_classes], ["relu", "identity"], kind)
+    return make_mlp(rng, [in_dim, hidden, n_classes], ["relu", "identity"])
 
 
 # ----------------------------------------------------------------- pretraining
@@ -395,7 +395,7 @@ def train_ser(
     params = flatten_params(encoder, head)
     opt = init_optimizer(params, lr=config.lr)
 
-    best = (-1.0, clone_params(encoder), clone_params(head))
+    best_acc, best = -1.0, params.copy()  # the best epoch's flat parameters
     since_best = 0
     for epoch in range(config.epochs_ser):
         rng = np.random.default_rng(stable_seed(config.seed, "ser_epoch", epoch))
@@ -405,15 +405,17 @@ def train_ser(
             _, flat = _classifier_step(encoder, head, train_rows[idx], train_labels[idx])
             adamw_step(opt, params, flat)
         acc = float((ser_predict(encoder, head, val_rows) == val_labels).mean())
-        if acc > best[0]:
-            best = (acc, clone_params(encoder), clone_params(head))
+        if acc > best_acc:
+            best_acc = acc
+            best[:] = params
             since_best = 0
         else:
             since_best += 1
             if since_best >= PATIENCE:
                 break
 
-    return SerModel(encoder=best[1], head=best[2], emotions=emotions, train_speakers=set(corpus_labeled.speakers))
+    params[:] = best  # the layers view params
+    return SerModel(encoder=encoder, head=head, emotions=emotions, train_speakers=set(corpus_labeled.speakers))
 
 
 def ser_predict(encoder: ModelParams, head: ModelParams, rows: np.ndarray) -> np.ndarray:

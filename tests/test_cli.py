@@ -114,6 +114,22 @@ def test_pretrain_and_checkpoint(tmp_path, small_corpus):
     )
 
 
+@pytest.mark.parametrize("mode", ["spk_cls", "contrastive", "mtl_adversarial", "mtl"])
+def test_resaved_checkpoint_is_byte_identical(tmp_path, small_corpus, mode):
+    from emocluster.nn_core import load_checkpoint, save_checkpoint
+
+    ckpt = tmp_path / "ckpt.json"
+    code = main(
+        ["pretrain", "--corpus", str(small_corpus), "--mode", mode, "--steps", "10", "--n-clusters", "4",
+         "--trunk-hidden", "8", "--contrastive-out", "8", "--out", str(ckpt)]
+    )
+    assert code == 0
+    again = tmp_path / "again.json"
+    save_checkpoint(str(again), *load_checkpoint(str(ckpt)))
+    assert again.read_bytes() == ckpt.read_bytes()
+    assert (tmp_path / "again.json.bin").read_bytes() == (tmp_path / "ckpt.json.bin").read_bytes()
+
+
 def test_probe_command_small(tmp_path, small_corpus):
     out = tmp_path / "probe.json"
     table = tmp_path / "probe.txt"
@@ -531,3 +547,44 @@ def test_ill_typed_run_value_names_speaker_and_key(tmp_path, small_corpus, capsy
     assert _main_with_run(command, tmp_path, small_corpus, run) == 2
     err = capsys.readouterr().err
     assert f"{run}: ill-typed value in clustering run (speaker {spk!r}, key 'assignments':" in err
+
+
+def _malform(case: str, speaker: dict, other: dict) -> None:
+    """Edit one speaker's entry of a run json so that it no longer fits the corpus."""
+    first = sorted(speaker["assignments"])[0]
+    if case == "nan-center":
+        speaker["centers"][1][0] = float("nan")
+    elif case == "centers-one-dim-short":
+        speaker["centers"] = [row[:-1] for row in speaker["centers"]]
+    elif case.startswith("cluster"):
+        speaker["assignments"][first] = int(case[len("cluster"):])
+    elif case == "utterance-left-out":
+        del speaker["assignments"][first]
+    else:  # another speaker's utterance added
+        speaker["assignments"][sorted(other["assignments"])[0]] = 0
+
+
+# each edit `_malform` makes, and what the error then says
+_MALFORMED_RUNS = {
+    "nan-center": "center 1 is not finite",
+    "centers-one-dim-short": "centers have shape (3, 7), not (k, 8)",
+    "cluster7": "has cluster 7, not one of its 3 centers",
+    "cluster-1": "has cluster -1, not one of its 3 centers",
+    "utterance-left-out": "is not clustered",
+    "other-speakers-utterance": "is not one of the speaker's utterances in the corpus",
+}
+
+
+@pytest.mark.parametrize("command", _RUN_READERS)
+@pytest.mark.parametrize("case", list(_MALFORMED_RUNS))
+def test_run_inconsistent_with_corpus_exits_2_naming_file_and_speaker(tmp_path, small_corpus, capsys, command, case):
+    good = tmp_path / "good.json"
+    assert main(["cluster", "--corpus", str(small_corpus), "--k", "3", "--out", str(good)]) == 0
+    payload = json.loads(good.read_text())
+    spk, other = sorted(payload["per_speaker"])[1:3]
+    _malform(case, payload["per_speaker"][spk], payload["per_speaker"][other])
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps(payload))
+    assert _main_with_run(command, tmp_path, small_corpus, run) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"emocluster: error: {run}: speaker {spk!r}: ") and _MALFORMED_RUNS[case] in err

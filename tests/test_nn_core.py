@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emocluster import nn_core
 from emocluster.nn_core import (
     DenseLayer,
     ModelParams,
@@ -28,7 +29,7 @@ from emocluster.nn_core import (
 
 def _identity_model(dim):
     layer = DenseLayer(W=np.eye(dim), b=np.zeros(dim), activation="identity")
-    return ModelParams(layers=[layer], input_dim=dim, output_dim=dim, kind="encoder")
+    return ModelParams([layer])
 
 
 def test_identity_layer_passthrough():
@@ -39,12 +40,10 @@ def test_identity_layer_passthrough():
 
 
 def test_relu_and_tanh_values():
-    relu = ModelParams(
-        [DenseLayer(np.eye(2), np.zeros(2), "relu")], 2, 2, "encoder"
-    )
+    relu = ModelParams([DenseLayer(np.eye(2), np.zeros(2), "relu")])
     out, _ = forward(relu, np.array([[-1.0, 2.0]]))
     assert np.array_equal(out, [[0.0, 2.0]])
-    tanh = ModelParams([DenseLayer(np.eye(2), np.zeros(2), "tanh")], 2, 2, "encoder")
+    tanh = ModelParams([DenseLayer(np.eye(2), np.zeros(2), "tanh")])
     out, _ = forward(tanh, np.zeros((1, 2)))
     assert np.array_equal(out, np.zeros((1, 2)))
 
@@ -59,7 +58,7 @@ def test_backward_linear_quadratic_matches_hand_computation():
     # f(x) = Wx + b, loss = 0.5*||y||^2 -> dW = y x^T, db = y, dx = W^T y
     W = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = np.array([0.5, -0.5])
-    model = ModelParams([DenseLayer(W.copy(), b.copy(), "identity")], 2, 2, "encoder")
+    model = ModelParams([DenseLayer(W.copy(), b.copy(), "identity")])
     x = np.array([[1.0, -1.0]])
     y, cache = forward(model, x)
     grads, dx = backward(model, cache, y)  # dL/dy = y for quadratic loss
@@ -70,7 +69,7 @@ def test_backward_linear_quadratic_matches_hand_computation():
 
 def test_zero_upstream_gradient_gives_zero_param_gradients():
     rng = np.random.default_rng(0)
-    model = make_mlp(rng, [4, 5, 3], ["relu", "tanh"], "encoder")
+    model = make_mlp(rng, [4, 5, 3], ["relu", "tanh"])
     x = rng.normal(size=(6, 4))
     out, cache = forward(model, x)
     grads, dx = backward(model, cache, np.zeros_like(out))
@@ -81,7 +80,7 @@ def test_zero_upstream_gradient_gives_zero_param_gradients():
 def test_grad_check_exact_on_linear_quadratic():
     # quadratic in the parameters: central differences are exact up to roundoff
     rng = np.random.default_rng(11)
-    model = make_mlp(rng, [4, 3], ["identity"], "encoder")
+    model = make_mlp(rng, [4, 3], ["identity"])
     x = rng.normal(size=(5, 4))
     target = rng.normal(size=(5, 3))
     params = flatten_params(model)
@@ -98,7 +97,7 @@ def test_grad_check_exact_on_linear_quadratic():
 
 def test_backward_finite_difference_random_net():
     rng = np.random.default_rng(3)
-    model = make_mlp(rng, [4, 6, 3], ["tanh", "identity"], "encoder")
+    model = make_mlp(rng, [4, 6, 3], ["tanh", "identity"])
     x = rng.normal(size=(5, 4))
     target = rng.normal(size=(5, 3))
     params = flatten_params(model)
@@ -135,23 +134,26 @@ def test_grad_check_returns_inf_for_nonfinite_gradient(bad):
     assert grad_check(loss_fn, params, eps=1e-5) == np.inf
 
 
-def test_adamw_zero_grad_zero_decay_is_noop():
+def test_adamw_zero_grad_zero_decay_is_noop(monkeypatch):
+    monkeypatch.setattr(nn_core, "ADAM_WEIGHT_DECAY", 0.0)
     p = np.array([1.0, -2.0])
-    state = init_optimizer(p, lr=0.1, weight_decay=0.0)
+    state = init_optimizer(p, lr=0.1)
     adamw_step(state, p, np.zeros(2))
     assert np.array_equal(p, [1.0, -2.0])
 
 
-def test_adamw_sign_limit_single_step():
+def test_adamw_sign_limit_single_step(monkeypatch):
+    monkeypatch.setattr(nn_core, "ADAM_WEIGHT_DECAY", 0.0)
     p = np.array([1.0])
-    state = init_optimizer(p, lr=0.1, weight_decay=0.0)
+    state = init_optimizer(p, lr=0.1)
     adamw_step(state, p, np.array([1.0]))  # bias correction makes the first step lr * sign(g)
     assert p[0] == pytest.approx(1.0 - 0.1, abs=1e-8)
 
 
-def test_adamw_decoupled_decay_closed_form():
+def test_adamw_decoupled_decay_closed_form(monkeypatch):
+    monkeypatch.setattr(nn_core, "ADAM_WEIGHT_DECAY", 0.5)
     p = np.array([2.0])
-    state = init_optimizer(p, lr=0.1, weight_decay=0.5)
+    state = init_optimizer(p, lr=0.1)
     adamw_step(state, p, np.array([0.0]))
     assert p[0] == pytest.approx(2.0 * (1.0 - 0.1 * 0.5))
 
@@ -177,7 +179,7 @@ def test_adamw_bit_reproducible():
 
 def test_forward_deterministic_and_stateless():
     rng = np.random.default_rng(6)
-    model = make_mlp(rng, [4, 4, 4], ["relu", "tanh"], "encoder")
+    model = make_mlp(rng, [4, 4, 4], ["relu", "tanh"])
     x = rng.normal(size=(3, 4))
     a, _ = forward(model, x)
     b, _ = forward(model, x)
@@ -187,17 +189,19 @@ def test_forward_deterministic_and_stateless():
 def test_make_mlp_validates_dims():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        make_mlp(rng, [3, 4], ["relu", "tanh"], "encoder")
-    model = make_mlp(rng, [3, 4, 2], ["relu", "identity"], "encoder")
+        make_mlp(rng, [3, 4], ["relu", "tanh"])
+    model = make_mlp(rng, [3, 4, 2], ["relu", "identity"])
     assert model.input_dim == 3 and model.output_dim == 2
 
 
 def test_model_validation_catches_chain_breaks():
     rng = np.random.default_rng(0)
-    model = make_mlp(rng, [3, 4, 2], ["relu", "identity"], "encoder")
+    model = make_mlp(rng, [3, 4, 2], ["relu", "identity"])
     model.layers[1] = init_dense(rng, 5, 2, "identity")  # wrong fan-in
     with pytest.raises(ValueError, match="expects input dim"):
         model.validate()
+    with pytest.raises(ValueError, match="at least one layer"):
+        ModelParams([]).validate()
 
 
 def test_init_dense_seeded_and_bounded():
@@ -211,8 +215,8 @@ def test_init_dense_seeded_and_bounded():
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(8)
     components = {
-        "encoder": make_mlp(rng, [6, 5, 5], ["relu", "relu"], "encoder"),
-        "emotion_cls": make_mlp(rng, [5, 5, 3], ["relu", "identity"], "emotion_cls"),
+        "encoder": make_mlp(rng, [6, 5, 5], ["relu", "relu"]),
+        "emotion_cls": make_mlp(rng, [5, 5, 3], ["relu", "identity"]),
     }
     meta = {"mode": "contrastive", "seed": 3, "step": 100}
     path = str(tmp_path / "ckpt.json")
@@ -229,7 +233,7 @@ def test_checkpoint_roundtrip(tmp_path):
 
 def test_checkpoint_rejects_corrupt_blob(tmp_path):
     rng = np.random.default_rng(9)
-    components = {"encoder": make_mlp(rng, [3, 3], ["relu"], "encoder")}
+    components = {"encoder": make_mlp(rng, [3, 3], ["relu"])}
     path = str(tmp_path / "ckpt.json")
     save_checkpoint(path, components, {})
     blob = open(path + ".bin", "rb").read()
@@ -242,8 +246,8 @@ def test_checkpoint_rejects_corrupt_blob(tmp_path):
 def _two_component_checkpoint(path):
     rng = np.random.default_rng(9)
     components = {
-        "encoder": make_mlp(rng, [3, 3], ["relu"], "encoder"),
-        "head": make_mlp(rng, [3, 2], ["identity"], "emotion_cls"),
+        "encoder": make_mlp(rng, [3, 3], ["relu"]),
+        "head": make_mlp(rng, [3, 2], ["identity"]),
     }
     save_checkpoint(path, components, {})
     with open(path + ".bin", "rb") as fh:
@@ -260,6 +264,19 @@ def test_checkpoint_naming_unknown_activation_raises_value_error(tmp_path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh)
     with pytest.raises(ValueError, match="unknown activation 'softmax'"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["input_dim", "output_dim"])
+def test_checkpoint_declaring_other_dims_than_its_layers_raises(tmp_path, key):
+    path = str(tmp_path / "ckpt.json")
+    _two_component_checkpoint(path)
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["components"]["head"][key] += 1
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(ValueError, match=rf"{path}: component 'head' declares other dims than its layers' \(3, 2\)"):
         load_checkpoint(path)
 
 
@@ -303,7 +320,7 @@ def test_damaged_checkpoint_blob_loads_or_raises_value_error(data):
 
 def test_clone_params_is_deep():
     rng = np.random.default_rng(10)
-    model = make_mlp(rng, [3, 3], ["relu"], "encoder")
+    model = make_mlp(rng, [3, 3], ["relu"])
     copy = clone_params(model)
     copy.layers[0].W[0, 0] += 1.0
     assert model.layers[0].W[0, 0] != copy.layers[0].W[0, 0]
@@ -311,8 +328,8 @@ def test_clone_params_is_deep():
 
 def test_flatten_params_layers_view_one_buffer():
     rng = np.random.default_rng(12)
-    enc = make_mlp(rng, [3, 4, 2], ["relu", "tanh"], "encoder")
-    head = make_mlp(rng, [2, 3], ["identity"], "emotion_cls")
+    enc = make_mlp(rng, [3, 4, 2], ["relu", "tanh"])
+    head = make_mlp(rng, [2, 3], ["identity"])
     expected = np.concatenate([a.ravel() for m in (enc, head) for l in m.layers for a in (l.W, l.b)])
     flat = flatten_params(enc, head)
     assert flat.shape == (param_count(enc, head),) and flat.flags.c_contiguous
@@ -329,7 +346,7 @@ def test_flatten_params_layers_view_one_buffer():
 def test_adamw_flat_buffer_matches_per_array_updates():
     # the update is elementwise, so one flat step equals a step per array
     rng = np.random.default_rng(13)
-    model = make_mlp(rng, [4, 5, 3], ["relu", "tanh"], "encoder")
+    model = make_mlp(rng, [4, 5, 3], ["relu", "tanh"])
     arrays = [a.copy() for l in model.layers for a in (l.W, l.b)]
     states = [init_optimizer(a, lr=0.01) for a in arrays]
     flat = flatten_params(model)

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,6 +178,17 @@ def test_clustered_utterance_missing_from_corpus_rejected(mined):
     truncated = build_corpus(corpus.records[: len(corpus.records) // 2])
     with pytest.raises(ValueError, match="missing from corpus"):
         mine_tuples(run, truncated, config)
+
+
+@pytest.mark.parametrize("cluster", [-1, 4])
+def test_assignment_outside_the_centers_rejected(mined, cluster):
+    corpus, run, config, _, _ = mined
+    spk = sorted(run.per_speaker)[0]
+    sc = run.per_speaker[spk]
+    utt = sorted(sc.assignments)[2]
+    bad = replace(sc, assignments={**sc.assignments, utt: cluster})
+    with pytest.raises(ValueError, match=f"utterance {utt!r} has cluster {cluster}, not one of the 4 centers"):
+        mine_tuples(replace(run, per_speaker={spk: bad}), corpus, config)
 
 
 def test_odd_n_warns_and_floors():

@@ -106,8 +106,8 @@ def _argmax_passthrough_model(emotions):
     from emocluster.nn_core import DenseLayer, ModelParams
 
     dim = len(emotions)
-    encoder = ModelParams([DenseLayer(np.eye(dim), np.zeros(dim), "identity")], dim, dim, "encoder")
-    head = ModelParams([DenseLayer(np.eye(dim), np.zeros(dim), "identity")], dim, dim, "emotion_cls")
+    encoder = ModelParams([DenseLayer(np.eye(dim), np.zeros(dim), "identity")])
+    head = ModelParams([DenseLayer(np.eye(dim), np.zeros(dim), "identity")])
     return SerModel(encoder, head, list(emotions), train_speakers=set())
 
 
