@@ -5,15 +5,21 @@ Euclidean distance, which on unit-norm vectors orders pairs identically to
 cosine distance.  All randomness is derived from explicit seeds so results
 are reproducible and independent of speaker iteration order.
 
-The kernel costs little beyond its matrix products.  Distances take the
-Gram form |x|^2 - 2 x.c + |c|^2, with the points' squared norms computed
-once for the seeding and once for the Lloyd run of each restart: one
-matrix product per Lloyd iteration, one matrix-vector product per
-seeding center.  The seeding's D^2 weights recompute every value at or
-below GRAM_RECHECK * (|x|^2 + |c|^2) exactly, so chosen points and their
-duplicates weigh exactly 0.  The center update sorts the points by
-cluster once per iteration and averages contiguous slices, which is bit
-for bit the masked per-cluster mean.
+The restarts of one call run in lockstep, and cost little beyond their
+matrix products.  Distances take the Gram form |x|^2 - 2 x.c + |c|^2, with
+the points' squared norms computed once for the seeding and once for the
+Lloyd run of each block of restarts.  Each seeding step takes every
+restart's D^2 update in one matmul call, and each Lloyd iteration assigns
+every active restart in another; a stacked matmul makes, for each restart,
+the matrix product a lone restart would, so batching changes no bit.  The
+seeding's D^2 weights recompute every value at or below GRAM_RECHECK *
+(|x|^2 + |c|^2) exactly, so chosen points and their duplicates weigh
+exactly 0.  A restart leaves the active set when it converges.  The center
+update re-sums only the clusters whose member set changed since their mean
+was taken, each from its members in point order, which is bit for bit the
+masked per-cluster mean.  Restarts run in blocks whose (n, block * k)
+distances take at most KMEANS_BLOCK floats, so memory does not grow with
+the restart count.
 """
 
 import math
@@ -29,6 +35,8 @@ from .serialize import stable_seed
 # Gram-form squared distances at or below this fraction of |x|^2 + |y|^2 may
 # have lost most of their digits to cancellation; they are recomputed exactly.
 GRAM_RECHECK = 1e-2
+
+KMEANS_BLOCK = 1 << 20  # floats of one block of restarts' (n, block * k) distances (8 MB)
 
 
 @dataclass
@@ -64,104 +72,138 @@ class ClusteringRun:
 
 
 def _row_sq(x: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", x, x)
+    return np.einsum("...j,...j->...", x, x)
 
 
 def _gram_sq_dists(points: np.ndarray, points_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, (n_points, n_centers), as |x|^2 - 2 x.c + |c|^2,
-    given the points' squared norms.
+    """Squared Euclidean distances as |x|^2 - 2 x.c + |c|^2, given the points'
+    squared norms: (n_points, n_centers), or (R, n_points, k) for an (R, k, dim)
+    stack of centers, each restart's from the matrix product a lone one makes.
 
     The Gram form needs no (n, k, dim) tensor; clamping at 0 undoes cancellation.
     """
-    d = points_sq[:, None] - 2.0 * (points @ centers.T)
-    d += _row_sq(centers)[None, :]
+    d = points @ np.swapaxes(centers, -1, -2)
+    d *= -2.0
+    d += points_sq[:, None]
+    d += _row_sq(centers)[..., None, :]
     return np.maximum(d, 0.0, out=d)
 
 
-def _sq_dists_to_row(points: np.ndarray, points_sq: np.ndarray, i: int) -> np.ndarray:
-    """Squared distances from every point to points[i]: Gram form, with each
-    value at or below GRAM_RECHECK * (|x|^2 + |c|^2) recomputed exactly as
-    sum((x - c)^2).  That set always holds row i and its duplicates, which
-    therefore come out exactly 0."""
-    center = points[i]
-    d = points @ center
+def _sq_dists_to_rows(points: np.ndarray, points_sq: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Squared distances from every point to each points[rows[r]], (len(rows), n),
+    in Gram form, with each value at or below GRAM_RECHECK * (|x|^2 + |c|^2)
+    recomputed exactly as sum((x - c)^2).  That set always holds row rows[r]
+    and its duplicates, which therefore come out exactly 0.  Each row's
+    products come from the matrix-vector product a lone row makes."""
+    d = np.matmul(points, points[rows, :, None])[..., 0]
     d *= -2.0
     d += points_sq
-    d += points_sq[i]
-    near = np.flatnonzero(d <= GRAM_RECHECK * (points_sq + points_sq[i]))
-    diff = points[near] - center
-    d[near] = _row_sq(diff)
+    d += points_sq[rows, None]
+    r, i = np.nonzero(d <= GRAM_RECHECK * (points_sq + points_sq[rows, None]))
+    d[r, i] = _row_sq(points[i] - points[rows[r]])
     return d
 
 
-def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: each next center is a point drawn with probability
-    proportional to its squared distance to the nearest center so far (D^2).
+def _kmeanspp_init(points: np.ndarray, k: int, rngs: list) -> np.ndarray:
+    """k-means++ seeding of one restart per Generator, (len(rngs), k, dim):
+    each next center is a point drawn with probability proportional to its
+    squared distance to the nearest center so far (D^2).
 
-    The draw is the inverse CDF that Generator.choice(n, p=D^2 / sum) takes,
-    one rng.random() against the normalized cumulative sum, without
-    choice's per-call validation.
+    The restarts advance together, one Gram product per step, and each draws
+    from its own Generator in the order a lone restart would.  The draw is
+    the inverse CDF that Generator.choice(n, p=D^2 / sum) takes, one
+    rng.random() against the normalized cumulative sum, without choice's
+    per-call validation.
     """
     n = points.shape[0]
     points_sq = _row_sq(points)
-    chosen = [int(rng.integers(0, n))]
-    closest = np.full(n, np.inf)
-    for _ in range(1, k):
-        np.minimum(closest, _sq_dists_to_row(points, points_sq, chosen[-1]), out=closest)
-        total = closest.sum()
-        if total <= 0.0:
-            chosen.append(int(rng.integers(0, n)))
-            continue
-        cdf = np.cumsum(closest / total)
-        cdf /= cdf[-1]
-        chosen.append(int(cdf.searchsorted(rng.random(), side="right")))
+    chosen = np.empty((len(rngs), k), dtype=np.intp)
+    chosen[:, 0] = [rng.integers(0, n) for rng in rngs]
+    closest = np.full((len(rngs), n), np.inf)
+    for j in range(1, k):
+        np.minimum(closest, _sq_dists_to_rows(points, points_sq, chosen[:, j - 1]), out=closest)
+        totals = closest.sum(axis=1)
+        live = totals > 0.0  # a restart whose weights are all 0 draws uniformly
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cdf = np.cumsum(closest / totals[:, None], axis=1)
+            cdf /= cdf[:, -1:]
+        draws = np.array([rng.random() if ok else rng.integers(0, n) for rng, ok in zip(rngs, live)])
+        # on a nondecreasing cdf, the count of entries <= u is searchsorted(u, side="right")
+        chosen[:, j] = np.where(live, (cdf <= draws[:, None]).sum(axis=1), draws)
     return points[chosen]
 
 
 def _lloyd(points: np.ndarray, init_centers: np.ndarray, max_iters: int, tol: float):
-    centers = init_centers.copy()
-    k = centers.shape[0]
+    """Lloyd iterations of R restarts in lockstep, from (R, k, dim) initial centers.
+
+    Returns (assign (R, n), centers (R, k, dim), inertia (R,)), each restart as
+    if run alone.  A restart leaves the active set once it converges.  A
+    cluster whose member set is the one its mean was taken over keeps that
+    mean; the others are re-summed from their members in point order, so
+    every center is bit for bit the masked members.mean(axis=0).
+    """
+    n_restarts, k, dim = init_centers.shape
     points_sq = _row_sq(points)
-    assign = np.argmin(_gram_sq_dists(points, points_sq, centers), axis=1)
+    out_assign = np.empty((n_restarts, len(points)), dtype=np.intp)
+    out_centers = np.empty_like(init_centers)
+    # state of the active restarts: their indices, centers, assignments, the
+    # assignment their means were taken over, and which centers are such means
+    ids = np.arange(n_restarts)
+    centers = init_centers.copy()
+    assign = _gram_sq_dists(points, points_sq, centers).argmin(axis=2)
+    taken_over = assign
+    is_mean = np.zeros((n_restarts, k), dtype=bool)
     for _ in range(max_iters):
-        # each cluster's members as one contiguous slice, in point order, so
-        # slice.sum / count is bit for bit the masked members.mean(axis=0)
-        counts = np.bincount(assign, minlength=k)
-        ends = np.cumsum(counts)
-        grouped = points[np.argsort(assign, kind="stable")]
+        moved_r, moved_i = np.nonzero(assign != taken_over)
+        dirty = ~is_mean
+        dirty[moved_r, assign[moved_r, moved_i]] = True
+        dirty[moved_r, taken_over[moved_r, moved_i]] = True
+        # cluster c of active restart j is key j * k + c; the members of the
+        # re-summed keys, grouped by key, each key's in point order
+        keys = (assign + k * np.arange(len(ids))[:, None]).ravel()
+        counts = np.bincount(keys, minlength=len(ids) * k)
+        resum = dirty.ravel() & (counts > 0)
+        members = np.flatnonzero(resum[keys])
+        members = members[np.argsort(keys[members], kind="stable")] % len(points)
+        ends = np.cumsum(counts * resum)
+        lo, hi = (ends - counts).tolist(), ends.tolist()
         new_centers = centers.copy()
-        for c in np.flatnonzero(counts):
-            new_centers[c] = grouped[ends[c] - counts[c] : ends[c]].sum(axis=0) / counts[c]
-        # empty-cluster repair: farthest point from its center becomes a singleton
-        if not counts.all():
-            # one ranking serves every empty cluster: a repair only moves the
-            # picked point, which `taken` already excludes
-            diff = points - new_centers[assign]
-            order = np.argsort(-_row_sq(diff), kind="stable")
-            taken: set[int] = set()
-            for c in np.flatnonzero(counts == 0):
-                pick = next(int(i) for i in order if int(i) not in taken)
-                taken.add(pick)
-                new_centers[c] = points[pick]
-                assign[pick] = c
-        shift = np.linalg.norm(new_centers - centers, axis=1)
-        scale = 1.0 + np.linalg.norm(centers, axis=1)
-        converged = bool(np.all(shift < tol * scale))
-        centers = new_centers
-        assign = np.argmin(_gram_sq_dists(points, points_sq, centers), axis=1)
-        if converged:
-            break
-    residual = points - centers[assign]
-    inertia = float(_row_sq(residual).sum())
-    return assign, centers, inertia
+        flat = new_centers.reshape(-1, dim)
+        for key in np.flatnonzero(resum).tolist():
+            flat[key] = points[members[lo[key] : hi[key]]].sum(axis=0)
+        flat[resum] /= counts[resum, None]
+        is_mean = (counts > 0).reshape(-1, k)
+        # empty-cluster repair: the farthest points from their centers become
+        # singletons, in descending order of distance
+        for j in np.flatnonzero(~is_mean.all(axis=1)):
+            empty = np.flatnonzero(~is_mean[j])
+            diff = points - new_centers[j][assign[j]]
+            new_centers[j, empty] = points[np.argsort(-_row_sq(diff), kind="stable")[: len(empty)]]
+        shift = np.linalg.norm(new_centers - centers, axis=2)
+        scale = 1.0 + np.linalg.norm(centers, axis=2)
+        converged = np.all(shift < tol * scale, axis=1)
+        centers, taken_over = new_centers, assign
+        assign = _gram_sq_dists(points, points_sq, centers).argmin(axis=2)
+        if converged.any():
+            done, keep = ids[converged], ~converged
+            out_assign[done], out_centers[done] = assign[converged], centers[converged]
+            ids, centers, assign, taken_over, is_mean = (
+                ids[keep], centers[keep], assign[keep], taken_over[keep], is_mean[keep]
+            )
+            if not len(ids):
+                break
+    out_assign[ids], out_centers[ids] = assign, centers
+    inertia = np.array([float(_row_sq(points - c[a]).sum()) for a, c in zip(out_assign, out_centers)])
+    return out_assign, out_centers, inertia
 
 
 def kmeans(points, config: KMeansConfig):
     """Best-of-restarts k-means.
 
-    Returns (assignments, centers, inertia); assignments map each point to
-    its nearest returned center.  When k exceeds the number of distinct
-    points, runs with that smaller count instead (degrade rule).
+    Returns (assignments, centers, inertia) of the first restart with the
+    lowest inertia; assignments map each point to its nearest returned
+    center.  When k exceeds the number of distinct points, runs with that
+    smaller count instead (degrade rule).
     """
     config.validate()
     points = np.asarray(points, dtype=np.float64)
@@ -176,13 +218,17 @@ def kmeans(points, config: KMeansConfig):
         inertia = float(((points - center) ** 2).sum())
         return assign, center, inertia
 
+    block = max(1, KMEANS_BLOCK // (len(points) * k))
     best = None
-    for restart in range(config.n_restarts):
-        rng = np.random.default_rng(stable_seed(config.seed, "kmeans", restart))
-        init = _kmeanspp_init(points, k, rng)
-        assign, centers, inertia = _lloyd(points, init, config.max_iters, config.tol)
-        if best is None or inertia < best[2]:
-            best = (assign, centers, inertia)
+    for lo in range(0, config.n_restarts, block):
+        rngs = [
+            np.random.default_rng(stable_seed(config.seed, "kmeans", restart))
+            for restart in range(lo, min(lo + block, config.n_restarts))
+        ]
+        assign, centers, inertia = _lloyd(points, _kmeanspp_init(points, k, rngs), config.max_iters, config.tol)
+        r = int(np.argmin(inertia))
+        if best is None or inertia[r] < best[2]:
+            best = (assign[r].copy(), centers[r].copy(), float(inertia[r]))
     return best
 
 
@@ -232,7 +278,7 @@ def run_to_dict(run: ClusteringRun) -> dict:
         "per_speaker": {
             spk: {
                 "assignments": dict(sorted(sc.assignments.items())),
-                "centers": [[float(v) for v in row] for row in sc.centers],
+                "centers": sc.centers.tolist(),
                 "inertia": float(sc.inertia),
                 "effective_k": sc.effective_k,
                 "seed_used": sc.seed_used,

@@ -6,6 +6,7 @@ floats printed with 17 significant digits (enough to round-trip a double).
 """
 
 import hashlib
+import math
 
 
 def format_float(x: float) -> str:
@@ -16,6 +17,15 @@ def format_float(x: float) -> str:
         # keep a trailing .0 so the value reads back as a float
         return f"{x:.1f}"
     return format(x, ".17g")
+
+
+def _format_floats(values: list) -> str:
+    """format_float over a list of floats, joined by commas: one %-format
+    call for the whole list unless a value is integral or non-finite."""
+    if all(map(math.isfinite, values)) and not any(map(float.is_integer, values)):
+        # "%.17g" prints the digits of format(x, ".17g")
+        return ",".join(["%.17g"] * len(values)) % tuple(values)
+    return ",".join(map(format_float, values))
 
 
 def _encode(obj, out: list[str]) -> None:
@@ -47,6 +57,8 @@ def _encode(obj, out: list[str]) -> None:
             _encode(obj[key], out)
             first = False
         out.append("}")
+    elif type(obj) is list and obj and set(map(type, obj)) == {float}:
+        out.append("[" + _format_floats(obj) + "]")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):

@@ -1,15 +1,22 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from emocluster import clustering
+from emocluster.cli import main
 from emocluster.clustering import (
+    KMEANS_BLOCK,
     KMeansConfig,
     _kmeanspp_init,
     _gram_sq_dists,
     _lloyd,
     _row_sq,
-    _sq_dists_to_row,
+    _sq_dists_to_rows,
     center_distances,
     cluster_speakers,
     kmeans,
@@ -87,7 +94,6 @@ def test_k_exceeding_distinct_points_degrades():
 
 
 def test_inertia_nonnegative_and_best_of_restarts():
-    from emocluster.clustering import _kmeanspp_init, _lloyd
     from emocluster.serialize import stable_seed
 
     rng = np.random.default_rng(21)
@@ -99,8 +105,8 @@ def test_inertia_nonnegative_and_best_of_restarts():
     singles = []
     for restart in range(config.n_restarts):
         restart_rng = np.random.default_rng(stable_seed(config.seed, "kmeans", restart))
-        init = _kmeanspp_init(points, 3, restart_rng)
-        singles.append(_lloyd(points, init, config.max_iters, config.tol)[2])
+        init = _kmeanspp_init(points, 3, [restart_rng])
+        singles.append(_lloyd(points, init, config.max_iters, config.tol)[2][0])
     assert best == pytest.approx(min(singles), abs=1e-12)
     assert all(best <= s + 1e-12 for s in singles)
 
@@ -215,9 +221,9 @@ def test_lloyd_inertia_monotone_within_restart():
     rng = np.random.default_rng(17)
     points = rng.normal(size=(120, 4))
     for restart_seed in range(5):
-        init = _kmeanspp_init(points, 4, np.random.default_rng(restart_seed))
+        init = _kmeanspp_init(points, 4, [np.random.default_rng(restart_seed)])
         # with tol=0 the loop never stops early, so max_iters=i yields the inertia after i iterations
-        trace = [_lloyd(points, init, max_iters=i, tol=0.0)[2] for i in range(1, 101)]
+        trace = [_lloyd(points, init, max_iters=i, tol=0.0)[2][0] for i in range(1, 101)]
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
 
@@ -244,8 +250,8 @@ def test_lloyd_inertia_is_direct_residual_sum():
     rng = np.random.default_rng(32)
     points = _unit_rows(rng, 200, 24)
     for restart_seed in range(5):
-        init = _kmeanspp_init(points, 6, np.random.default_rng(restart_seed))
-        assign, centers, inertia = _lloyd(points, init, max_iters=300, tol=1e-6)
+        init = _kmeanspp_init(points, 6, [np.random.default_rng(restart_seed)])
+        (assign,), (centers,), (inertia,) = _lloyd(points, init, max_iters=300, tol=1e-6)
         diff = points[:, None, :] - centers[None, :, :]
         exact = np.einsum("ijk,ijk->ij", diff, diff)
         assert inertia == pytest.approx(float(exact[np.arange(len(points)), assign].sum()), rel=1e-9)
@@ -291,7 +297,7 @@ def test_empty_cluster_repair_fills_every_cluster(duplicates):
     k = len(init)
     assert np.sum(np.bincount(np.argmin(_gram_sq_dists(points, _row_sq(points), init), axis=1), minlength=k) == 0) == duplicates
     for max_iters in (1, 2, 300):
-        assign, centers, inertia = _lloyd(points, init, max_iters=max_iters, tol=1e-6)
+        (assign,), (centers,), (inertia,) = _lloyd(points, init[None], max_iters=max_iters, tol=1e-6)
         assert np.all(np.bincount(assign, minlength=k) > 0)
         ref = _lloyd_repair_per_cluster(points, init, max_iters, 1e-6)
         assert np.array_equal(assign, ref[0]) and np.array_equal(centers, ref[1]) and inertia == ref[2]
@@ -314,11 +320,12 @@ def _seeding_sets():
 def test_kmeanspp_init_matches_exact_oracle(points, k):
     # a point and its duplicates weigh exactly 0 once it is a center
     points_sq = np.einsum("ij,ij->i", points, points)
-    for i in range(0, len(points), 7):
-        d = _sq_dists_to_row(points, points_sq, i)
+    rows = np.arange(0, len(points), 7)
+    for i, d in zip(rows, _sq_dists_to_rows(points, points_sq, rows)):
         assert np.array_equal(d == 0.0, (points == points[i]).all(axis=1))
-    for seed in range(5):
-        centers = _kmeanspp_init(points, k, np.random.default_rng(seed))
+    # five restarts seeded in lockstep, each checked against its own exact run
+    stacked = _kmeanspp_init(points, k, [np.random.default_rng(seed) for seed in range(5)])
+    for seed, centers in enumerate(stacked):
         assert np.array_equal(centers, exact_kmeanspp_init(points, k, np.random.default_rng(seed)))
         # a chosen point weighs exactly 0 afterwards, so no center repeats
         assert len(np.unique(centers, axis=0)) == k
@@ -350,6 +357,100 @@ def test_lloyd_centers_are_masked_means_bit_for_bit(dim, repair):
         init = np.concatenate([init[:1], init])
         assert np.any(np.bincount(np.argmin(_gram_sq_dists(points, _row_sq(points), init), axis=1), minlength=len(init)) == 0)
     for max_iters in (1, 2, 300):
-        assign, centers, inertia = _lloyd(points, init, max_iters=max_iters, tol=1e-6)
+        (assign,), (centers,), (inertia,) = _lloyd(points, init[None], max_iters=max_iters, tol=1e-6)
         ref = _lloyd_repair_per_cluster(points, init, max_iters, 1e-6)
         assert np.array_equal(assign, ref[0]) and np.array_equal(centers, ref[1]) and inertia == ref[2]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 60),
+    dim=st.sampled_from([1, 2, 5, 48]),
+    k=st.integers(2, 6),
+    n_seeded=st.integers(1, 6),
+    max_iters=st.sampled_from([1, 2, 3, 300]),
+    tol=st.sampled_from([0.0, 1e-6, 1e-2]),
+)
+@settings(max_examples=60, deadline=None)
+def test_lockstep_restarts_equal_lone_restarts(seed, n, dim, k, n_seeded, max_iters, tol):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, dim))
+    if rng.random() < 0.5:
+        points = points[rng.integers(0, n, size=n)]  # duplicates
+    k = min(k, len(np.unique(points, axis=0)))
+    rngs = lambda: [np.random.default_rng([seed, r]) for r in range(n_seeded)]
+    seeded = _kmeanspp_init(points, k, rngs())
+    for centers, lone_rng in zip(seeded, rngs()):
+        assert np.array_equal(centers, _kmeanspp_init(points, k, [lone_rng])[0])
+    # a repeated center stays empty after the first assignment, so the first and
+    # the last restart repair; the member means of a converged run converge in
+    # one iteration when tol > 0, the k-means++ restarts later
+    repeated = seeded[:, [0, *range(k - 1)]]
+    assign = _lloyd(points, seeded[:1], 300, 1e-6)[0][0]
+    means = np.stack([points[assign == c].mean(axis=0) if np.any(assign == c) else seeded[0][c] for c in range(k)])
+    inits = np.concatenate([repeated[:1], means[None], seeded, repeated[-1:]])
+    stacked = _lloyd(points, inits, max_iters, tol)
+    for r, init in enumerate(inits):
+        lone = _lloyd(points, init[None], max_iters, tol)
+        for got, want in zip(stacked, lone):
+            assert np.array_equal(got[r], want[0])
+
+
+def test_restart_blocks_do_not_change_the_result(monkeypatch):
+    rng = np.random.default_rng(38)
+    points = _unit_rows(rng, 150, 12)
+    config = KMeansConfig(k=7, n_restarts=11, seed=4)
+    whole = kmeans(points, config)
+    for floats in (1, 150 * 7 * 3):  # one restart per block, and three
+        monkeypatch.setattr(clustering, "KMEANS_BLOCK", floats)
+        blocked = kmeans(points, config)
+        assert np.array_equal(blocked[0], whole[0]) and np.array_equal(blocked[1], whole[1]) and blocked[2] == whole[2]
+
+
+def test_restart_memory_is_bounded_by_the_block():
+    # 200 restarts' (n, 200 * k) distances alone would take 64 MB
+    points = _unit_rows(np.random.default_rng(39), 2000, 192)
+    tracemalloc.start()
+    try:
+        kmeans(points, KMeansConfig(k=20, n_restarts=200, max_iters=3, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * KMEANS_BLOCK * 8
+
+
+def _write_degenerate_corpus(path):
+    # speaker "dup" has 3 distinct vectors under 9 utterances, so k=4 degrades;
+    # speaker "rat" has 12 distinct rational vectors
+    basis = [[0.6, 0.8, 0.0], [0.0, 0.6, 0.8], [0.8, 0.0, 0.6]]
+    rows = [{"utt_id": f"dup{i:02d}", "spk_id": "dup", "emotion": f"e{i % 2}", "vec": basis[i % 3]} for i in range(9)]
+    rows += [
+        {"utt_id": f"rat{i:02d}", "spk_id": "rat", "emotion": f"e{i % 3}",
+         "vec": [float(i % 5 - 2), (i * 7 % 11) / 11, 1.0 + i / 8]}
+        for i in range(12)
+    ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+
+def _write_synthetic_corpus(path):
+    argv = ["gen-synth", "--n-speakers", "3", "--n-emotions", "3", "--utts-per-cell", "5", "--dim", "6", "--seed", "3"]
+    assert main([*argv, "--out", str(path)]) == 0
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize(
+    "write_corpus, flags, digest",
+    [
+        (_write_synthetic_corpus, ["--k", "4", "--seed", "11"],
+         "c621d9ae12a768e6d552d03186c3e7ac9f8a127abb0635f1ab041eeb9e28c1b4"),
+        (_write_degenerate_corpus, ["--k", "4", "--restarts", "3", "--seed", "2"],
+         "9c923a11a3b71806dd72a71d38dd09c81537a53763e3a7fe84b3ca4f7e193be2"),
+    ],
+    ids=["synthetic", "degenerate"],
+)
+def test_cluster_run_file_is_pinned(tmp_path, write_corpus, flags, digest):
+    # the run files that one Lloyd run per restart wrote
+    corpus, run = tmp_path / "corpus.jsonl", tmp_path / "run.json"
+    write_corpus(corpus)
+    assert main(["cluster", "--corpus", str(corpus), *flags, "--out", str(run)]) == 0
+    assert hashlib.sha256(run.read_bytes()).hexdigest() == digest

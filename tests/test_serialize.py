@@ -25,6 +25,21 @@ def test_float_round_trips_exactly(x):
     assert float(format_float(x)) == x
 
 
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-5, 5).map(float)), min_size=1))
+@settings(max_examples=300, deadline=None)
+def test_float_list_formats_as_each_float(values):
+    # one format call for the list prints the digits of one format_float per value
+    assert canonical_dumps(values) == "[" + ",".join(format_float(v) for v in values) + "]"
+    assert canonical_dumps([values]) == "[" + canonical_dumps(values) + "]"
+
+
+def test_float_list_keeps_integral_and_nonfinite_rules():
+    assert canonical_dumps([0.5, -0.0, 3.0, 1e16, 0.1]) == "[0.5,-0.0,3.0,10000000000000000,0.10000000000000001]"
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            canonical_dumps({"vec": [0.25, bad]})
+
+
 def test_nonfinite_rejected():
     with pytest.raises(ValueError):
         format_float(float("nan"))
