@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .cluster_metrics import evaluate_run, report_to_dict, report_to_table
-from .clustering import ClusteringRun, KMeansConfig, SpeakerClustering, cluster_speakers, run_from_dict, run_to_dict
+from .clustering import ClusteringRun, KMeansConfig, cluster_speakers, run_from_dict, run_to_dict, speaker_rows
 from .corpus import (
     Corpus,
     CorpusError,
@@ -106,34 +106,11 @@ def _load_run(path: str, corpus: Corpus) -> ClusteringRun:
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise CorpusError(f"{path}: ill-typed value in clustering run ({exc})") from exc
     for spk_id in sorted(run.per_speaker):
-        problem = _clustering_mismatch(run.per_speaker[spk_id], spk_id, corpus)
-        if problem:
-            raise CorpusError(f"{path}: speaker {spk_id!r}: {problem}")
+        try:
+            speaker_rows(run.per_speaker[spk_id], spk_id, corpus)
+        except ValueError as exc:
+            raise CorpusError(f"{path}: {exc}") from exc
     return run
-
-
-def _clustering_mismatch(sc: SpeakerClustering, spk_id: str, corpus: Corpus) -> str | None:
-    """The first way one speaker's clustering does not fit the corpus, or None:
-    centers that are not finite rows of the corpus's dimension, an assignment
-    outside [0, len(centers)), or clustered utterances other than exactly the
-    speaker's utterances in the corpus."""
-    centers = sc.centers
-    if centers.ndim != 2 or centers.shape[1] != corpus.dim:
-        return f"centers have shape {centers.shape}, not (k, {corpus.dim})"
-    bad = np.flatnonzero(~np.isfinite(centers).all(axis=1))
-    if bad.size:
-        return f"center {bad[0]} is not finite"
-    for utt_id, cluster in sorted(sc.assignments.items()):
-        if not 0 <= cluster < len(centers):
-            return f"utterance {utt_id!r} has cluster {cluster}, not one of its {len(centers)} centers"
-    own = {corpus.utt_ids[i] for i in corpus.speakers.get(spk_id, ())}
-    extra = sorted(set(sc.assignments) - own)
-    if extra:
-        return f"clustered utterance {extra[0]!r} is not one of the speaker's utterances in the corpus"
-    missing = sorted(own - set(sc.assignments))
-    if missing:
-        return f"the speaker's utterance {missing[0]!r} is not clustered"
-    return None
 
 
 # ------------------------------------------------------------------- commands

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import GRAM_RECHECK, ClusteringRun
+from .clustering import GRAM_RECHECK, ClusteringRun, speaker_rows
 from .corpus import Corpus
 from .serialize import aligned_table
 
@@ -168,7 +168,8 @@ def silhouette(points, cluster_labels) -> float:
 
 
 def evaluate_run(run: ClusteringRun, corpus: Corpus) -> ClusterMetricsReport:
-    """All four metrics per speaker plus unweighted speaker averages.
+    """All four metrics per speaker plus unweighted speaker averages.  A
+    clustering that does not fit the corpus raises speaker_rows' ValueError.
 
     Utterances without an emotion label are excluded, with one warning per
     speaker that counts them; a speaker left with fewer than 2 labeled
@@ -178,23 +179,15 @@ def evaluate_run(run: ClusteringRun, corpus: Corpus) -> ClusterMetricsReport:
     """
     per_speaker: dict[str, dict[str, float | None]] = {}
     for spk in sorted(run.per_speaker):
-        sc = run.per_speaker[spk]
-        clusters, emotions, rows = [], [], []
-        unlabeled = 0
-        for utt_id in sorted(sc.assignments):
-            row = corpus.row_of.get(utt_id)
-            if row is None:
-                raise ValueError(f"clustered utterance {utt_id!r} missing from corpus")
-            if corpus.emotions[row] is None:
-                unlabeled += 1
-                continue
-            clusters.append(sc.assignments[utt_id])
-            emotions.append(corpus.emotions[row])
-            rows.append(row)
+        rows, clusters = speaker_rows(run.per_speaker[spk], spk, corpus)
+        labeled = [i for i, row in enumerate(rows) if corpus.emotions[row] is not None]
+        unlabeled = len(rows) - len(labeled)
         if unlabeled:
             warnings.warn(
                 f"speaker {spk!r}: {unlabeled} utterance(s) without an emotion label excluded", stacklevel=2
             )
+        rows, clusters = [rows[i] for i in labeled], [clusters[i] for i in labeled]
+        emotions = [corpus.emotions[row] for row in rows]
         if len(clusters) < 2:
             warnings.warn(f"speaker {spk!r} has < 2 labeled utterances; dropped", stacklevel=2)
             continue

@@ -20,6 +20,9 @@ was taken, each from its members in point order, which is bit for bit the
 masked per-cluster mean.  Restarts run in blocks whose (n, block * k)
 distances take at most KMEANS_BLOCK floats, so memory does not grow with
 the restart count.
+
+speaker_rows is the one check that a speaker's clustering fits a corpus;
+mining, the cluster metrics and the CLI's run loader read runs through it.
 """
 
 import math
@@ -209,8 +212,8 @@ def kmeans(points, config: KMeansConfig):
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError("points must be a nonempty (n, dim) array")
-    n_distinct = len(np.unique(points, axis=0))
-    k = min(config.k, n_distinct)
+    # + 0.0 turns -0.0 into 0.0, so equal rows have equal bytes
+    k = min(config.k, len({row.tobytes() for row in points + 0.0}))
 
     if k == 1:
         center = points.mean(axis=0, keepdims=True)
@@ -245,12 +248,11 @@ def cluster_speaker(corpus: Corpus, spk_id: str, config: KMeansConfig) -> Speake
             f" (of {len(rows)}); degrading",
             stacklevel=2,
         )
-    effective_k = int(len(np.unique(assign)))
     return SpeakerClustering(
         assignments={corpus.utt_ids[i]: int(a) for i, a in zip(rows, assign)},
         centers=centers,
         inertia=inertia,
-        effective_k=effective_k,
+        effective_k=int(np.count_nonzero(np.bincount(assign))),
         seed_used=seed,
     )
 
@@ -262,6 +264,42 @@ def cluster_speakers(corpus: Corpus, config: KMeansConfig) -> ClusteringRun:
     speakers = list(corpus.speakers)
     clusterings = fork_map(lambda spk_id: cluster_speaker(corpus, spk_id, config), speakers)
     return ClusteringRun(per_speaker=dict(zip(speakers, clusterings)), config=config)
+
+
+def speaker_rows(sc: SpeakerClustering, spk_id: str, corpus: Corpus) -> tuple[list[int], list[int]]:
+    """The corpus rows of one speaker's clustered utterances, in utt_id order,
+    and their clusters.  Raises ValueError("speaker '<id>': ...") at the first
+    misfit: centers that are not finite rows of the corpus's dimension; then,
+    utterance by utterance, a cluster outside [0, len(centers)), an utterance
+    the corpus lacks or one of another speaker; last, one left unclustered."""
+    where = f"speaker {spk_id!r}"
+    centers = sc.centers
+    if centers.ndim != 2 or centers.shape[1] != corpus.dim:
+        raise ValueError(f"{where}: centers have shape {centers.shape}, not (k, {corpus.dim})")
+    bad = np.flatnonzero(~np.isfinite(centers).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{where}: center {bad[0]} is not finite")
+    rows, clusters = [], []
+    for utt_id in sorted(sc.assignments):
+        cluster = sc.assignments[utt_id]
+        if not 0 <= cluster < len(centers):
+            raise ValueError(
+                f"{where}: utterance {utt_id!r} has cluster {cluster}, not one of its {len(centers)} centers"
+            )
+        row = corpus.row_of.get(utt_id)
+        if row is None:
+            raise ValueError(f"{where}: clustered utterance {utt_id!r} missing from corpus")
+        if corpus.spk_ids[row] != spk_id:
+            raise ValueError(
+                f"{where}: clustered utterance {utt_id!r} is not one of the speaker's utterances in the corpus"
+            )
+        rows.append(row)
+        clusters.append(cluster)
+    own = corpus.speakers.get(spk_id, ())
+    if len(rows) != len(own):  # the rows are distinct rows of the speaker's, so equal counts mean all
+        missing = min(corpus.utt_ids[row] for row in own if corpus.utt_ids[row] not in sc.assignments)
+        raise ValueError(f"{where}: the speaker's utterance {missing!r} is not clustered")
+    return rows, clusters
 
 
 def center_distances(clustering: SpeakerClustering) -> np.ndarray:

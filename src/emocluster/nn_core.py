@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .serialize import canonical_dumps
+
 ACTIVATIONS = ("relu", "tanh", "identity")
 
 
@@ -242,8 +244,6 @@ def save_checkpoint(path: str, components: dict[str, ModelParams], meta: dict) -
     The blob is little-endian float64, components in sorted name order,
     each layer's W (row-major) then b.
     """
-    from .serialize import canonical_dumps
-
     manifest = {
         "format": "emocluster-checkpoint-v1",
         "blob": "f8-little-endian",

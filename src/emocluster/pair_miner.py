@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClusteringRun, SpeakerClustering, center_distances
+from .clustering import ClusteringRun, SpeakerClustering, center_distances, speaker_rows
 from .corpus import Corpus
 from .serialize import canonical_dumps, stable_seed
 
@@ -62,28 +62,22 @@ def ranked_negative_clusters(dist_row: np.ndarray, own_cluster: int, populated: 
     return sorted(others, key=lambda c: (-dist_row[c], c))
 
 
-def mine_speaker(sc: SpeakerClustering, corpus: Corpus, config: MiningConfig, counts: Counter):
+def mine_speaker(sc: SpeakerClustering, spk_id: str, corpus: Corpus, config: MiningConfig, counts: Counter):
     """One speaker's tuples as corpus-row columns, anchors in utt_id order.
 
     Returns the anchor rows (T,), the positive rows (T,), and the (T, W)
     negative rows with their (T, W) source clusters: every anchor of a
     speaker has a window of W = min(N/2, populated clusters - 1).  Skipped
-    anchors are added to `counts` under the keys `mine_tuples` reports.  An
-    assignment outside [0, len(centers)) raises ValueError naming the first.
+    anchors are added to `counts` under the keys `mine_tuples` reports.  A
+    clustering that does not fit the corpus raises speaker_rows' ValueError.
     """
-    missing = [u for u in sc.assignments if u not in corpus.row_of]
-    if missing:
-        raise ValueError(f"clustered utterances missing from corpus: {missing[:3]}")
-    utts = sorted(sc.assignments)
+    rows, clusters = speaker_rows(sc, spk_id, corpus)
     members: dict[int, list[int]] = {}  # cluster -> its utterances' corpus rows, in utt_id order
-    for utt_id in utts:
-        cluster = sc.assignments[utt_id]
-        if not 0 <= cluster < len(sc.centers):
-            raise ValueError(f"utterance {utt_id!r} has cluster {cluster}, not one of the {len(sc.centers)} centers")
-        members.setdefault(cluster, []).append(corpus.row_of[utt_id])
+    for row, cluster in zip(rows, clusters):
+        members.setdefault(cluster, []).append(row)
     populated = set(members)
     if len(populated) < 2:
-        counts["skipped_too_few_clusters"] += len(utts)
+        counts["skipped_too_few_clusters"] += len(rows)
         none = np.empty(0, dtype=np.intp)
         return none, none, none.reshape(0, 0), none.reshape(0, 0)
     # the negative window depends only on the anchor's cluster
@@ -93,9 +87,8 @@ def mine_speaker(sc: SpeakerClustering, corpus: Corpus, config: MiningConfig, co
     width = min(config.negatives_per_anchor, len(populated) - 1)
     position = {row: p for group in members.values() for p, row in enumerate(group)}
 
-    anchors, positives, negatives, clusters = [], [], [], []
-    for utt_id in utts:
-        own = sc.assignments[utt_id]
+    anchors, positives, negatives, sources = [], [], [], []
+    for row, own in zip(rows, clusters):
         group = members[own]
         if len(group) == 1:
             counts["skipped_singleton"] += 1
@@ -103,8 +96,7 @@ def mine_speaker(sc: SpeakerClustering, corpus: Corpus, config: MiningConfig, co
         if not config.allow_fewer_negatives and width < config.negatives_per_anchor:
             counts["skipped_short_window"] += 1
             continue
-        row = corpus.row_of[utt_id]
-        rng = np.random.default_rng(stable_seed(config.seed, "mine", utt_id))
+        rng = np.random.default_rng(stable_seed(config.seed, "mine", corpus.utt_ids[row]))
         # a uniform draw over the cluster's other members, skipping the anchor's
         # slot; then one member of each window cluster, drawn in a single call
         j = int(rng.integers(len(group) - 1))
@@ -112,13 +104,13 @@ def mine_speaker(sc: SpeakerClustering, corpus: Corpus, config: MiningConfig, co
         anchors.append(row)
         positives.append(group[j + (j >= position[row])])
         negatives.append([members[c][k] for c, k in zip(window[own], picks)])
-        clusters.append(window[own])
+        sources.append(window[own])
     shape = (len(anchors), width)
     return (
         np.array(anchors, dtype=np.intp),
         np.array(positives, dtype=np.intp),
         np.array(negatives, dtype=np.intp).reshape(shape),
-        np.array(clusters, dtype=np.intp).reshape(shape),
+        np.array(sources, dtype=np.intp).reshape(shape),
     )
 
 
@@ -144,7 +136,7 @@ def mine_tuples(
     ids = corpus.utt_ids
     tuples: list[ContrastiveTuple] = []
     for spk in sorted(run.per_speaker):
-        columns = mine_speaker(run.per_speaker[spk], corpus, config, counts)
+        columns = mine_speaker(run.per_speaker[spk], spk, corpus, config, counts)
         for anchor, positive, negatives, clusters in zip(*(c.tolist() for c in columns)):
             tuples.append(
                 ContrastiveTuple(

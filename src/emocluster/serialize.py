@@ -6,6 +6,7 @@ floats printed with 17 significant digits (enough to round-trip a double).
 """
 
 import hashlib
+import json
 import math
 
 
@@ -41,8 +42,6 @@ def _encode(obj, out: list[str]) -> None:
         out.append(format_float(obj))
     elif isinstance(obj, str):
         # json string escaping, delegated to the stdlib for correctness
-        import json
-
         out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, dict):
         out.append("{")

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .clustering import KMeansConfig, cluster_speaker
-from .corpus import Corpus, is_normalized, strip_labels, warn_if_unnormalized
+from .corpus import Corpus, is_normalized, length_normalize, strip_labels, warn_if_unnormalized
 from .nn_core import (
     ModelParams,
     adamw_step,
@@ -218,7 +218,7 @@ def _tuple_pools(corpus: Corpus, n_clusters: int, seeds: list[int]) -> list[tupl
         seed, spk_id = key
         kmeans = KMeansConfig(k=n_clusters, seed=stable_seed(seed, "pretrain_cluster"))
         mining = MiningConfig(n_clusters_N=n_clusters, seed=seed)
-        return mine_speaker(cluster_speaker(corpus, spk_id, kmeans), corpus, mining, Counter())[:3]
+        return mine_speaker(cluster_speaker(corpus, spk_id, kmeans), spk_id, corpus, mining, Counter())[:3]
 
     parts = fork_map(job, [(seed, spk_id) for seed in seeds for spk_id in speakers])
     pools = []
@@ -502,8 +502,6 @@ def run_protocol(
             raise ValueError(f"unknown mode {mode!r}")
         if mode in modes[:i]:
             raise ValueError(f"mode {mode!r} given twice")
-
-    from .corpus import length_normalize
 
     normalized = corpus if is_normalized(corpus) else length_normalize(corpus)
     if config.pretrain_speaker_fraction > 0.0:

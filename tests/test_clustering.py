@@ -22,8 +22,11 @@ from emocluster.clustering import (
     kmeans,
     run_from_dict,
     run_to_dict,
+    speaker_rows,
 )
+from emocluster.cluster_metrics import evaluate_run
 from emocluster.corpus import SynthSpec, generate_synthetic, length_normalize
+from emocluster.pair_miner import MiningConfig, mine_tuples
 from emocluster.serialize import canonical_dumps
 from oracles import exact_kmeanspp_init
 
@@ -91,6 +94,19 @@ def test_k_exceeding_distinct_points_degrades():
     assign, centers, inertia = kmeans(points, KMeansConfig(k=4, seed=0))
     assert centers.shape[0] == 2  # only 2 distinct points
     assert inertia == pytest.approx(0.0, abs=1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), dim=st.sampled_from([1, 2, 3, 8]))
+@settings(max_examples=80, deadline=None)
+def test_degrade_counts_distinct_points_as_np_unique(seed, n, dim):
+    # rows of tenths with repeats and zeros of both signs; with k = n, kmeans
+    # keeps one center per distinct row, and np.unique takes -0.0 == 0.0
+    rng = np.random.default_rng(seed)
+    points = np.round(rng.uniform(-0.3, 0.3, size=(n, dim)), 1)[rng.integers(0, n, size=n)]
+    zeros = rng.random(points.shape) < 0.25
+    points[zeros] = np.copysign(0.0, rng.standard_normal(zeros.sum()))
+    _, centers, _ = kmeans(points, KMeansConfig(k=n, n_restarts=1, max_iters=1))
+    assert len(centers) == len(np.unique(points, axis=0))
 
 
 def test_inertia_nonnegative_and_best_of_restarts():
@@ -454,3 +470,83 @@ def test_cluster_run_file_is_pinned(tmp_path, write_corpus, flags, digest):
     write_corpus(corpus)
     assert main(["cluster", "--corpus", str(corpus), *flags, "--out", str(run)]) == 0
     assert hashlib.sha256(run.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize(
+    "write_corpus, flags, digests",
+    [
+        (_write_synthetic_corpus, ["--k", "4", "--seed", "11"],
+         ("0849151560857f6ff1f02778b9c59690c0935585eb2b7ce3f625edbaf9800eef",
+          "f144a82b1594b4a447151dcefce85b731722a32cdbf4c47abb2579b0a71b7723")),
+        (_write_degenerate_corpus, ["--k", "4", "--restarts", "3", "--seed", "2"],
+         ("f17844f4356671b409dc1952b9d69196b46bb1d870c21afc81be54aeabe3a781",
+          "12fcfc2d764dc8335cdca7bf7471d237cfc9c331397e59f6b381d60bfec29b0f")),
+    ],
+    ids=["synthetic", "degenerate"],
+)
+def test_eval_clusters_report_is_pinned(tmp_path, write_corpus, flags, digests):
+    # the report and table eval-clusters wrote while each reader of a run kept its own checks
+    corpus, run, report, table = (tmp_path / name for name in ("corpus.jsonl", "run.json", "report.json", "report.txt"))
+    write_corpus(corpus)
+    assert main(["cluster", "--corpus", str(corpus), *flags, "--out", str(run)]) == 0
+    argv = ["eval-clusters", "--corpus", str(corpus), "--run", str(run), "--out", str(report), "--table", str(table)]
+    assert main(argv) == 0
+    assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (report, table)) == digests
+
+
+def _fitting_run():
+    corpus = length_normalize(generate_synthetic(SynthSpec(n_speakers=3, n_emotions=3, utts_per_cell=4, dim=6, seed=4)))
+    return corpus, cluster_speakers(corpus, KMeansConfig(k=4, seed=1))
+
+
+def test_speaker_rows_lists_the_speakers_rows_in_utt_id_order():
+    corpus, run = _fitting_run()
+    for spk, sc in run.per_speaker.items():
+        rows, clusters = speaker_rows(sc, spk, corpus)
+        assert [corpus.utt_ids[row] for row in rows] == sorted(sc.assignments)
+        assert clusters == [sc.assignments[corpus.utt_ids[row]] for row in rows]
+        assert sorted(rows) == corpus.speakers[spk]
+
+
+def _misfit(case: str, sc, other) -> str:
+    """Edit one speaker's clustering so that it no longer fits the corpus, and
+    return the entry the error then names after the speaker."""
+    first = sorted(sc.assignments)[0]
+    if case == "nan-center":
+        sc.centers[1, 0] = np.nan
+        return "center 1 is not finite"
+    if case == "centers-one-dim-short":
+        sc.centers = sc.centers[:, :-1]
+        return "centers have shape (4, 5), not (k, 6)"
+    if case.startswith("cluster"):
+        sc.assignments[first] = cluster = int(case[len("cluster"):])
+        return f"utterance {first!r} has cluster {cluster}, not one of its 4 centers"
+    if case == "utterance-left-out":
+        del sc.assignments[first]
+        return f"the speaker's utterance {first!r} is not clustered"
+    if case == "other-speakers-utterance":
+        utt = sorted(other.assignments)[0]
+        sc.assignments[utt] = 0
+        return f"clustered utterance {utt!r} is not one of the speaker's utterances in the corpus"
+    sc.assignments["nope"] = 0  # absent from the corpus
+    return "clustered utterance 'nope' missing from corpus"
+
+
+@pytest.mark.parametrize(
+    "read",
+    [lambda run, corpus: mine_tuples(run, corpus, MiningConfig(n_clusters_N=4)), evaluate_run],
+    ids=["mine_tuples", "evaluate_run"],
+)
+@pytest.mark.parametrize(
+    "case",
+    ["nan-center", "centers-one-dim-short", "cluster7", "cluster-1", "utterance-left-out",
+     "other-speakers-utterance", "absent-from-corpus"],
+)
+def test_misfit_clustering_raises_naming_speaker_and_entry(read, case):
+    corpus, run = _fitting_run()
+    spk, other = sorted(run.per_speaker)[1:3]
+    entry = _misfit(case, run.per_speaker[spk], run.per_speaker[other])
+    with pytest.raises(ValueError) as info:
+        read(run, corpus)
+    assert str(info.value) == f"speaker {spk!r}: {entry}"

@@ -187,7 +187,7 @@ def test_assignment_outside_the_centers_rejected(mined, cluster):
     sc = run.per_speaker[spk]
     utt = sorted(sc.assignments)[2]
     bad = replace(sc, assignments={**sc.assignments, utt: cluster})
-    with pytest.raises(ValueError, match=f"utterance {utt!r} has cluster {cluster}, not one of the 4 centers"):
+    with pytest.raises(ValueError, match=f"utterance {utt!r} has cluster {cluster}, not one of its 4 centers"):
         mine_tuples(replace(run, per_speaker={spk: bad}), corpus, config)
 
 
