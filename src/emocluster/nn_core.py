@@ -9,13 +9,18 @@ logits: the softmax belongs to the cross-entropy loss, not the network.
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .serialize import canonical_dumps
 
-ACTIVATIONS = ("relu", "tanh", "identity")
+# activation: (its value, in place on the pre-activation z; grad_a times its derivative, read off its output a)
+ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda grad_a, a: grad_a * (a > 0)),
+    "tanh": (lambda z: np.tanh(z, out=z), lambda grad_a, a: grad_a * (1.0 - a * a)),
+    "identity": (lambda z: z, lambda grad_a, a: grad_a),
+}
 
 
 @dataclass
@@ -81,59 +86,48 @@ def param_count(*models: ModelParams) -> int:
     return sum(l.W.size + l.b.size for model in models for l in model.layers)
 
 
-def flatten_params(*models: ModelParams) -> np.ndarray:
-    """Move every W and b of the models into one contiguous float64 buffer.
-
-    The layers keep views into the returned buffer, so an in-place update
-    of the buffer updates the models.  Order: models as given, each layer's
-    W (row-major) then b -- the order `backward` writes gradients in.
-    """
-    flat = np.empty(param_count(*models))
-    off = 0
+def flat_buffer(*models: ModelParams):
+    """An uninitialized float64 buffer for every W and b of the models (each
+    layer's W row-major, then b), and per model its layers' views into it."""
+    flat, views, off = np.empty(param_count(*models)), [], 0
     for model in models:
+        views.append([])
         for layer in model.layers:
-            for name in ("W", "b"):
-                arr = getattr(layer, name)
-                view = flat[off : off + arr.size].reshape(arr.shape)
-                view[...] = arr
-                setattr(layer, name, view)
-                off += arr.size
+            n, end = layer.W.size, off + layer.W.size + layer.b.size
+            views[-1].append((flat[off : off + n].reshape(layer.W.shape), flat[off + n : end]))
+            off = end
+    return flat, views
+
+
+def flatten_params(*models: ModelParams) -> np.ndarray:
+    """Move every W and b of the models into one `flat_buffer`; the layers
+    keep views into it, so an in-place update of the buffer updates the models."""
+    flat, views = flat_buffer(*models)
+    for model, model_views in zip(models, views):
+        for layer, (W, b) in zip(model.layers, model_views):
+            W[...], b[...] = layer.W, layer.b
+            layer.W, layer.b = W, b
     return flat
-
-
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(z, 0.0)
-    if activation == "tanh":
-        return np.tanh(z)
-    return z
-
-
-def _activation_backward(grad_a: np.ndarray, z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return grad_a * (z > 0)
-    if activation == "tanh":
-        t = np.tanh(z)
-        return grad_a * (1.0 - t * t)
-    return grad_a
 
 
 def forward(params: ModelParams, x: np.ndarray):
     """Run the stack on a (batch, input_dim) array.
 
-    Returns (output, cache); the cache keeps each layer's input and
-    pre-activation for the backward pass.
+    Returns (output, cache); the cache holds the input and each layer's
+    output, for the backward pass.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValueError(f"input shape {x.shape} does not match input_dim {params.input_dim}")
-    cache = []
-    a = x
+    return _forward(params, x)
+
+
+def _forward(params: ModelParams, x: np.ndarray):
+    """`forward` on a float64 batch whose shape the caller has checked."""
+    acts = [x]
     for layer in params.layers:
-        z = a @ layer.W.T + layer.b
-        cache.append((a, z))
-        a = _activate(z, layer.activation)
-    return a, cache
+        acts.append(ACTIVATIONS[layer.activation][0](acts[-1] @ layer.W.T + layer.b))
+    return acts[-1], acts
 
 
 def backward(params: ModelParams, cache, grad_out: np.ndarray):
@@ -142,23 +136,29 @@ def backward(params: ModelParams, cache, grad_out: np.ndarray):
     Returns (flat parameter gradient in `flatten_params` order, gradient
     wrt the input batch).
     """
-    if len(cache) != len(params.layers):
+    if len(cache) != len(params.layers) + 1:
         raise ValueError("cache does not match model layers")
-    flat = np.empty(param_count(params))
-    off = flat.size
     g = np.asarray(grad_out, dtype=np.float64)
+    shape = g.shape
+    for i in range(len(params.layers) - 1, -1, -1):
+        if shape != cache[i + 1].shape:
+            raise ValueError(f"layer {i}: gradient shape {shape} does not match {cache[i + 1].shape}")
+        shape = (shape[0], params.layers[i].W.shape[1])
+    flat, (views,) = flat_buffer(params)
+    return flat, _backward(params, cache, g, views)
+
+
+def _backward(params: ModelParams, acts, g: np.ndarray, grads, input_grad: bool = True):
+    """`backward` on a checked cache, into the layers' (dW, db) views in grads;
+    returns the input gradient, or None when input_grad is False."""
     for i in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[i]
-        x_in, z = cache[i]
-        if g.shape != z.shape:
-            raise ValueError(f"layer {i}: gradient shape {g.shape} does not match {z.shape}")
-        dz = _activation_backward(g, z, layer.activation)
-        off -= layer.b.size
-        dz.sum(axis=0, out=flat[off : off + layer.b.size])
-        off -= layer.W.size
-        np.matmul(dz.T, x_in, out=flat[off : off + layer.W.size].reshape(layer.W.shape))
-        g = dz @ layer.W
-    return flat, g
+        dz = ACTIVATIONS[layer.activation][1](g, acts[i + 1])
+        dW, db = grads[i]
+        dz.sum(axis=0, out=db)
+        np.matmul(dz.T, acts[i], out=dW)
+        g = dz @ layer.W if i or input_grad else None
+    return g
 
 
 # -------------------------------------------------------------------- optimizer
@@ -173,11 +173,12 @@ class OptimizerState:
     v: np.ndarray
     step: int
     lr: float
+    scratch: np.ndarray  # two work buffers for the update
 
 
 def init_optimizer(params: np.ndarray, lr: float) -> OptimizerState:
     """Zero moments shaped like the flat parameter buffer."""
-    return OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params), step=0, lr=lr)
+    return OptimizerState(np.zeros_like(params), np.zeros_like(params), 0, lr, np.empty((2, *params.shape)))
 
 
 def adamw_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray) -> None:
@@ -192,12 +193,16 @@ def adamw_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray) -> 
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
     m, v, p = state.m, state.v, params
+    s, r = state.scratch  # the terms below in the order lr * (m / bc1) / (sqrt(v / bc2) + eps)
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grads
+    m += np.multiply(grads, 1.0 - ADAM_BETA1, out=s)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grads * grads
-    p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    p -= state.lr * ADAM_WEIGHT_DECAY * p
+    v += np.multiply(np.multiply(grads, 1.0 - ADAM_BETA2, out=s), grads, out=s)
+    np.multiply(np.divide(m, bc1, out=s), state.lr, out=s)
+    np.sqrt(np.divide(v, bc2, out=r), out=r)
+    r += ADAM_EPS
+    p -= np.divide(s, r, out=s)
+    p -= np.multiply(p, state.lr * ADAM_WEIGHT_DECAY, out=s)
 
 
 # ------------------------------------------------------------------ grad check
@@ -214,7 +219,7 @@ def grad_check(loss_fn, params: np.ndarray, eps: float = 1e-5) -> float:
     if not 0 < eps < np.inf:
         raise ValueError(f"grad-check eps must be > 0 and finite, got {eps}")
     _, analytic = loss_fn()
-    analytic = np.asarray(analytic, dtype=np.float64)
+    analytic = np.array(analytic, dtype=np.float64)  # a copy: loss_fn may reuse its gradient buffer
     if params.ndim != 1 or analytic.shape != params.shape:
         raise ValueError(f"params {params.shape} and gradient {analytic.shape} must be matching flat vectors")
     worst = 0.0

@@ -30,22 +30,26 @@ def ntxent_variant(proj: np.ndarray, neg_mask: np.ndarray, tau: float, include_p
     Such rows get a zero gradient; with no anchor left the loss is 0.
 
     The batch is scored at once over the negatives' unit vectors padded
-    into a (B, M, P) block; d cos(a, y)/da is the closed form
+    into a (B, M, P) block (a reshape of the rows when no slot is padding);
+    d cos(a, y)/da is the closed form
     (y_hat - cos * a_hat) / |a| on the unit vectors.
     """
     if not tau > 0:
         raise ValueError("temperature must be > 0")
     B, M = neg_mask.shape
-    empty = np.flatnonzero(~neg_mask.any(axis=1))
-    if empty.size:
-        raise ValueError(f"anchor {empty[0]}: needs at least one negative")
-    owner = np.nonzero(neg_mask)[0]  # the anchor of each negative row
-    if proj.ndim != 2 or len(proj) != 2 * B + len(owner):
-        raise ValueError(f"need {2 * B + len(owner)} projection rows: {B} anchors, {B} positives, one per negative slot")
+    padded = M == 0 or not neg_mask.all()
+    if padded:
+        empty = np.flatnonzero(~neg_mask.any(axis=1))
+        if empty.size:
+            raise ValueError(f"anchor {empty[0]}: needs at least one negative")
+    n_rows = 2 * B + (np.count_nonzero(neg_mask) if padded else B * M)
+    if proj.ndim != 2 or len(proj) != n_rows:
+        raise ValueError(f"need {n_rows} projection rows: {B} anchors, {B} positives, one per negative slot")
 
-    norms = np.linalg.norm(proj, axis=1)
-    zero = norms == 0
-    if zero.any():
+    norms = np.sqrt((proj * proj).sum(axis=1))
+    if not norms.all():
+        zero = norms == 0
+        owner = np.nonzero(neg_mask)[0]  # the anchor of each negative row
         live = neg_mask.copy()
         live[neg_mask] = ~zero[2 * B :]
         keep = ~zero[:B] & ~zero[B : 2 * B] & live.any(axis=1)
@@ -58,12 +62,15 @@ def ntxent_variant(proj: np.ndarray, neg_mask: np.ndarray, tau: float, include_p
 
     unit = proj / norms[:, None]
     a_hat, p_hat, negs_hat = unit[:B], unit[B : 2 * B], unit[2 * B :]
-    n_hat = np.zeros((B, M, proj.shape[1]))  # padding stays a zero vector
-    n_hat[neg_mask] = negs_hat
+    if padded:  # a padding slot holds a zero vector of norm 1
+        n_hat, n_norms = np.zeros((B, M, proj.shape[1])), np.ones((B, M))
+        n_hat[neg_mask], n_norms[neg_mask] = negs_hat, norms[2 * B :]
+    else:
+        n_hat, n_norms = negs_hat.reshape(B, M, -1), norms[2 * B :].reshape(B, M)
     s_pos = np.einsum("bp,bp->b", a_hat, p_hat)
     s_neg = np.einsum("bp,bmp->bm", a_hat, n_hat)
 
-    scaled = np.where(neg_mask, s_neg / tau, -np.inf)
+    scaled = np.where(neg_mask, s_neg / tau, -np.inf) if padded else s_neg / tau
     if include_positive_in_denominator:
         scaled = np.concatenate([scaled, (s_pos / tau)[:, None]], axis=1)
     mx = scaled.max(axis=1)
@@ -82,8 +89,8 @@ def ntxent_variant(proj: np.ndarray, neg_mask: np.ndarray, tau: float, include_p
         - (c_pos * s_pos + (c_neg * s_neg).sum(axis=1))[:, None] * a_hat
     ) / norms[:B, None]
     d_positive = c_pos[:, None] * (a_hat - s_pos[:, None] * p_hat) / norms[B : 2 * B, None]
-    c, s = c_neg[neg_mask][:, None], s_neg[neg_mask][:, None]
-    d_negatives = c * (a_hat[owner] - s * negs_hat) / norms[2 * B :, None]
+    d_negatives = c_neg[:, :, None] * (a_hat[:, None] - s_neg[:, :, None] * n_hat) / n_norms[:, :, None]
+    d_negatives = d_negatives[neg_mask] if padded else d_negatives.reshape(negs_hat.shape)
     return loss, np.concatenate([d_anchor, d_positive, d_negatives])
 
 
@@ -97,16 +104,22 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     labels = np.asarray(labels, dtype=np.intp)
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise ValueError("logits must be (batch, classes) with one label per row")
-    B, C = logits.shape
+    C = logits.shape[1]
     if np.any(labels < 0) or np.any(labels >= C):
         raise ValueError(f"labels out of range [0, {C})")
+    return _cross_entropy(logits, labels)
+
+
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """`cross_entropy` on float64 logits and in-range labels, as checked by the caller."""
+    B = len(logits)
     shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     loss = float((lse - shifted[np.arange(B), labels]).mean())
-    probs = np.exp(shifted - lse[:, None])
-    grad = probs.copy()
+    grad = np.exp(shifted - lse[:, None])  # the softmax probabilities
     grad[np.arange(B), labels] -= 1.0
-    return loss, grad / B
+    grad /= B
+    return loss, grad
 
 
 @dataclass

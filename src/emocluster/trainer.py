@@ -17,16 +17,18 @@ from .clustering import KMeansConfig, cluster_speaker
 from .corpus import Corpus, is_normalized, length_normalize, strip_labels, warn_if_unnormalized
 from .nn_core import (
     ModelParams,
+    _backward,
+    _forward,
     adamw_step,
-    backward,
     clone_params,
     flatten_params,
     forward,
+    flat_buffer,
     init_optimizer,
     make_mlp,
     param_count,
 )
-from .objectives import MtlWeights, cross_entropy, mtl_combine, ntxent_variant
+from .objectives import MtlWeights, _cross_entropy, mtl_combine, ntxent_variant
 from .pair_miner import MiningConfig, mine_speaker
 from .parallel import fork_map
 from .serialize import aligned_table, stable_seed
@@ -160,44 +162,45 @@ def _shuffled_batches(n_items: int, batch_size: int, rng: np.random.Generator):
             yield order[start : start + batch_size]
 
 
-def _contrastive_step(encoder, con_head, spk_head, rows, neg_mask, spk_labels, config):
-    """Forward/backward one contrastive batch; returns (l_con, l_spk, flat gradient).
+def _contrastive_step(encoder, con_head, spk_head, rows, neg_mask, spk_labels, config, grads):
+    """Forward/backward one contrastive batch; returns (l_con, l_spk).
 
     rows holds the B anchors, then their B positives, then the negatives:
     one per set slot of the (B, M) neg_mask, in row-major order.  The
     projections are scored by `ntxent_variant`.  The speaker head, when
     present, classifies the anchors; in mtl_adversarial mode its gradient
-    reaches the trunk through gradient reversal.  The gradient vector is
-    in `flatten_params(encoder, con_head, spk_head)` order.
+    reaches the trunk through gradient reversal.  The caller has checked
+    the batch; the gradient goes into grads, the layer views of
+    `flat_buffer(encoder, con_head, spk_head)`.
     """
     weights = config.mtl_weights
     B = len(neg_mask)
-    enc_out, enc_cache = forward(encoder, rows)
-    proj, head_cache = forward(con_head, enc_out)
+    enc_out, enc_cache = _forward(encoder, rows)
+    proj, head_cache = _forward(con_head, enc_out)
     loss_con, dproj = ntxent_variant(proj, neg_mask, config.tau, config.include_positive_in_denominator)
-    con_grads, d_enc = backward(con_head, head_cache, dproj)
+    d_enc = _backward(con_head, head_cache, dproj, grads[1])
 
-    loss_spk, spk_grads = 0.0, np.empty(0)
+    loss_spk = 0.0
     if spk_head is not None:
-        logits, spk_cache = forward(spk_head, enc_out[:B])
-        loss_spk, dlogits = cross_entropy(logits, spk_labels)
-        spk_grads, d_spk_in = backward(spk_head, spk_cache, weights.w_speaker * dlogits)
+        logits, spk_cache = _forward(spk_head, enc_out[:B])
+        loss_spk, dlogits = _cross_entropy(logits, spk_labels)
+        dlogits *= weights.w_speaker
+        d_spk_in = _backward(spk_head, spk_cache, dlogits, grads[2])
         if config.mode == "mtl_adversarial":
             d_spk_in *= -weights.grl_lambda  # gradient reversal: identity forward, -lambda backward
         d_enc[:B] += d_spk_in
 
-    enc_grads, _ = backward(encoder, enc_cache, d_enc)
-    return loss_con, loss_spk, np.concatenate([enc_grads, con_grads, spk_grads])
+    _backward(encoder, enc_cache, d_enc, grads[0], input_grad=False)
+    return loss_con, loss_spk
 
 
-def _classifier_step(encoder, head, rows, labels):
-    """Cross-entropy of a classifier head on the trunk; returns (loss, flat encoder + head gradient)."""
-    enc_out, enc_cache = forward(encoder, rows)
-    logits, head_cache = forward(head, enc_out)
-    loss, dlogits = cross_entropy(logits, labels)
-    head_grads, d_enc = backward(head, head_cache, dlogits)
-    enc_grads, _ = backward(encoder, enc_cache, d_enc)
-    return loss, np.concatenate([enc_grads, head_grads])
+def _classifier_step(encoder, head, rows, labels, grads):
+    """Cross-entropy of a classifier head on the trunk, its gradient into grads as above; returns the loss."""
+    enc_out, enc_cache = _forward(encoder, rows)
+    logits, head_cache = _forward(head, enc_out)
+    loss, dlogits = _cross_entropy(logits, labels)
+    _backward(encoder, enc_cache, _backward(head, head_cache, dlogits, grads[1]), grads[0], input_grad=False)
+    return loss
 
 
 def _tuple_pools(corpus: Corpus, n_clusters: int, seeds: list[int]) -> list[tuple]:
@@ -269,6 +272,7 @@ def pretrain(corpus_unlabeled: Corpus, config: TrainConfig, tuples: tuple | None
 
     history: dict[str, list[float]] = {"contrastive": [], "speaker": [], "total": []}
     params = flatten_params(*components.values())
+    flat, grads = flat_buffer(*components.values())
     opt = init_optimizer(params, lr=config.pretrain_lr)
     # batch order is seeded independently of the mode so runs that share a
     # seed differ only in their loss composition (paired comparisons)
@@ -280,18 +284,24 @@ def pretrain(corpus_unlabeled: Corpus, config: TrainConfig, tuples: tuple | None
     X = corpus_unlabeled.vectors
     if contrastive_on:
         pool = tuples if tuples is not None else _tuple_pools(corpus_unlabeled, config.n_clusters_N, [config.seed])[0]
-        batches = _shuffled_batches(len(pool[0]), config.batch_size, rng)
+        anchors, positives, negatives, pool_mask, labels = pool
+        # the steps read the pool unchecked: check it here, once
+        if negatives.shape != pool_mask.shape or {len(column) for column in pool} != {len(anchors)}:
+            raise ValueError("tuple pool columns differ in shape")
+        widths = pool_mask.sum(axis=1)
+        bad = np.flatnonzero((widths == 0) | (labels < 0) | (labels >= len(speakers)))
+        if bad.size:
+            raise ValueError(f"tuple {bad[0]}: needs a negative and a speaker label in [0, {len(speakers)})")
+        con_head, spk_head = components["contrastive"], components.get("speaker_cls")
+        batches = _shuffled_batches(len(anchors), config.batch_size, rng)
         for _ in range(config.steps):
             idx = next(batches)
-            anchors, positives, negatives, mask, labels = (column[idx] for column in pool)
             # pad only to the batch's widest negative set: the loss's sums over
             # the slots would round differently at another width
-            width = mask.sum(axis=1).max()
-            mask = mask[:, :width]
-            rows = np.concatenate([anchors, positives, negatives[:, :width][mask]])
-            l_con, l_spk, flat = _contrastive_step(
-                encoder, components["contrastive"], components.get("speaker_cls"), X[rows], mask, labels, config
-            )
+            width = widths[idx].max()
+            mask = pool_mask[idx, :width]
+            rows = np.concatenate([anchors[idx], positives[idx], negatives[idx, :width][mask]])
+            l_con, l_spk = _contrastive_step(encoder, con_head, spk_head, X[rows], mask, labels[idx], config, grads)
             adamw_step(opt, params, flat)
             history["contrastive"].append(l_con)
             history["speaker"].append(l_spk)
@@ -301,7 +311,7 @@ def pretrain(corpus_unlabeled: Corpus, config: TrainConfig, tuples: tuple | None
         batches = _shuffled_batches(len(X), config.batch_size, rng)
         for _ in range(config.steps):
             idx = next(batches)
-            loss, flat = _classifier_step(encoder, components["speaker_cls"], X[idx], labels[idx])
+            loss = _classifier_step(encoder, components["speaker_cls"], X[idx], labels[idx], grads)
             adamw_step(opt, params, flat)
             history["speaker"].append(loss)
             history["contrastive"].append(0.0)
@@ -393,6 +403,7 @@ def train_ser(
     val_rows, val_labels = _labeled_arrays(val_corpus, emotions)
 
     params = flatten_params(encoder, head)
+    flat, grads = flat_buffer(encoder, head)
     opt = init_optimizer(params, lr=config.lr)
 
     best_acc, best = -1.0, params.copy()  # the best epoch's flat parameters
@@ -402,7 +413,7 @@ def train_ser(
         order = rng.permutation(len(train_rows))
         for start in range(0, len(order), config.batch_size):
             idx = order[start : start + config.batch_size]
-            _, flat = _classifier_step(encoder, head, train_rows[idx], train_labels[idx])
+            _classifier_step(encoder, head, train_rows[idx], train_labels[idx], grads)
             adamw_step(opt, params, flat)
         acc = float((ser_predict(encoder, head, val_rows) == val_labels).mean())
         if acc > best_acc:
@@ -439,9 +450,7 @@ def evaluate_uar(model: SerModel, corpus_test: Corpus) -> EvalResult:
     preds = ser_predict(model.encoder, model.head, rows)
 
     C = len(model.emotions)
-    confusion = np.zeros((C, C), dtype=np.int64)
-    for t, p in zip(labels, preds):
-        confusion[t, p] += 1
+    confusion = np.bincount(labels * C + preds, minlength=C * C).reshape(C, C)
 
     per_class: dict[str, float] = {}
     for ci, emotion in enumerate(model.emotions):
@@ -561,9 +570,9 @@ def run_protocol(
 
 def _relu_margin(model, cache) -> float:
     margins = [
-        float(np.abs(z).min())
-        for layer, (_, z) in zip(model.layers, cache)
-        if layer.activation == "relu" and z.size
+        float(np.abs(x @ layer.W.T + layer.b).min())
+        for layer, x in zip(model.layers, cache)
+        if layer.activation == "relu" and len(x)
     ]
     return min(margins) if margins else np.inf
 
@@ -643,9 +652,9 @@ def grad_check_cases(kind: str, config: TrainConfig):
 
 
 def _flat_copies(*nets: ModelParams):
-    """Copies of the nets whose parameters share one flat buffer, plus that buffer."""
+    """Copies of the nets whose parameters share one flat buffer: (copies, that buffer, *flat_buffer(copies))."""
     copies = [clone_params(net) for net in nets]
-    return copies, flatten_params(*copies)
+    return copies, flatten_params(*copies), *flat_buffer(*copies)
 
 
 def _assemble_grad_check_cases(kind: str, nets):
@@ -655,35 +664,38 @@ def _assemble_grad_check_cases(kind: str, nets):
     anchors = rows[: len(neg_mask)]
     cases = []
     if kind in ("contrastive", "all"):
-        copies, flat = _flat_copies(encoder, con_head)
+        copies, flat, grad, grads = _flat_copies(encoder, con_head)
         for include_pos in (False, True):
             con_cfg = replace(cfg, include_positive_in_denominator=include_pos)
 
-            def loss_fn(con_cfg=con_cfg, copies=copies):
-                loss, _, grads = _contrastive_step(*copies, None, rows, neg_mask, labels, con_cfg)
-                return loss, grads
+            def loss_fn(con_cfg=con_cfg, copies=copies, grad=grad, grads=grads):
+                loss, _ = _contrastive_step(*copies, None, rows, neg_mask, labels, con_cfg, grads)
+                return loss, grad
 
             label = "denominator with positive" if include_pos else "denominator negatives-only"
             cases.append((f"contrastive ({label})", loss_fn, flat))
     if kind in ("speaker_cls", "emotion_cls", "all"):
         kinds = [kind] if kind != "all" else ["speaker_cls", "emotion_cls"]
         for hk in kinds:
-            copies, flat = _flat_copies(encoder, spk_head if hk == "speaker_cls" else emo_head)
-            loss_fn = lambda copies=copies: _classifier_step(*copies, anchors, labels)
+            copies, flat, grad, grads = _flat_copies(encoder, spk_head if hk == "speaker_cls" else emo_head)
+
+            def loss_fn(copies=copies, grad=grad, grads=grads):
+                return _classifier_step(*copies, anchors, labels, grads), grad
+
             cases.append((f"{hk} cross-entropy", loss_fn, flat))
     if kind in ("mtl", "all"):
         mtl_cfg = replace(cfg, mode="mtl_adversarial")
         w = cfg.mtl_weights
-        copies, flat = _flat_copies(encoder, con_head, spk_head)
+        copies, flat, grad, grads = _flat_copies(encoder, con_head, spk_head)
         n_enc = param_count(encoder)
 
-        def trunk_loss_fn(copies=copies):
-            l_con, l_spk, grads = _contrastive_step(*copies, rows, neg_mask, labels, mtl_cfg)
-            return l_con - w.grl_lambda * w.w_speaker * l_spk, grads[:n_enc]
+        def trunk_loss_fn():
+            l_con, l_spk = _contrastive_step(*copies, rows, neg_mask, labels, mtl_cfg, grads)
+            return l_con - w.grl_lambda * w.w_speaker * l_spk, grad[:n_enc]
 
-        def head_loss_fn(copies=copies):
-            l_con, l_spk, grads = _contrastive_step(*copies, rows, neg_mask, labels, mtl_cfg)
-            return mtl_combine(l_con, l_spk, w), grads[n_enc:]
+        def head_loss_fn():
+            l_con, l_spk = _contrastive_step(*copies, rows, neg_mask, labels, mtl_cfg, grads)
+            return mtl_combine(l_con, l_spk, w), grad[n_enc:]
 
         cases.append((f"mtl trunk through GRL (lambda={w.grl_lambda})", trunk_loss_fn, flat[:n_enc]))
         cases.append((f"mtl heads (lambda={w.grl_lambda})", head_loss_fn, flat[n_enc:]))

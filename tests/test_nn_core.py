@@ -77,6 +77,16 @@ def test_zero_upstream_gradient_gives_zero_param_gradients():
     assert np.allclose(dx, 0)
 
 
+def test_backward_rejects_a_gradient_or_cache_that_does_not_fit():
+    rng = np.random.default_rng(0)
+    model = make_mlp(rng, [4, 5, 3], ["relu", "tanh"])
+    out, cache = forward(model, rng.normal(size=(6, 4)))
+    with pytest.raises(ValueError, match=r"layer 1: gradient shape \(6, 2\) does not match \(6, 3\)"):
+        backward(model, cache, np.zeros((6, 2)))
+    with pytest.raises(ValueError, match="cache does not match model layers"):
+        backward(model, cache[:-1], out)
+
+
 def test_grad_check_exact_on_linear_quadratic():
     # quadratic in the parameters: central differences are exact up to roundoff
     rng = np.random.default_rng(11)

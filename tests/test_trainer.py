@@ -1,9 +1,11 @@
+import hashlib
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from emocluster.corpus import (
+    Corpus,
     EmbeddingRecord,
     SynthSpec,
     build_corpus,
@@ -13,7 +15,7 @@ from emocluster.corpus import (
 )
 from emocluster import parallel, trainer
 from emocluster.clustering import KMeansConfig, cluster_speakers
-from emocluster.nn_core import forward
+from emocluster.nn_core import forward, save_checkpoint
 from emocluster.objectives import MtlWeights
 from emocluster.pair_miner import MiningConfig, mine_tuples
 from emocluster.serialize import stable_seed
@@ -454,3 +456,111 @@ def test_run_protocol_survives_zero_projections(monkeypatch):
     assert sum(zero_rows) > 0
     assert [row["mode"] for row in report["rows"]] == list(MODES)
     assert all(0.0 <= p["uar"] <= 1.0 for row in report["rows"] for p in row["per_seed"])
+
+
+def test_pretrain_checks_the_pool_before_the_first_step(monkeypatch):
+    # the steps run unchecked, so a bad row anywhere in a given pool stops
+    # pretrain before the first step, not when a batch first draws it
+    corpus = strip_labels(_corpus(n_speakers=4, upc=8))
+    config = _small_config(mode="mtl", steps=5)
+    anchors, positives, negatives, mask, labels = trainer._tuple_pools(corpus, config.n_clusters_N, [config.seed])[0]
+    monkeypatch.setattr(trainer, "_contrastive_step", lambda *args: pytest.fail("a step ran"))
+    last = len(mask) - 1
+    no_negative = mask.copy()
+    no_negative[last] = False
+    with pytest.raises(ValueError, match=f"tuple {last}: needs a negative"):
+        pretrain(corpus, config, tuples=(anchors, positives, negatives, no_negative, labels))
+    stranger = labels.copy()
+    stranger[last] = len(corpus.speakers)
+    with pytest.raises(ValueError, match=rf"tuple {last}: .* speaker label in \[0, 4\)"):
+        pretrain(corpus, config, tuples=(anchors, positives, negatives, mask, stranger))
+    with pytest.raises(ValueError, match="columns differ"):
+        pretrain(corpus, config, tuples=(anchors, positives, negatives[:, :1], mask, labels))
+
+
+def _sha256(*chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def _padded_corpus():
+    # spk000's utterances repeat two vectors, so it has 2 populated clusters and
+    # a window of 1 beside the other speakers' N/2 = 2: a batch that mixes it
+    # with another speaker has padded negative slots
+    corpus = strip_labels(_corpus(n_speakers=4, upc=8))
+    vectors = corpus.vectors.copy()
+    rows = corpus.speakers["spk000"]
+    vectors[rows] = vectors[rows[:2] * (len(rows) // 2)]
+    return Corpus(vectors, corpus.utt_ids, corpus.spk_ids, corpus.emotions)
+
+
+_PINNED_CORPORA = {"full": lambda: strip_labels(_corpus(n_speakers=4, upc=8)), "padded": _padded_corpus}
+
+
+def _pinned_config(**overrides):
+    return _small_config(steps=40, mtl_weights=MtlWeights(w_speaker=0.5, grl_lambda=2.0), **overrides)
+
+
+@pytest.mark.parametrize("name, full", [("full", True), ("padded", False)])
+def test_pinned_corpora_cover_both_loss_paths(name, full):
+    corpus = _PINNED_CORPORA[name]()
+    config = _pinned_config()
+    mask = trainer._tuple_pools(corpus, config.n_clusters_N, [config.seed])[0][3]
+    assert bool(mask.all()) == full
+
+
+# sha256 of each checkpoint's .bin followed by its contrastive, speaker and
+# total loss histories as float64 bytes
+PRETRAIN_DIGESTS = {
+    "full/spk_cls/negatives_only": "3989a1824af89cbeb3611645751c859fdc43f7d232ea37a4b1b5f42b50f05169",
+    "full/spk_cls/with_positive": "3989a1824af89cbeb3611645751c859fdc43f7d232ea37a4b1b5f42b50f05169",
+    "full/contrastive/negatives_only": "23d3deb17540dca6e0c01a5a5f61026bc188da549f325c2ed5ba3aaecf20a0f4",
+    "full/contrastive/with_positive": "89756ec586257ae7d885dc862e100fba6243eee9ed85108896671aece393edb7",
+    "full/mtl_adversarial/negatives_only": "ef6d0cb260abda4a14169540aa5d293f20cb40099309b23b49f13c19ce548a54",
+    "full/mtl_adversarial/with_positive": "5c55ab7838e097f8099bd55daf9600e78f5e96b9575a65a3121e8ed215e29e95",
+    "full/mtl/negatives_only": "0451eb1f939360f45b121c802c3713eb2e0dd04d8f13b9d2ef2a40882b5de5d1",
+    "full/mtl/with_positive": "0aef05409f0130cdf8b4ba226055b1fb5705dab4381d2113dccc350c6d6ed80e",
+    "padded/spk_cls/negatives_only": "edb62279e89bc6912bd84d6f8fba154862e63013c718d46b8d3f1f788d3e982d",
+    "padded/spk_cls/with_positive": "edb62279e89bc6912bd84d6f8fba154862e63013c718d46b8d3f1f788d3e982d",
+    "padded/contrastive/negatives_only": "a71e70fd21e81fa2c980c7f10b0d938cd4050460eb4a6859e0d6cc1560bc6497",
+    "padded/contrastive/with_positive": "0210f5d4f4024d52fa7251d98095ea2418d928b335829e03f6a1e1b92cee84d3",
+    "padded/mtl_adversarial/negatives_only": "e7b32b64acc1bfe5558444e7de6669303b23c8b95e074f48b97e5e1e1f63ffec",
+    "padded/mtl_adversarial/with_positive": "0f4df65253019be683a4d8b571a9ed6d655d07a725b8e7d4f7713d550ad1bcb1",
+    "padded/mtl/negatives_only": "6e0546a3f27d26f7a9c0cd01aa57bd6519e4c3698a3c38e8905b223cca2359c0",
+    "padded/mtl/with_positive": "a15b8f08d183f351896f2ed691cbcc87dbd7b6df49a0c1acd77c25225748e8d3",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRETRAIN_DIGESTS))
+def test_pretrain_output_is_pinned(tmp_path, case):
+    # every step is pinned to the bit: weights, and every loss it reported
+    name, mode, denominator = case.split("/")
+    config = _pinned_config(mode=mode, include_positive_in_denominator=denominator == "with_positive")
+    ckpt = pretrain(_PINNED_CORPORA[name](), config)
+    path = str(tmp_path / "ckpt.json")
+    save_checkpoint(path, ckpt.components, {})
+    with open(path + ".bin", "rb") as fh:
+        blob = fh.read()
+    histories = [np.array(ckpt.history[k], dtype=np.float64).tobytes() for k in ("contrastive", "speaker", "total")]
+    assert _sha256(blob, *histories) == PRETRAIN_DIGESTS[case]
+
+
+@pytest.mark.parametrize(
+    "pretrained, digest",
+    [
+        (False, "770ccd14fae51f89310ac7bd74162e826d5b6d5260c95c38ba0705eb41bd5d08"),
+        (True, "3790be35e5845d0cf9c4209844eb60c923f470fb748a46166a3499f106049db7"),
+    ],
+    ids=["fresh", "pretrained"],
+)
+def test_train_ser_output_is_pinned(pretrained, digest):
+    # the fine-tuned parameters; 3 training speakers give 84 rows, so each epoch ends on a batch of 4
+    corpus = _corpus(n_speakers=7, upc=7)
+    train_c, val_c, _ = split_by_speaker(corpus, (0.5, 0.25, 0.25), seed=1)
+    config = _pinned_config(mode="mtl", epochs_ser=8)
+    ckpt = pretrain(strip_labels(train_c), config) if pretrained else None
+    model = train_ser(ckpt, train_c, config, val_corpus=val_c)
+    params = [a.tobytes() for net in (model.encoder, model.head) for l in net.layers for a in (l.W, l.b)]
+    assert _sha256(*params) == digest
