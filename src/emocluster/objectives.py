@@ -71,18 +71,24 @@ def ntxent_variant(proj: np.ndarray, neg_mask: np.ndarray, tau: float, include_p
     s_neg = np.einsum("bp,bmp->bm", a_hat, n_hat)
 
     scaled = np.where(neg_mask, s_neg / tau, -np.inf) if padded else s_neg / tau
-    if include_positive_in_denominator:
-        scaled = np.concatenate([scaled, (s_pos / tau)[:, None]], axis=1)
     mx = scaled.max(axis=1)
     lse = mx + np.log(np.exp(scaled - mx[:, None]).sum(axis=1))
-    loss = float((lse - s_pos / tau).mean())
-    w = np.exp(scaled - lse[:, None])  # softmax over the denominator terms; padding gets 0
+    per_anchor = lse - s_pos / tau
+    w = np.exp(scaled - lse[:, None])  # softmax over the negatives; padding gets 0
 
-    # d(loss)/d(sim): negatives get w_k/tau, the positive -1/tau (+w_pos/tau), all over B
-    c_neg = w[:, :M] / (tau * B)
+    # d(loss)/d(sim): negatives get w_k/tau, the positive -1/tau, all over B
+    c_neg = w / (tau * B)
     c_pos = np.full(B, -1.0 / (tau * B))
     if include_positive_in_denominator:
-        c_pos += w[:, -1] / (tau * B)
+        # the positive's term makes an anchor's loss softplus(per_anchor) and scales its
+        # derivatives by sigmoid(per_anchor); unlike lse - s_pos/tau and -1 + w_pos over
+        # all terms, these keep their digits when the positive dominates
+        soft = np.logaddexp(0.0, per_anchor)
+        sig = np.exp(per_anchor - soft)
+        per_anchor = soft
+        c_neg *= sig[:, None]
+        c_pos *= sig
+    loss = float(per_anchor.mean())
     d_anchor = (
         c_pos[:, None] * p_hat
         + np.einsum("bm,bmp->bp", c_neg, n_hat)

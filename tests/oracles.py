@@ -161,9 +161,15 @@ def loop_ntxent(z_anchor, z_positive, z_negatives, tau, include_positive):
         scaled = np.asarray(scores) / tau
         mx = scaled.max()
         lse = mx + math.log(np.exp(scaled - mx).sum())
-        total += -s_pos / tau + lse
         w = np.exp(scaled - lse)
-        coef_pos = -1.0 / tau + (w[-1] / tau if include_positive else 0.0)
+        if include_positive:
+            # log(1 + sum_k exp((s_k - s_pos)/tau)) as log1p, and -1 + w_pos as minus the
+            # negatives' weights: both keep their digits when the positive dominates
+            total += math.log1p(np.exp((np.asarray(scores[:-1]) - s_pos) / tau).sum())
+            coef_pos = -w[:-1].sum() / tau
+        else:
+            total += -s_pos / tau + lse
+            coef_pos = -1.0 / tau
         d_anchor[i] += coef_pos * dpos_da
         d_positive[i] += coef_pos * dpos_dp
         for k, (_, dneg_da, dneg_dn) in enumerate(neg_data):
