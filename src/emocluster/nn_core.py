@@ -111,52 +111,32 @@ def flatten_params(*models: ModelParams) -> np.ndarray:
 
 
 def forward(params: ModelParams, x: np.ndarray):
-    """Run the stack on a (batch, input_dim) array.
+    """Run the stack on a float64 (batch, input_dim) array.
 
     Returns (output, cache); the cache holds the input and each layer's
     output, for the backward pass.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ValueError(f"input shape {x.shape} does not match input_dim {params.input_dim}")
-    return _forward(params, x)
-
-
-def _forward(params: ModelParams, x: np.ndarray):
-    """`forward` on a float64 batch whose shape the caller has checked."""
     acts = [x]
     for layer in params.layers:
         acts.append(ACTIVATIONS[layer.activation][0](acts[-1] @ layer.W.T + layer.b))
     return acts[-1], acts
 
 
-def backward(params: ModelParams, cache, grad_out: np.ndarray):
-    """Reverse-mode gradients through the stack, given grad_out = dLoss/d(output).
+def backward(params: ModelParams, cache, grad_out: np.ndarray, grads, input_grad: bool = True):
+    """Reverse-mode gradients through the stack, given grad_out = dLoss/d(output)
+    and the cache of the `forward` call that produced that output.
 
-    Returns (flat parameter gradient in `flatten_params` order, gradient
-    wrt the input batch).
+    Writes each layer's (dW, db) into its views in grads, one model's part
+    of `flat_buffer`; returns the gradient wrt the input batch, or None
+    when input_grad is False.
     """
-    if len(cache) != len(params.layers) + 1:
-        raise ValueError("cache does not match model layers")
-    g = np.asarray(grad_out, dtype=np.float64)
-    shape = g.shape
-    for i in range(len(params.layers) - 1, -1, -1):
-        if shape != cache[i + 1].shape:
-            raise ValueError(f"layer {i}: gradient shape {shape} does not match {cache[i + 1].shape}")
-        shape = (shape[0], params.layers[i].W.shape[1])
-    flat, (views,) = flat_buffer(params)
-    return flat, _backward(params, cache, g, views)
-
-
-def _backward(params: ModelParams, acts, g: np.ndarray, grads, input_grad: bool = True):
-    """`backward` on a checked cache, into the layers' (dW, db) views in grads;
-    returns the input gradient, or None when input_grad is False."""
+    g = grad_out
     for i in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[i]
-        dz = ACTIVATIONS[layer.activation][1](g, acts[i + 1])
+        dz = ACTIVATIONS[layer.activation][1](g, cache[i + 1])
         dW, db = grads[i]
         dz.sum(axis=0, out=db)
-        np.matmul(dz.T, acts[i], out=dW)
+        np.matmul(dz.T, cache[i], out=dW)
         g = dz @ layer.W if i or input_grad else None
     return g
 

@@ -101,23 +101,12 @@ def ntxent_variant(proj: np.ndarray, neg_mask: np.ndarray, tau: float, include_p
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean negative log softmax probability of the true class.
+    """Mean negative log softmax probability of the true class, for float64
+    (batch, classes) logits and one label in [0, classes) per row.
 
     Evaluated with max-subtracted log-sum-exp; returns (loss, gradient wrt
     the logits) with the 1/batch factor already applied.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.intp)
-    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
-        raise ValueError("logits must be (batch, classes) with one label per row")
-    C = logits.shape[1]
-    if np.any(labels < 0) or np.any(labels >= C):
-        raise ValueError(f"labels out of range [0, {C})")
-    return _cross_entropy(logits, labels)
-
-
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """`cross_entropy` on float64 logits and in-range labels, as checked by the caller."""
     B = len(logits)
     shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))

@@ -17,9 +17,8 @@ from .clustering import KMeansConfig, cluster_speaker
 from .corpus import Corpus, is_normalized, length_normalize, strip_labels, warn_if_unnormalized
 from .nn_core import (
     ModelParams,
-    _backward,
-    _forward,
     adamw_step,
+    backward,
     clone_params,
     flatten_params,
     forward,
@@ -28,7 +27,7 @@ from .nn_core import (
     make_mlp,
     param_count,
 )
-from .objectives import MtlWeights, _cross_entropy, mtl_combine, ntxent_variant
+from .objectives import MtlWeights, cross_entropy, mtl_combine, ntxent_variant
 from .pair_miner import MiningConfig, mine_speaker
 from .parallel import fork_map
 from .serialize import aligned_table, stable_seed
@@ -175,31 +174,31 @@ def _contrastive_step(encoder, con_head, spk_head, rows, neg_mask, spk_labels, c
     """
     weights = config.mtl_weights
     B = len(neg_mask)
-    enc_out, enc_cache = _forward(encoder, rows)
-    proj, head_cache = _forward(con_head, enc_out)
+    enc_out, enc_cache = forward(encoder, rows)
+    proj, head_cache = forward(con_head, enc_out)
     loss_con, dproj = ntxent_variant(proj, neg_mask, config.tau, config.include_positive_in_denominator)
-    d_enc = _backward(con_head, head_cache, dproj, grads[1])
+    d_enc = backward(con_head, head_cache, dproj, grads[1])
 
     loss_spk = 0.0
     if spk_head is not None:
-        logits, spk_cache = _forward(spk_head, enc_out[:B])
-        loss_spk, dlogits = _cross_entropy(logits, spk_labels)
+        logits, spk_cache = forward(spk_head, enc_out[:B])
+        loss_spk, dlogits = cross_entropy(logits, spk_labels)
         dlogits *= weights.w_speaker
-        d_spk_in = _backward(spk_head, spk_cache, dlogits, grads[2])
+        d_spk_in = backward(spk_head, spk_cache, dlogits, grads[2])
         if config.mode == "mtl_adversarial":
             d_spk_in *= -weights.grl_lambda  # gradient reversal: identity forward, -lambda backward
         d_enc[:B] += d_spk_in
 
-    _backward(encoder, enc_cache, d_enc, grads[0], input_grad=False)
+    backward(encoder, enc_cache, d_enc, grads[0], input_grad=False)
     return loss_con, loss_spk
 
 
 def _classifier_step(encoder, head, rows, labels, grads):
     """Cross-entropy of a classifier head on the trunk, its gradient into grads as above; returns the loss."""
-    enc_out, enc_cache = _forward(encoder, rows)
-    logits, head_cache = _forward(head, enc_out)
-    loss, dlogits = _cross_entropy(logits, labels)
-    _backward(encoder, enc_cache, _backward(head, head_cache, dlogits, grads[1]), grads[0], input_grad=False)
+    enc_out, enc_cache = forward(encoder, rows)
+    logits, head_cache = forward(head, enc_out)
+    loss, dlogits = cross_entropy(logits, labels)
+    backward(encoder, enc_cache, backward(head, head_cache, dlogits, grads[1]), grads[0], input_grad=False)
     return loss
 
 
@@ -374,6 +373,12 @@ def _labeled_arrays(corpus: Corpus, emotions: list[str]):
     return corpus.vectors[rows], np.asarray(labels)
 
 
+def _check_input_dim(encoder: ModelParams, corpus: Corpus, name: str) -> None:
+    """The steps and `ser_predict` run the encoder on the corpus's vectors unchecked."""
+    if corpus.dim != encoder.input_dim:
+        raise ValueError(f"{name} has {corpus.dim}-d vectors, the encoder takes {encoder.input_dim}-d input")
+
+
 def train_ser(
     checkpoint: Checkpoint | None,
     corpus_labeled: Corpus,
@@ -397,6 +402,8 @@ def train_ser(
         encoder = clone_params(checkpoint.encoder)
     else:
         encoder = build_encoder(corpus_labeled.dim, config, stable_seed(config.seed, "ser_encoder"))
+    _check_input_dim(encoder, corpus_labeled, "corpus_labeled")
+    _check_input_dim(encoder, val_corpus, "val_corpus")
     head = build_classifier_head(encoder.output_dim, len(emotions), "emotion_cls", config, config.seed)
 
     train_rows, train_labels = _labeled_arrays(corpus_labeled, emotions)
@@ -446,6 +453,7 @@ def evaluate_uar(model: SerModel, corpus_test: Corpus) -> EvalResult:
     overlap = set(corpus_test.speakers) & model.train_speakers
     if overlap:
         raise ValueError(f"test speakers overlap training speakers: {sorted(overlap)[:3]}")
+    _check_input_dim(model.encoder, corpus_test, "corpus_test")
     rows, labels = _labeled_arrays(corpus_test, model.emotions)
     preds = ser_predict(model.encoder, model.head, rows)
 

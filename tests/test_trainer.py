@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from emocluster.pair_miner import MiningConfig, mine_tuples
 from emocluster.serialize import stable_seed
 from emocluster.trainer import (
     MODES,
+    Checkpoint,
     EvalResult,
     SerModel,
     TrainConfig,
@@ -165,6 +167,13 @@ def test_evaluate_uar_warns_on_absent_class():
     with pytest.warns(UserWarning, match="absent"):
         result = evaluate_uar(model, build_corpus(records))
     assert set(result.per_class_recall) == {"a", "b"}
+
+
+def test_evaluate_uar_rejects_a_test_corpus_of_another_dim():
+    model = _stub_model_for(["a", "b"], 4, _small_config())
+    records = [EmbeddingRecord(f"u{i}", "s", "ab"[i % 2], np.ones(3)) for i in range(4)]
+    with pytest.raises(ValueError, match="corpus_test has 3-d vectors, the encoder takes 4-d input"):
+        evaluate_uar(model, build_corpus(records))
 
 
 def test_pretrain_steps_zero_keeps_initialization():
@@ -316,6 +325,46 @@ def test_train_ser_rejects_leaky_val():
     corpus = _corpus(n_speakers=4)
     with pytest.raises(ValueError, match="split leakage"):
         train_ser(None, corpus, _small_config(), val_corpus=corpus)
+
+
+def test_train_ser_rejects_a_checkpoint_of_another_dim():
+    train_c, val_c, _ = split_by_speaker(_corpus(n_speakers=6, dim=5), (0.5, 0.25, 0.25), seed=1)
+    ckpt = Checkpoint(components={"encoder": build_encoder(8, _small_config(), 0)}, history={})
+    with pytest.raises(ValueError, match="corpus_labeled has 5-d vectors, the encoder takes 8-d input"):
+        train_ser(ckpt, train_c, _small_config(), val_corpus=val_c)
+
+
+def test_train_ser_rejects_a_val_corpus_of_another_dim():
+    # the same speaker count and split seed put the same speakers in each split
+    train_c, _, _ = split_by_speaker(_corpus(n_speakers=6), (0.5, 0.25, 0.25), seed=1)
+    _, val_5d, _ = split_by_speaker(_corpus(n_speakers=6, dim=5), (0.5, 0.25, 0.25), seed=1)
+    with pytest.raises(ValueError, match="val_corpus has 5-d vectors, the encoder takes 8-d input"):
+        train_ser(None, train_c, _small_config(), val_corpus=val_5d)
+
+
+def test_training_steps_call_forward_backward_and_cross_entropy_by_name(monkeypatch):
+    # a tracer that swaps these module attributes for wrappers sees every step
+    train_c, val_c, _ = split_by_speaker(_corpus(n_speakers=6, upc=7), (0.5, 0.25, 0.25), seed=1)
+    config = _small_config(mode="mtl", steps=2, epochs_ser=1)
+
+    def run():
+        ckpt = pretrain(strip_labels(train_c), config)
+        model = train_ser(ckpt, train_c, config, val_corpus=val_c)
+        nets = (*ckpt.components.values(), model.encoder, model.head)
+        params = [a.tobytes() for net in nets for l in net.layers for a in (l.W, l.b)]
+        return params + [np.array(ckpt.history[k]).tobytes() for k in ("contrastive", "speaker", "total")]
+
+    unpatched = run()
+    calls = Counter()
+    for name in ("forward", "backward", "cross_entropy"):
+
+        def counting(*args, _name=name, _fn=getattr(trainer, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, name, counting)
+    assert run() == unpatched
+    assert set(calls) == {"forward", "backward", "cross_entropy"}
 
 
 def test_train_ser_seeded_determinism():
