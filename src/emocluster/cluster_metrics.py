@@ -13,6 +13,7 @@ import numpy as np
 
 from .clustering import GRAM_RECHECK, ClusteringRun, speaker_rows
 from .corpus import Corpus
+from .parallel import fork_map
 from .serialize import aligned_table
 
 METRIC_NAMES = ("nmi", "ari", "purity", "silhouette")
@@ -167,6 +168,32 @@ def silhouette(points, cluster_labels) -> float:
     return float(sorted_scores[np.argsort(order)].mean())  # mean in input order
 
 
+def _score_speaker(run: ClusteringRun, spk: str, corpus: Corpus) -> dict[str, float | None] | None:
+    """One speaker's four metrics over its labeled utterances; None when
+    fewer than 2 remain.  Warns as evaluate_run says."""
+    rows, clusters = speaker_rows(run.per_speaker[spk], spk, corpus)
+    labeled = [i for i, row in enumerate(rows) if corpus.emotions[row] is not None]
+    unlabeled = len(rows) - len(labeled)
+    if unlabeled:
+        warnings.warn(f"speaker {spk!r}: {unlabeled} utterance(s) without an emotion label excluded", stacklevel=2)
+    rows, clusters = [rows[i] for i in labeled], [clusters[i] for i in labeled]
+    emotions = [corpus.emotions[row] for row in rows]
+    if len(clusters) < 2:
+        warnings.warn(f"speaker {spk!r} has < 2 labeled utterances; dropped", stacklevel=2)
+        return None
+    entry: dict[str, float | None] = {
+        "nmi": nmi(clusters, emotions),
+        "ari": ari(clusters, emotions),
+        "purity": purity(clusters, emotions),
+    }
+    if len(set(clusters)) >= 2:
+        entry["silhouette"] = silhouette(corpus.vectors[rows], clusters)
+    else:
+        warnings.warn(f"speaker {spk!r}: single cluster in labeled subset; silhouette omitted", stacklevel=2)
+        entry["silhouette"] = None
+    return entry
+
+
 def evaluate_run(run: ClusteringRun, corpus: Corpus) -> ClusterMetricsReport:
     """All four metrics per speaker plus unweighted speaker averages.  A
     clustering that does not fit the corpus raises speaker_rows' ValueError.
@@ -175,33 +202,14 @@ def evaluate_run(run: ClusteringRun, corpus: Corpus) -> ClusterMetricsReport:
     speaker that counts them; a speaker left with fewer than 2 labeled
     utterances is dropped from the averages.  Silhouette is omitted for
     speakers whose labeled subset covers fewer than 2 clusters.  An average
-    no speaker contributes to (e.g. on an unlabeled corpus) is None.
+    no speaker contributes to (e.g. on an unlabeled corpus) is None.  Each
+    speaker is one fork_map job, so the report and its warnings are the same
+    for any worker count.
     """
-    per_speaker: dict[str, dict[str, float | None]] = {}
-    for spk in sorted(run.per_speaker):
-        rows, clusters = speaker_rows(run.per_speaker[spk], spk, corpus)
-        labeled = [i for i, row in enumerate(rows) if corpus.emotions[row] is not None]
-        unlabeled = len(rows) - len(labeled)
-        if unlabeled:
-            warnings.warn(
-                f"speaker {spk!r}: {unlabeled} utterance(s) without an emotion label excluded", stacklevel=2
-            )
-        rows, clusters = [rows[i] for i in labeled], [clusters[i] for i in labeled]
-        emotions = [corpus.emotions[row] for row in rows]
-        if len(clusters) < 2:
-            warnings.warn(f"speaker {spk!r} has < 2 labeled utterances; dropped", stacklevel=2)
-            continue
-        entry: dict[str, float | None] = {
-            "nmi": nmi(clusters, emotions),
-            "ari": ari(clusters, emotions),
-            "purity": purity(clusters, emotions),
-        }
-        if len(set(clusters)) >= 2:
-            entry["silhouette"] = silhouette(corpus.vectors[rows], clusters)
-        else:
-            warnings.warn(f"speaker {spk!r}: single cluster in labeled subset; silhouette omitted", stacklevel=2)
-            entry["silhouette"] = None
-        per_speaker[spk] = entry
+    speakers = sorted(run.per_speaker)
+    # the lambda shares the fork_map call's line, so a warning names that line from either path
+    entries = fork_map(lambda spk: _score_speaker(run, spk, corpus), speakers)
+    per_speaker = {spk: entry for spk, entry in zip(speakers, entries) if entry is not None}
 
     averages = {}
     for name in METRIC_NAMES:

@@ -72,46 +72,45 @@ def mine_speaker(sc: SpeakerClustering, spk_id: str, corpus: Corpus, config: Min
     clustering that does not fit the corpus raises speaker_rows' ValueError.
     """
     rows, clusters = speaker_rows(sc, spk_id, corpus)
-    members: dict[int, list[int]] = {}  # cluster -> its utterances' corpus rows, in utt_id order
-    for row, cluster in zip(rows, clusters):
-        members.setdefault(cluster, []).append(row)
-    populated = set(members)
+    rows, clusters = np.array(rows, dtype=np.intp), np.array(clusters, dtype=np.intp)
+    sizes = np.bincount(clusters, minlength=len(sc.centers))
+    populated = set(np.flatnonzero(sizes).tolist())
     if len(populated) < 2:
         counts["skipped_too_few_clusters"] += len(rows)
         none = np.empty(0, dtype=np.intp)
         return none, none, none.reshape(0, 0), none.reshape(0, 0)
-    # the negative window depends only on the anchor's cluster
-    dists = center_distances(sc)
-    window = {c: ranked_negative_clusters(dists[c], c, populated)[: config.negatives_per_anchor] for c in populated}
-    window_sizes = {c: np.array([len(members[d]) for d in window[c]]) for c in populated}
+    # table[c, p]: corpus row of cluster c's p-th member in utt_id order (-1 pads)
+    order = np.argsort(clusters, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order)) - (np.cumsum(sizes) - sizes)[clusters[order]]
+    table = np.full((len(sizes), sizes.max()), -1, dtype=np.intp)
+    table[clusters, rank] = rows
+    # the negative window depends only on the anchor's cluster; every window has the same width
     width = min(config.negatives_per_anchor, len(populated) - 1)
-    position = {row: p for group in members.values() for p, row in enumerate(group)}
+    dists = center_distances(sc)
+    window = np.zeros((len(sizes), width), dtype=np.intp)
+    for c in populated:
+        window[c] = ranked_negative_clusters(dists[c], c, populated)[: config.negatives_per_anchor]
+    window_sizes = sizes[window]
 
-    anchors, positives, negatives, sources = [], [], [], []
-    for row, own in zip(rows, clusters):
-        group = members[own]
-        if len(group) == 1:
-            counts["skipped_singleton"] += 1
-            continue
-        if not config.allow_fewer_negatives and width < config.negatives_per_anchor:
-            counts["skipped_short_window"] += 1
-            continue
-        rng = np.random.default_rng(stable_seed(config.seed, "mine", corpus.utt_ids[row]))
-        # a uniform draw over the cluster's other members, skipping the anchor's
-        # slot; then one member of each window cluster, drawn in a single call
-        j = int(rng.integers(len(group) - 1))
-        picks = rng.integers(window_sizes[own]).tolist()
-        anchors.append(row)
-        positives.append(group[j + (j >= position[row])])
-        negatives.append([members[c][k] for c, k in zip(window[own], picks)])
-        sources.append(window[own])
-    shape = (len(anchors), width)
-    return (
-        np.array(anchors, dtype=np.intp),
-        np.array(positives, dtype=np.intp),
-        np.array(negatives, dtype=np.intp).reshape(shape),
-        np.array(sources, dtype=np.intp).reshape(shape),
-    )
+    eligible = sizes[clusters] > 1
+    counts["skipped_singleton"] += len(rows) - int(eligible.sum())
+    if not config.allow_fewer_negatives and width < config.negatives_per_anchor:
+        counts["skipped_short_window"] += int(eligible.sum())
+        eligible[:] = False
+    anchors, own = rows[eligible], clusters[eligible]
+    # per anchor: a uniform draw over its cluster's other members, skipping the
+    # anchor's slot; then one member of each window cluster, in a single call
+    draws = np.empty((len(anchors), 1 + width), dtype=np.intp)
+    ids = corpus.utt_ids
+    for t, (row, c, others) in enumerate(zip(anchors.tolist(), own.tolist(), (sizes[own] - 1).tolist())):
+        rng = np.random.default_rng(stable_seed(config.seed, "mine", ids[row]))
+        draws[t, 0] = rng.integers(others)
+        draws[t, 1:] = rng.integers(window_sizes[c])
+    draws[:, 0] += draws[:, 0] >= rank[eligible]
+    sources = window[own]
+    picked = table[np.column_stack([own, sources]), draws]
+    return anchors, picked[:, 0], picked[:, 1:], sources
 
 
 def mine_tuples(

@@ -1,12 +1,23 @@
 """Independent jobs on forked worker processes, one per CPU this process may
 use (``taskset`` limits them).  Results come back in item order and each job
 is deterministic, so the output is the same for any worker count.
+
+The parent writes every job index, in item order, into one task pipe that
+the workers read directly, so no worker waits on the parent for its next
+job.  Each worker sends one frame per job back on its own result pipe.  The
+parent runs no thread of its own: it polls the pipes, and every worker is
+killed or has exited, and is reaped, before fork_map returns or raises.
 """
 
 import os
+import sys
 import warnings
 
 _job = None  # (fn, items) of the fork_map whose workers are running, inherited by them
+
+_INDEX_BYTES = 4  # one job index on the task pipe, little-endian
+_HEADER_BYTES = 8  # the length of the pickled frame that follows, little-endian
+_READ_BYTES = 1 << 16  # one result-pipe read: the default pipe capacity
 
 
 def worker_count() -> int:
@@ -16,12 +27,52 @@ def worker_count() -> int:
     return 1
 
 
-def _run(index: int):
+class _WorkerTraceback(Exception):
+    """A failed job's traceback in its worker, raised as its exception's cause."""
+
+
+def _serve(tasks: int, out: int) -> None:
+    """A worker: run each index read off the task pipe until the pipe closes,
+    and write (index, ok, result or (exception, traceback), warnings) back
+    for each."""
+    import pickle
+
     fn, items = _job
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = fn(items[index])
-    return result, [(str(w.message), w.category) for w in caught]
+    # every write to the task pipe is a whole number of indices of at most
+    # PIPE_BUF bytes, which the kernel never splits, so each read is one index
+    while chunk := os.read(tasks, _INDEX_BYTES):
+        index = int.from_bytes(chunk, "little")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                value, ok = fn(items[index]), True
+            except Exception as exc:
+                import traceback  # only here: a worker that fails no job never loads it
+
+                value, ok = (exc, traceback.format_exc()), False
+        caught = [(str(w.message), w.category) for w in caught]
+        try:
+            frame = pickle.dumps((index, ok, value, caught), pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # a reduce method may raise anything
+            what = "result" if ok else f"exception {value[0]!r}"
+            error = RuntimeError(f"fork_map job {index}: cannot pickle its {what} ({type(exc).__name__}: {exc})")
+            frame = pickle.dumps((index, False, (error, "" if ok else value[1]), caught), pickle.HIGHEST_PROTOCOL)
+        view = memoryview(len(frame).to_bytes(_HEADER_BYTES, "little") + frame)
+        while view:
+            view = view[os.write(out, view) :]
+
+
+def _feed(fd: int, pending: memoryview, pipe_buf: int) -> memoryview:
+    """Write job indices into the non-blocking task pipe until it is full;
+    return those left.  With no worker left to read them, none are left."""
+    while pending:
+        try:
+            pending = pending[os.write(fd, pending[:pipe_buf]) :]
+        except BlockingIOError:
+            break
+        except BrokenPipeError:  # every worker has exited; their jobs count as lost
+            return pending[:0]
+    return pending
 
 
 def fork_map(fn, items: list) -> list:
@@ -30,25 +81,120 @@ def fork_map(fn, items: list) -> list:
     Workers inherit fn and items through fork, so fn may be a closure: only
     an index goes out and only a result is pickled back.  One worker or item,
     or a call from inside a job, runs in-process, so nothing oversubscribes.
-    A job's warnings are re-issued here in item order; its exception is raised.
+    A job's warnings are re-issued here in item order.  The first failing job
+    in item order raises its exception, with the worker's traceback as its
+    cause, after the warnings of the jobs before it; a worker that exits
+    without returning a job raises RuntimeError.
     """
     global _job
     workers = min(worker_count(), len(items))
     if workers <= 1 or _job is not None:
         return [fn(x) for x in items]
     # imported here: at the top they would add to every command's start-up
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
+    import pickle
+    import select
+    import signal
+    import struct
 
+    n = len(items)
+    pending = memoryview(struct.pack(f"<{n}I", *range(n)))
     _job = (fn, items)
-    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+    sys.stdout.flush()  # or each worker would write the parent's buffered output again
+    sys.stderr.flush()
+    pids, buffers = [], {}  # buffers: result pipe -> bytes read but not yet parsed
+    task_r, task_w = os.pipe()
+    finished = False
+    # SIGINT waits while the workers are forked, since CPython drops an exception raised
+    # in its at-fork callbacks, and while they are reaped; then it raises
+    caller_mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
-        results = []
-        for result, caught in pool.map(_run, range(len(items))):
-            for message, category in caught:
-                warnings.warn(message, category, stacklevel=2)
-            results.append(result)
+        os.set_blocking(task_w, False)
+        pending = _feed(task_w, pending, select.PIPE_BUF)
+        for _ in range(workers):
+            out_r, out_w = os.pipe()
+            buffers[out_r] = bytearray()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(out_w)
+                raise
+            if pid == 0:  # the worker: it must leave through os._exit, never return
+                try:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, caller_mask)
+                    for fd in (task_w, *buffers):
+                        os.close(fd)
+                    _serve(task_r, out_w)
+                except Exception:
+                    import traceback
+
+                    traceback.print_exc()
+                finally:
+                    sys.stdout.flush()
+                    sys.stderr.flush()
+                    os._exit(0)
+            pids.append(pid)
+            os.close(out_w)
+        os.close(task_r)
+        task_r = -1
+        signal.pthread_sigmask(signal.SIG_SETMASK, caller_mask)
+
+        poller = select.poll()
+        for fd in buffers:
+            poller.register(fd, select.POLLIN)
+        if pending:
+            poller.register(task_w, select.POLLOUT)
+        else:
+            os.close(task_w)  # end of jobs: a worker's read of the empty pipe returns b""
+            task_w = -1
+        done, results = [None] * n, []  # done[i]: (ok, value, warnings) of job i, until re-issued
+        while len(results) < n:
+            if not buffers:
+                lost = [i for i in range(len(results), n) if done[i] is None]
+                raise RuntimeError(f"fork_map: worker processes exited without returning job(s) {lost}")
+            for fd, _ in poller.poll():
+                if fd == task_w:
+                    pending = _feed(task_w, pending, select.PIPE_BUF)
+                    if not pending:
+                        poller.unregister(task_w)
+                        os.close(task_w)
+                        task_w = -1
+                    continue
+                chunk = os.read(fd, _READ_BYTES)
+                if not chunk:  # the worker has exited
+                    poller.unregister(fd)
+                    os.close(fd)
+                    del buffers[fd]
+                    continue
+                buf = buffers[fd]
+                buf += chunk
+                while len(buf) >= _HEADER_BYTES:
+                    end = _HEADER_BYTES + int.from_bytes(buf[:_HEADER_BYTES], "little")
+                    if len(buf) < end:
+                        break
+                    index, *outcome = pickle.loads(buf[_HEADER_BYTES:end])
+                    done[index] = outcome
+                    del buf[:end]
+            while len(results) < n and done[len(results)] is not None:
+                ok, value, caught = done[len(results)]
+                done[len(results)] = ()  # re-issued: keep no second reference to the result
+                for message, category in caught:
+                    warnings.warn(message, category, stacklevel=2)
+                if not ok:
+                    exc, trace = value
+                    raise exc from (_WorkerTraceback(trace) if trace else None)
+                results.append(value)
+        finished = True
         return results
     finally:
-        pool.shutdown(cancel_futures=True)
-        _job = None
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            _job = None
+            for pid in pids:
+                if not finished:  # done workers exit by themselves once the task pipe is empty and closed
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            for fd in (task_r, task_w, *buffers):
+                if fd >= 0:
+                    os.close(fd)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, caller_mask)

@@ -6,8 +6,8 @@ floats printed with 17 significant digits (enough to round-trip a double).
 """
 
 import hashlib
-import json
 import math
+from json.encoder import encode_basestring
 
 
 def format_float(x: float) -> str:
@@ -41,8 +41,8 @@ def _encode(obj, out: list[str]) -> None:
     elif isinstance(obj, float):
         out.append(format_float(obj))
     elif isinstance(obj, str):
-        # json string escaping, delegated to the stdlib for correctness
-        out.append(json.dumps(obj, ensure_ascii=False))
+        # what json.dumps(obj, ensure_ascii=False) calls, without building a JSONEncoder
+        out.append(encode_basestring(obj))
     elif isinstance(obj, dict):
         out.append("{")
         first = True

@@ -1,12 +1,18 @@
+import copy
 import os
+import signal
+import threading
+import time
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from emocluster import parallel, trainer
+from emocluster.cluster_metrics import evaluate_run, report_to_dict
 from emocluster.clustering import KMeansConfig, cluster_speakers, run_to_dict
-from emocluster.corpus import EmbeddingRecord, SynthSpec, build_corpus, generate_synthetic, length_normalize
+from emocluster.corpus import Corpus, EmbeddingRecord, SynthSpec, build_corpus, generate_synthetic, length_normalize
 from emocluster.pair_miner import MiningConfig, mine_tuples
 from emocluster.parallel import fork_map
 from emocluster.serialize import stable_seed
@@ -29,6 +35,48 @@ def test_cluster_speakers_same_for_any_worker_count(monkeypatch):
     runs = [_with_workers(monkeypatch, n, lambda: run_to_dict(cluster_speakers(corpus, config))) for n in (1, 2)]
     assert runs[0] == runs[1]
     assert list(runs[1]["per_speaker"]) == list(corpus.speakers)
+
+
+def _evaluate(run, corpus):
+    """evaluate_run's report dict and warnings, or its error and warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = report_to_dict(evaluate_run(run, corpus))
+        except ValueError as exc:
+            outcome = f"ValueError: {exc}"
+    return outcome, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+def test_evaluate_run_same_for_any_worker_count(monkeypatch):
+    corpus = length_normalize(generate_synthetic(SynthSpec(n_speakers=4, n_emotions=3, utts_per_cell=6, dim=6, seed=4)))
+    run = cluster_speakers(corpus, KMeansConfig(k=3, seed=2))
+    a, b, c, _ = sorted(run.per_speaker)
+    one_cluster = {u for u, cluster in run.per_speaker[c].assignments.items() if cluster == 0}
+    # a loses two labels, b keeps one (dropped), c keeps only cluster 0's (no silhouette)
+    keep = {a: set(sorted(run.per_speaker[a].assignments)[2:]), b: {min(run.per_speaker[b].assignments)}, c: one_cluster}
+    emotions = [e if spk not in keep or u in keep[spk] else None
+                for u, spk, e in zip(corpus.utt_ids, corpus.spk_ids, corpus.emotions)]
+    corpus = Corpus(corpus.vectors, corpus.utt_ids, corpus.spk_ids, emotions)
+    outcomes = [_with_workers(monkeypatch, n, lambda: _evaluate(run, corpus)) for n in (1, 2)]
+    assert outcomes[0] == outcomes[1]
+    report, caught = outcomes[0]
+    assert sorted(report["per_speaker"]) == [a, c, sorted(run.per_speaker)[3]]
+    assert report["per_speaker"][c]["silhouette"] is None
+    size = {spk: len(sc.assignments) for spk, sc in run.per_speaker.items()}
+    assert [message for _, message, _, _ in caught] == [
+        f"speaker {a!r}: 2 utterance(s) without an emotion label excluded",
+        f"speaker {b!r}: {size[b] - 1} utterance(s) without an emotion label excluded",
+        f"speaker {b!r} has < 2 labeled utterances; dropped",
+        f"speaker {c!r}: {size[c] - len(one_cluster)} utterance(s) without an emotion label excluded",
+        f"speaker {c!r}: single cluster in labeled subset; silhouette omitted",
+    ]
+
+    bad = copy.deepcopy(run)
+    bad.per_speaker[c].assignments[min(one_cluster)] = 7
+    outcomes = [_with_workers(monkeypatch, n, lambda: _evaluate(bad, corpus)) for n in (1, 2)]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0].startswith(f"ValueError: speaker {c!r}: utterance {min(one_cluster)!r} has cluster 7")
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -148,8 +196,10 @@ def _fail_on_one(x):
 
 def test_job_exception_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(parallel, "worker_count", lambda: 2)
-    with pytest.raises(ValueError, match="^x$"):
+    with pytest.raises(ValueError, match="^x$") as raised:
         fork_map(_fail_on_one, [0, 1, 2])
+    # the worker's traceback is the cause, down to the line that raised
+    assert 'raise ValueError("x")' in str(raised.value.__cause__)
 
 
 def test_nested_fork_map_runs_in_process(monkeypatch):
@@ -160,3 +210,85 @@ def test_nested_fork_map_runs_in_process(monkeypatch):
         assert pid != os.getpid()
         assert inner == [pid, pid]
     assert parallel._job is None
+
+
+def _children() -> list[str]:
+    """Pids of the live or unreaped children this thread forked."""
+    with open(f"/proc/self/task/{threading.get_native_id()}/children") as fh:
+        return fh.read().split()
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail a fork_map that hangs instead of hanging the test run."""
+    def expire(signum, frame):
+        raise TimeoutError(f"fork_map still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_more_jobs_than_the_task_pipe_holds(monkeypatch):
+    # 20 000 four-byte indices overflow the 64 KiB pipe; more workers than CPUs share it
+    monkeypatch.setattr(parallel, "worker_count", lambda: 3)
+    items = list(range(20_000))
+    with _deadline(60):
+        assert fork_map(lambda x: -x, items) == [-x for x in items]
+    assert _children() == []
+
+
+def test_a_worker_that_dies_names_its_lost_job(monkeypatch):
+    monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+    with _deadline(60), pytest.raises(RuntimeError, match=r"^fork_map: .* job\(s\) \[1\]$"):
+        fork_map(lambda x: os._exit(3) if x == 1 else x, [0, 1, 2, 3])
+    assert _children() == []
+    # every worker dead with indices still waiting to be written: all of them are lost
+    with _deadline(60), pytest.raises(RuntimeError, match=r"job\(s\) \[0, 1, 2, 3, "):
+        fork_map(lambda x: os._exit(3), list(range(20_000)))
+    assert _children() == []
+
+
+def _warn_then_fail(x):
+    warnings.warn(f"job {x}", UserWarning)
+    if x == 2:
+        time.sleep(0.3)  # job 4 fails first in time, job 2 first in item order
+    if x in (2, 4):
+        raise ValueError(f"job {x} failed")
+    return x
+
+
+def test_the_first_failing_job_in_item_order_raises_after_earlier_warnings(monkeypatch):
+    monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+    with warnings.catch_warnings(record=True) as caught, _deadline(60):
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="^job 2 failed$"):
+            fork_map(_warn_then_fail, list(range(6)))
+    assert [str(w.message) for w in caught] == ["job 0", "job 1", "job 2"]
+    assert _children() == []
+    assert parallel._job is None
+
+
+def test_an_unpicklable_result_names_its_job(monkeypatch):
+    monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+    with _deadline(60), pytest.raises(RuntimeError, match="^fork_map job 1: cannot pickle its result"):
+        fork_map(lambda x: threading.Lock() if x == 1 else x, [0, 1, 2])
+    assert _children() == []
+
+
+def test_an_interrupt_leaves_no_worker(monkeypatch):
+    monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+    parent = os.getpid()
+
+    def interrupt(x):
+        if x == 0:  # at once, so it may arrive while the parent still forks
+            os.kill(parent, signal.SIGINT)
+        time.sleep(30)
+
+    with _deadline(60), pytest.raises(KeyboardInterrupt):
+        fork_map(interrupt, [0, 1])
+    assert _children() == []

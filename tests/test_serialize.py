@@ -102,3 +102,12 @@ def test_aligned_tables_exact_bytes():
         "no pretraining       0.5000    0.2500 0.7500\n"
         "cluster contrastive  0.6875    0.6250 0.7500\n"
     )
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['say "hi"', "back\\slash", "".join(map(chr, range(0x20))) + "\x7f", "é ü 日本 🎵", "lone \ud800 and \udfff", ""],
+)
+def test_strings_encode_as_json_dumps(text):
+    assert canonical_dumps(text) == json.dumps(text, ensure_ascii=False)
+    assert canonical_dumps({text: [text]}) == json.dumps({text: [text]}, ensure_ascii=False, separators=(",", ":"))
