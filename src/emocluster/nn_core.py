@@ -257,11 +257,26 @@ def save_checkpoint(path: str, components: dict[str, ModelParams], meta: dict) -
                 fh.write(layer.b.astype("<f8").tobytes())
 
 
+def _component_spec_ok(spec) -> bool:
+    """A manifest component: a list of layers, each with positive integer "in" and "out" and an activation name."""
+    layers = spec.get("layers") if isinstance(spec, dict) else None
+    return isinstance(layers, list) and all(
+        isinstance(l, dict) and isinstance(l.get("activation"), str)
+        and all(type(l.get(k)) is int and l[k] > 0 for k in ("in", "out"))
+        for l in layers
+    )
+
+
 def load_checkpoint(path: str) -> tuple[dict[str, ModelParams], dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != "emocluster-checkpoint-v1":
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: unreadable checkpoint manifest ({exc})") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != "emocluster-checkpoint-v1":
         raise ValueError(f"{path}: not an emocluster checkpoint manifest")
+    if not isinstance(manifest.get("components"), dict):
+        raise ValueError(f"{path}: checkpoint manifest has no components object")
     names = sorted(manifest["components"])
     with open(path + ".bin", "rb") as fh:
         header = fh.read(8)
@@ -286,14 +301,19 @@ def load_checkpoint(path: str) -> tuple[dict[str, ModelParams], dict]:
 
     for name in names:
         spec = manifest["components"][name]
+        if not _component_spec_ok(spec):
+            raise ValueError(f"{path}: component {name!r} has a malformed layer list")
         layers = []
         for lspec in spec["layers"]:
             W = take(lspec["out"] * lspec["in"], name).reshape(lspec["out"], lspec["in"])
             layers.append(DenseLayer(W=W, b=take(lspec["out"], name), activation=lspec["activation"]))
         model = ModelParams(layers)
-        model.validate()
+        try:
+            model.validate()
+        except ValueError as exc:
+            raise ValueError(f"{path}: component {name!r}: {exc}") from None
         dims = (model.input_dim, model.output_dim)
-        if (int(spec["input_dim"]), int(spec["output_dim"])) != dims:
+        if (spec.get("input_dim"), spec.get("output_dim")) != dims:
             raise ValueError(f"{path}: component {name!r} declares other dims than its layers' {dims}")
         components[name] = model
     if off != len(blob):

@@ -2,11 +2,14 @@
 use (``taskset`` limits them).  Results come back in item order and each job
 is deterministic, so the output is the same for any worker count.
 
-The parent writes every job index, in item order, into one task pipe that
-the workers read directly, so no worker waits on the parent for its next
-job.  Each worker sends one frame per job back on its own result pipe.  The
-parent runs no thread of its own: it polls the pipes, and every worker is
-killed or has exited, and is reaped, before fork_map returns or raises.
+Before the first fork the parent writes all the work into one task pipe, in
+one write, and closes its write end: min(n, L) four-byte lane numbers, with
+L = PIPE_BUF // 4 (1024 on Linux), which fit in any pipe.  A worker takes lane
+j off the pipe and runs jobs j, j + L, j + 2L, ... in order, then the next
+lane, until the pipe is empty.  Each worker sends one frame per job back on
+its own result pipe.  The parent runs no thread of its own: it polls the
+result pipes, and every worker is killed or has exited, and is reaped, before
+fork_map returns or raises.
 """
 
 import os
@@ -15,7 +18,7 @@ import warnings
 
 _job = None  # (fn, items) of the fork_map whose workers are running, inherited by them
 
-_INDEX_BYTES = 4  # one job index on the task pipe, little-endian
+_INDEX_BYTES = 4  # one lane number on the task pipe, little-endian
 _HEADER_BYTES = 8  # the length of the pickled frame that follows, little-endian
 _READ_BYTES = 1 << 16  # one result-pipe read: the default pipe capacity
 
@@ -31,48 +34,35 @@ class _WorkerTraceback(Exception):
     """A failed job's traceback in its worker, raised as its exception's cause."""
 
 
-def _serve(tasks: int, out: int) -> None:
-    """A worker: run each index read off the task pipe until the pipe closes,
-    and write (index, ok, result or (exception, traceback), warnings) back
-    for each."""
+def _serve(tasks: int, out: int, lanes: int) -> None:
+    """A worker: for each lane number read off the task pipe until it is
+    empty, run that lane's jobs (every lanes-th index from the lane number) in
+    order, and write (index, ok, result or (exception, traceback), warnings)
+    back for each."""
     import pickle
 
     fn, items = _job
-    # every write to the task pipe is a whole number of indices of at most
-    # PIPE_BUF bytes, which the kernel never splits, so each read is one index
+    # every lane number is in the pipe before any worker starts, so each read returns a whole one
     while chunk := os.read(tasks, _INDEX_BYTES):
-        index = int.from_bytes(chunk, "little")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        for index in range(int.from_bytes(chunk, "little"), len(items), lanes):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    value, ok = fn(items[index]), True
+                except Exception as exc:
+                    import traceback  # only here: a worker that fails no job never loads it
+
+                    value, ok = (exc, traceback.format_exc()), False
+            caught = [(str(w.message), w.category) for w in caught]
             try:
-                value, ok = fn(items[index]), True
-            except Exception as exc:
-                import traceback  # only here: a worker that fails no job never loads it
-
-                value, ok = (exc, traceback.format_exc()), False
-        caught = [(str(w.message), w.category) for w in caught]
-        try:
-            frame = pickle.dumps((index, ok, value, caught), pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:  # a reduce method may raise anything
-            what = "result" if ok else f"exception {value[0]!r}"
-            error = RuntimeError(f"fork_map job {index}: cannot pickle its {what} ({type(exc).__name__}: {exc})")
-            frame = pickle.dumps((index, False, (error, "" if ok else value[1]), caught), pickle.HIGHEST_PROTOCOL)
-        view = memoryview(len(frame).to_bytes(_HEADER_BYTES, "little") + frame)
-        while view:
-            view = view[os.write(out, view) :]
-
-
-def _feed(fd: int, pending: memoryview, pipe_buf: int) -> memoryview:
-    """Write job indices into the non-blocking task pipe until it is full;
-    return those left.  With no worker left to read them, none are left."""
-    while pending:
-        try:
-            pending = pending[os.write(fd, pending[:pipe_buf]) :]
-        except BlockingIOError:
-            break
-        except BrokenPipeError:  # every worker has exited; their jobs count as lost
-            return pending[:0]
-    return pending
+                frame = pickle.dumps((index, ok, value, caught), pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:  # a reduce method may raise anything
+                what = "result" if ok else f"exception {value[0]!r}"
+                error = RuntimeError(f"fork_map job {index}: cannot pickle its {what} ({type(exc).__name__}: {exc})")
+                frame = pickle.dumps((index, False, (error, "" if ok else value[1]), caught), pickle.HIGHEST_PROTOCOL)
+            view = memoryview(len(frame).to_bytes(_HEADER_BYTES, "little") + frame)
+            while view:
+                view = view[os.write(out, view) :]
 
 
 def fork_map(fn, items: list) -> list:
@@ -94,22 +84,24 @@ def fork_map(fn, items: list) -> list:
     import pickle
     import select
     import signal
-    import struct
 
     n = len(items)
-    pending = memoryview(struct.pack(f"<{n}I", *range(n)))
-    _job = (fn, items)
+    lanes = min(n, select.PIPE_BUF // _INDEX_BYTES)
     sys.stdout.flush()  # or each worker would write the parent's buffered output again
     sys.stderr.flush()
     pids, buffers = [], {}  # buffers: result pipe -> bytes read but not yet parsed
-    task_r, task_w = os.pipe()
+    task_r = task_w = -1
     finished = False
     # SIGINT waits while the workers are forked, since CPython drops an exception raised
     # in its at-fork callbacks, and while they are reaped; then it raises
     caller_mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
-        os.set_blocking(task_w, False)
-        pending = _feed(task_w, pending, select.PIPE_BUF)
+        _job = (fn, items)
+        task_r, task_w = os.pipe()
+        # at most PIPE_BUF bytes into an empty pipe: one write, which never blocks
+        os.write(task_w, b"".join(j.to_bytes(_INDEX_BYTES, "little") for j in range(lanes)))
+        os.close(task_w)  # so a worker's read of the emptied pipe returns b""
+        task_w = -1
         for _ in range(workers):
             out_r, out_w = os.pipe()
             buffers[out_r] = bytearray()
@@ -121,9 +113,9 @@ def fork_map(fn, items: list) -> list:
             if pid == 0:  # the worker: it must leave through os._exit, never return
                 try:
                     signal.pthread_sigmask(signal.SIG_SETMASK, caller_mask)
-                    for fd in (task_w, *buffers):
+                    for fd in buffers:
                         os.close(fd)
-                    _serve(task_r, out_w)
+                    _serve(task_r, out_w, lanes)
                 except Exception:
                     import traceback
 
@@ -141,24 +133,12 @@ def fork_map(fn, items: list) -> list:
         poller = select.poll()
         for fd in buffers:
             poller.register(fd, select.POLLIN)
-        if pending:
-            poller.register(task_w, select.POLLOUT)
-        else:
-            os.close(task_w)  # end of jobs: a worker's read of the empty pipe returns b""
-            task_w = -1
         done, results = [None] * n, []  # done[i]: (ok, value, warnings) of job i, until re-issued
         while len(results) < n:
             if not buffers:
                 lost = [i for i in range(len(results), n) if done[i] is None]
                 raise RuntimeError(f"fork_map: worker processes exited without returning job(s) {lost}")
             for fd, _ in poller.poll():
-                if fd == task_w:
-                    pending = _feed(task_w, pending, select.PIPE_BUF)
-                    if not pending:
-                        poller.unregister(task_w)
-                        os.close(task_w)
-                        task_w = -1
-                    continue
                 chunk = os.read(fd, _READ_BYTES)
                 if not chunk:  # the worker has exited
                     poller.unregister(fd)

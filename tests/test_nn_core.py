@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -314,6 +315,46 @@ def test_damaged_checkpoint_blob_loads_or_raises_value_error(data):
             load_checkpoint(path)
         except ValueError:
             pass
+
+
+@pytest.mark.parametrize("damage", ["{", "[1]", "no components", "layer without in", "out as a string"])
+def test_damaged_checkpoint_manifest_raises_value_error_naming_it(tmp_path, damage):
+    path = str(tmp_path / "ckpt.json")
+    _two_component_checkpoint(path)
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    layer = manifest["components"]["head"]["layers"][0]
+    if damage == "no components":
+        del manifest["components"]
+    elif damage == "layer without in":
+        del layer["in"]
+    elif damage == "out as a string":
+        layer["out"] = str(layer["out"])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(damage if damage in ("{", "[1]") else json.dumps(manifest))
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: "):
+        load_checkpoint(path)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_damaged_checkpoint_manifest_loads_or_raises_value_error_naming_it(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ckpt.json")
+        _two_component_checkpoint(path)
+        with open(path, "rb") as fh:
+            manifest = bytearray(fh.read())
+        if data.draw(st.booleans(), label="truncate"):
+            manifest = manifest[: data.draw(st.integers(0, len(manifest) - 1), label="keep")]
+        else:
+            pos = data.draw(st.integers(0, len(manifest) - 1), label="pos")
+            manifest[pos] ^= data.draw(st.integers(1, 255), label="mask")
+        with open(path, "wb") as fh:
+            fh.write(bytes(manifest))
+        try:
+            load_checkpoint(path)
+        except ValueError as exc:
+            assert str(exc).startswith(path)
 
 
 def test_clone_params_is_deep():

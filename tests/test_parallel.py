@@ -1,5 +1,8 @@
 import copy
+import errno
 import os
+import re
+import select
 import signal
 import threading
 import time
@@ -19,6 +22,7 @@ from emocluster.serialize import stable_seed
 from emocluster.trainer import TrainConfig, pretrain, run_protocol
 from oracles import tuple_pool
 
+_LANES = select.PIPE_BUF // 4  # fork_map's lane count: job i runs on lane i % _LANES
 
 def _with_workers(monkeypatch, n, fn):
     monkeypatch.setattr(parallel, "worker_count", lambda: n)
@@ -234,7 +238,7 @@ def _deadline(seconds):
 
 
 def test_more_jobs_than_the_task_pipe_holds(monkeypatch):
-    # 20 000 four-byte indices overflow the 64 KiB pipe; more workers than CPUs share it
+    # 20 000 jobs: each lane runs 19 or 20 of them; more workers than CPUs share the pipe
     monkeypatch.setattr(parallel, "worker_count", lambda: 3)
     items = list(range(20_000))
     with _deadline(60):
@@ -247,7 +251,7 @@ def test_a_worker_that_dies_names_its_lost_job(monkeypatch):
     with _deadline(60), pytest.raises(RuntimeError, match=r"^fork_map: .* job\(s\) \[1\]$"):
         fork_map(lambda x: os._exit(3) if x == 1 else x, [0, 1, 2, 3])
     assert _children() == []
-    # every worker dead with indices still waiting to be written: all of them are lost
+    # every worker dead with lanes still unread: all their jobs are lost
     with _deadline(60), pytest.raises(RuntimeError, match=r"job\(s\) \[0, 1, 2, 3, "):
         fork_map(lambda x: os._exit(3), list(range(20_000)))
     assert _children() == []
@@ -291,4 +295,88 @@ def test_an_interrupt_leaves_no_worker(monkeypatch):
 
     with _deadline(60), pytest.raises(KeyboardInterrupt):
         fork_map(interrupt, [0, 1])
+    assert _children() == []
+
+
+def _warn(x):
+    warnings.warn(f"job {x}", UserWarning)
+    return x
+
+
+@pytest.mark.parametrize("n", [_LANES + 1, 3 * _LANES + 5])
+def test_jobs_past_the_first_lane_round_come_back_in_item_order(monkeypatch, n):
+    monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+    items = list(range(n))
+    with warnings.catch_warnings(record=True) as caught, _deadline(60):
+        warnings.simplefilter("always")
+        assert fork_map(_warn, items) == items
+    assert [str(w.message) for w in caught] == [f"job {x}" for x in items]
+    assert _children() == []
+
+
+def _fail_from_the_second_lane_round(x):
+    warnings.warn(f"job {x}", UserWarning)
+    if x == _LANES:
+        time.sleep(0.3)  # lane 1's second job fails first in time, lane 0's first in item order
+    if x >= _LANES:
+        raise ValueError(f"job {x} failed")
+    return x
+
+
+def test_the_first_failing_job_of_a_later_lane_round_raises_after_earlier_warnings(monkeypatch):
+    monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+    with warnings.catch_warnings(record=True) as caught, _deadline(60):
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=f"^job {_LANES} failed$"):
+            fork_map(_fail_from_the_second_lane_round, list(range(_LANES + 2)))
+    assert [str(w.message) for w in caught] == [f"job {x}" for x in range(_LANES + 1)]
+    assert _children() == []
+    assert parallel._job is None
+
+
+def test_a_worker_that_dies_mid_lane_names_the_rest_of_its_lane(monkeypatch):
+    monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+    n = 3 * _LANES + 5
+    lost = [_LANES + 1, 2 * _LANES + 1, 3 * _LANES + 1]  # lane 1 after its first job
+    with _deadline(60), pytest.raises(RuntimeError, match=rf"job\(s\) {re.escape(str(lost))}$"):
+        fork_map(lambda x: os._exit(3) if x == _LANES + 1 else x, list(range(n)))
+    assert _children() == []
+
+
+def _fds() -> list[str]:
+    """This process's open file descriptors."""
+    return sorted(os.listdir("/proc/self/fd"), key=int)
+
+
+def test_no_descriptor_outlives_a_call(monkeypatch):
+    monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+    before = _fds()
+    with _deadline(60):
+        assert fork_map(lambda x: -x, [0, 1, 2]) == [0, -1, -2]
+        assert _fds() == before
+        with pytest.raises(ValueError, match="^x$"):
+            fork_map(_fail_on_one, [0, 1, 2])
+        assert _fds() == before
+        with pytest.raises(RuntimeError, match=r"job\(s\) \[1\]$"):
+            fork_map(lambda x: os._exit(3) if x == 1 else x, [0, 1, 2, 3])
+        assert _fds() == before
+
+
+def test_a_call_that_fails_before_forking_leaves_later_calls_parallel(monkeypatch):
+    monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+    monkeypatch.setattr(parallel, "_job", None)  # so no later test runs in-process should this one fail
+    failures, pipe = [OSError(errno.EMFILE, "Too many open files")], os.pipe
+
+    def pipe_failing_once():
+        if failures:
+            raise failures.pop()
+        return pipe()
+
+    monkeypatch.setattr(os, "pipe", pipe_failing_once)
+    with pytest.raises(OSError, match="Too many open files"):
+        fork_map(lambda _: os.getpid(), [0, 1])
+    assert parallel._job is None
+    with _deadline(60):
+        pids = fork_map(lambda _: os.getpid(), [0, 1])
+    assert os.getpid() not in pids
     assert _children() == []
