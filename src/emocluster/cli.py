@@ -20,20 +20,12 @@ import numpy as np
 from . import __version__
 from .cluster_metrics import evaluate_run, report_to_dict, report_to_table
 from .clustering import ClusteringRun, KMeansConfig, cluster_speakers, run_from_dict, run_to_dict, speaker_rows
-from .corpus import (
-    Corpus,
-    CorpusError,
-    SynthSpec,
-    generate_synthetic,
-    length_normalize,
-    load_corpus,
-    save_corpus,
-)
+from .corpus import Corpus, SynthSpec, generate_synthetic, length_normalize, load_corpus, save_corpus
 from .nn_core import grad_check, save_checkpoint
 from .objectives import MtlWeights
 from .pair_miner import MiningConfig, mine_tuples, save_tuples
 from .parallel import worker_count
-from .serialize import canonical_dumps, format_float
+from .serialize import CorpusError, format_float, read_json, write_jsonl
 from .trainer import (
     MODES,
     TrainConfig,
@@ -81,20 +73,14 @@ def _write_manifest(args: argparse.Namespace, started: float) -> None:
         "duration_seconds": round(time.monotonic() - started, 6),
     }
     if outputs:
-        _write_text(outputs[0] + ".manifest.json", canonical_dumps(manifest) + "\n")
+        write_jsonl(outputs[0] + ".manifest.json", [manifest])
 
 
 def _load_run(path: str, corpus: Corpus) -> ClusteringRun:
     """Read a clustering run json and check each speaker's clustering against
     the corpus; damaged contents or a mismatch raise CorpusError naming the
     file (and the speaker)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except ValueError as exc:  # malformed json or invalid UTF-8
-        raise CorpusError(f"{path}: malformed clustering run ({exc})") from exc
-    if not isinstance(obj, dict):
-        raise CorpusError(f"{path}: clustering run must be a json object, not {type(obj).__name__}")
+    obj = read_json(path, "clustering run")
     for key in ("config", "per_speaker"):
         if not isinstance(obj.get(key), dict):
             problem = "is missing key" if key not in obj else "has a non-object value at key"
@@ -138,14 +124,14 @@ def cmd_cluster(args) -> int:
         k=args.k, max_iters=args.max_iters, tol=args.tol, n_restarts=args.restarts, seed=args.seed
     )
     run = cluster_speakers(corpus, config)
-    _write_text(args.out, canonical_dumps(run_to_dict(run)) + "\n")
+    write_jsonl(args.out, [run_to_dict(run)])
     return EXIT_OK
 
 
 def cmd_eval_clusters(args) -> int:
     corpus = length_normalize(load_corpus(args.corpus, args.format))
     report = evaluate_run(_load_run(args.run, corpus), corpus)
-    _write_text(args.out, canonical_dumps(report_to_dict(report)) + "\n")
+    write_jsonl(args.out, [report_to_dict(report)])
     if args.table:
         _write_text(args.table, report_to_table(report))
     return EXIT_OK
@@ -212,7 +198,7 @@ def cmd_probe(args) -> int:
     )
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     report = run_protocol(corpus, config, modes=modes, label_fraction=args.label_fraction)
-    _write_text(args.out, canonical_dumps(report) + "\n")
+    write_jsonl(args.out, [report])
     if args.table:
         _write_text(args.table, protocol_to_table(report))
     return EXIT_OK
@@ -237,7 +223,7 @@ def cmd_grad_check(args) -> int:
             "cases": {k: finite(v) for k, v in sorted(results.items())},
             "passed": passed,
         }
-        _write_text(args.out, canonical_dumps(payload) + "\n")
+        write_jsonl(args.out, [payload])
     if not passed:
         print(
             f"grad-check FAILED: {worst:.3e} is not a finite error within tolerance {args.tol:.3e}", file=sys.stderr
@@ -404,13 +390,7 @@ def _apply_config_file(parser: _Parser, path: str) -> set[str]:
     it supplied; explicit flags still win.  A key may name a flag of any
     subcommand, so one file can serve several; a key that names none raises
     CorpusError."""
-    try:
-        with open(path, "rb") as fh:
-            values = json.loads(fh.read().decode("utf-8"))
-    except ValueError as exc:  # malformed json or invalid UTF-8
-        raise CorpusError(f"{path}: malformed config file ({exc})") from exc
-    if not isinstance(values, dict):
-        raise CorpusError(f"{path}: config file must hold a json object")
+    values = read_json(path, "config file")
     keys = {k.replace("-", "_"): k for k in values}
     known = set()
     for sp in parser.get_default("_subcommands").values():
@@ -469,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
     except FloatingPointError as exc:
         print(f"emocluster: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CorpusError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (CorpusError, ValueError, KeyError, OSError) as exc:
         print(f"emocluster: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     if code == EXIT_OK:

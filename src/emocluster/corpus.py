@@ -7,7 +7,6 @@ utterances by row (`Corpus.take`).  Two interchangeable on-disk formats are
 supported: human-readable jsonl and a compact binary layout for large pools.
 """
 
-import json
 import math
 import struct
 import warnings
@@ -16,17 +15,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .serialize import canonical_dumps
+from .serialize import CorpusError, read_jsonl, write_jsonl
 
 BIN_MAGIC = b"EMB1"
 
 DEFAULT_EMOTIONS = ("neutral", "happy", "sad", "angry")
 
 UNIT_NORM_TOL = 1e-6  # is_normalized: how far a row's norm may sit from 1
-
-
-class CorpusError(ValueError):
-    """Raised when a corpus file or record violates the format contract."""
 
 
 @dataclass(frozen=True)
@@ -158,10 +153,7 @@ def build_corpus(records: list[EmbeddingRecord]) -> Corpus:
 def save_corpus(corpus: Corpus, path: str, format: str = "jsonl") -> None:
     rows = zip(corpus.utt_ids, corpus.spk_ids, corpus.emotions, corpus.vectors)
     if format == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for utt_id, spk_id, emotion, vec in rows:
-                fh.write(canonical_dumps({"utt_id": utt_id, "spk_id": spk_id, "emotion": emotion, "vec": vec.tolist()}))
-                fh.write("\n")
+        write_jsonl(path, ({"utt_id": u, "spk_id": s, "emotion": e, "vec": v.tolist()} for u, s, e, v in rows))
     elif format == "bin":
         with open(path, "wb") as fh:
             fh.write(BIN_MAGIC)
@@ -184,29 +176,18 @@ def save_corpus(corpus: Corpus, path: str, format: str = "jsonl") -> None:
 
 def _load_jsonl(path: str) -> Corpus:
     records = []
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: not valid UTF-8 at byte {exc.start}") from exc
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed json ({exc.msg})") from exc
-            try:
-                vec = np.asarray(obj["vec"], dtype=np.float64)
-                rec = EmbeddingRecord(
-                    utt_id=str(obj["utt_id"]),
-                    spk_id=str(obj["spk_id"]),
-                    emotion=None if obj.get("emotion") is None else str(obj["emotion"]),
-                    vec=vec,
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed record ({exc})") from exc
-            records.append(rec)
+    for lineno, obj in read_jsonl(path):
+        try:
+            vec = np.asarray(obj["vec"], dtype=np.float64)
+            rec = EmbeddingRecord(
+                utt_id=str(obj["utt_id"]),
+                spk_id=str(obj["spk_id"]),
+                emotion=None if obj.get("emotion") is None else str(obj["emotion"]),
+                vec=vec,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusError(f"{path}:{lineno}: malformed record ({exc})") from exc
+        records.append(rec)
     return build_corpus(records)
 
 

@@ -7,13 +7,12 @@ enough for 1e-5 relative tolerances.  Classifier heads end at their
 logits: the softmax belongs to the cross-entropy loss, not the network.
 """
 
-import json
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .serialize import canonical_dumps
+from .serialize import read_json, write_jsonl
 
 # activation: (its value, in place on the pre-activation z; grad_a times its derivative, read off its output a)
 ACTIVATIONS = {
@@ -246,9 +245,7 @@ def save_checkpoint(path: str, components: dict[str, ModelParams], meta: dict) -
             for name, model in components.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(manifest))
-        fh.write("\n")
+    write_jsonl(path, [manifest])
     with open(path + ".bin", "wb") as fh:
         fh.write(struct.pack("<4sI", b"EMC1", len(components)))
         for name in sorted(components):
@@ -268,12 +265,8 @@ def _component_spec_ok(spec) -> bool:
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, ModelParams], dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValueError(f"{path}: unreadable checkpoint manifest ({exc})") from None
-    if not isinstance(manifest, dict) or manifest.get("format") != "emocluster-checkpoint-v1":
+    manifest = read_json(path, "checkpoint manifest")
+    if manifest.get("format") != "emocluster-checkpoint-v1":
         raise ValueError(f"{path}: not an emocluster checkpoint manifest")
     if not isinstance(manifest.get("components"), dict):
         raise ValueError(f"{path}: checkpoint manifest has no components object")

@@ -6,7 +6,6 @@ whose centers lie farthest from the anchor's cluster center.  Empty
 clusters in that window are replaced by the next-farthest populated ones.
 """
 
-import json
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ import numpy as np
 
 from .clustering import ClusteringRun, SpeakerClustering, center_distances, speaker_rows
 from .corpus import Corpus
-from .serialize import canonical_dumps, stable_seed
+from .serialize import read_jsonl, stable_seed, write_jsonl
 
 
 @dataclass
@@ -162,44 +161,32 @@ def _validate_tuple(t: ContrastiveTuple, where: str) -> None:
 
 
 def save_tuples(tuples: list[ContrastiveTuple], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in tuples:
-            fh.write(
-                canonical_dumps(
-                    {
-                        "anchor": t.anchor,
-                        "positive": t.positive,
-                        "negatives": [{"utt_id": n.utt_id, "cluster": n.cluster} for n in t.negatives],
-                        "spk": t.spk_id,
-                    }
-                )
-            )
-            fh.write("\n")
+    write_jsonl(
+        path,
+        (
+            {
+                "anchor": t.anchor,
+                "positive": t.positive,
+                "negatives": [{"utt_id": n.utt_id, "cluster": n.cluster} for n in t.negatives],
+                "spk": t.spk_id,
+            }
+            for t in tuples
+        ),
+    )
 
 
 def load_tuples(path: str) -> list[ContrastiveTuple]:
     tuples = []
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: not valid UTF-8 at byte {exc.start}") from exc
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                t = ContrastiveTuple(
-                    anchor=str(obj["anchor"]),
-                    positive=str(obj["positive"]),
-                    negatives=[
-                        Negative(utt_id=str(n["utt_id"]), cluster=int(n["cluster"]))
-                        for n in obj["negatives"]
-                    ],
-                    spk_id=str(obj["spk"]),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed tuple line ({exc})") from exc
-            _validate_tuple(t, f"{path}:{lineno}")
-            tuples.append(t)
+    for lineno, obj in read_jsonl(path):
+        try:
+            t = ContrastiveTuple(
+                anchor=str(obj["anchor"]),
+                positive=str(obj["positive"]),
+                negatives=[Negative(utt_id=str(n["utt_id"]), cluster=int(n["cluster"])) for n in obj["negatives"]],
+                spk_id=str(obj["spk"]),
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}:{lineno}: malformed tuple line ({exc})") from exc
+        _validate_tuple(t, f"{path}:{lineno}")
+        tuples.append(t)
     return tuples

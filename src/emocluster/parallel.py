@@ -21,6 +21,7 @@ _job = None  # (fn, items) of the fork_map whose workers are running, inherited 
 _INDEX_BYTES = 4  # one lane number on the task pipe, little-endian
 _HEADER_BYTES = 8  # the length of the pickled frame that follows, little-endian
 _READ_BYTES = 1 << 16  # one result-pipe read: the default pipe capacity
+_LOST_LISTED = 10  # the lost-job error lists this many indices, then counts the rest
 
 
 def worker_count() -> int:
@@ -74,7 +75,7 @@ def fork_map(fn, items: list) -> list:
     A job's warnings are re-issued here in item order.  The first failing job
     in item order raises its exception, with the worker's traceback as its
     cause, after the warnings of the jobs before it; a worker that exits
-    without returning a job raises RuntimeError.
+    without returning a job raises RuntimeError naming the first lost jobs.
     """
     global _job
     workers = min(worker_count(), len(items))
@@ -137,7 +138,9 @@ def fork_map(fn, items: list) -> list:
         while len(results) < n:
             if not buffers:
                 lost = [i for i in range(len(results), n) if done[i] is None]
-                raise RuntimeError(f"fork_map: worker processes exited without returning job(s) {lost}")
+                more = f" and {len(lost) - _LOST_LISTED} more" if len(lost) > _LOST_LISTED else ""
+                del lost[_LOST_LISTED:]
+                raise RuntimeError(f"fork_map: worker processes exited without returning job(s) {lost}{more}")
             for fd, _ in poller.poll():
                 chunk = os.read(fd, _READ_BYTES)
                 if not chunk:  # the worker has exited

@@ -1,21 +1,28 @@
-"""Canonical JSON emission, aligned text tables and stable seed derivation.
+"""Canonical JSON emission and reading, aligned text tables and stable seed derivation.
 
-Every artifact this toolkit writes goes through canonical_dumps so that
-reruns with identical inputs produce byte-identical files: keys sorted,
-floats printed with 17 significant digits (enough to round-trip a double).
+Every JSON artifact this toolkit writes goes through write_jsonl, one
+canonical_dumps line per object, so that reruns with identical inputs produce
+byte-identical files: keys sorted, floats printed with 17 significant digits
+(enough to round-trip a double).  read_json and read_jsonl read them back and
+raise CorpusError naming the file (and line) on damage.
 """
 
 import hashlib
+import json
 import math
 from json.encoder import encode_basestring
+
+
+class CorpusError(ValueError):
+    """Raised when an input file or record violates the format contract."""
 
 
 def format_float(x: float) -> str:
     """Render a float with 17 significant digits (lossless for float64)."""
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError(f"non-finite value not serializable: {x}")
-    if x == int(x) and abs(x) < 1e16:
-        # keep a trailing .0 so the value reads back as a float
+    if x == int(x) and abs(x) < 1e17:
+        # keep a trailing .0 so the value reads back as a float (from 1e17 on, .17g writes an exponent)
         return f"{x:.1f}"
     return format(x, ".17g")
 
@@ -74,6 +81,45 @@ def canonical_dumps(obj) -> str:
     out: list[str] = []
     _encode(obj, out)
     return "".join(out)
+
+
+def write_jsonl(path: str, objs) -> None:
+    """Write each object as one canonical json line; a .json artifact is the one-object case."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for obj in objs:
+            fh.write(canonical_dumps(obj))
+            fh.write("\n")
+
+
+def read_json(path: str, what: str) -> dict:
+    """The json object in the file at `path`; `what` names it in the CorpusError
+    that invalid UTF-8, malformed json or a non-object raises."""
+    try:
+        with open(path, "rb") as fh:
+            obj = json.loads(fh.read().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # invalid UTF-8, malformed or too deeply nested json
+        raise CorpusError(f"{path}: malformed {what} ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise CorpusError(f"{path}: {what} must be a json object, not {type(obj).__name__}")
+    return obj
+
+
+def read_jsonl(path: str):
+    """Yield (line number, json value) for each nonblank line of the file at
+    `path`; invalid UTF-8 or malformed json raises CorpusError naming path:line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"{path}:{lineno}: not valid UTF-8 at byte {exc.start}") from exc
+            if not line:
+                continue
+            try:
+                value = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:  # malformed or too deeply nested
+                raise CorpusError(f"{path}:{lineno}: malformed json ({getattr(exc, 'msg', exc)})") from exc
+            yield lineno, value
 
 
 def stable_seed(*parts) -> int:

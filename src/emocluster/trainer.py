@@ -287,10 +287,19 @@ def pretrain(corpus_unlabeled: Corpus, config: TrainConfig, tuples: tuple | None
         # the steps read the pool unchecked: check it here, once
         if negatives.shape != pool_mask.shape or {len(column) for column in pool} != {len(anchors)}:
             raise ValueError("tuple pool columns differ in shape")
+        integral = all(np.issubdtype(column.dtype, np.integer) for column in (anchors, positives, negatives, labels))
+        if pool_mask.dtype != bool or not integral:
+            raise ValueError("tuple pool rows and labels must be integer arrays, and its mask boolean")
         widths = pool_mask.sum(axis=1)
-        bad = np.flatnonzero((widths == 0) | (labels < 0) | (labels >= len(speakers)))
+        outside = lambda values, end: (values < 0) | (values >= end)
+        bad = np.flatnonzero(
+            (widths == 0) | outside(labels, len(speakers)) | outside(anchors, len(X)) | outside(positives, len(X))
+            | (outside(negatives, len(X)) & pool_mask).any(axis=1)
+        )
         if bad.size:
-            raise ValueError(f"tuple {bad[0]}: needs a negative and a speaker label in [0, {len(speakers)})")
+            raise ValueError(
+                f"tuple {bad[0]}: needs a negative, a speaker label in [0, {len(speakers)}) and rows in [0, {len(X)})"
+            )
         con_head, spk_head = components["contrastive"], components.get("speaker_cls")
         batches = _shuffled_batches(len(anchors), config.batch_size, rng)
         for _ in range(config.steps):

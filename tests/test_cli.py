@@ -519,6 +519,14 @@ def test_config_file_with_invalid_utf8_exits_2(tmp_path, small_corpus, capsys):
     assert f"{config}: malformed config file ('utf-8' codec can't decode byte 0xff in position 8" in capsys.readouterr().err
 
 
+def test_config_file_holding_no_object_exits_2(tmp_path, small_corpus, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text("[1]\n")
+    argv = ["cluster", "--corpus", str(small_corpus), "--config", str(config), "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    assert f"emocluster: error: {config}: config file must be a json object, not list" in capsys.readouterr().err
+
+
 def _clustered_run(tmp_path, corpus):
     good = tmp_path / "good.json"
     assert main(["cluster", "--corpus", str(corpus), "--k", "2", "--out", str(good)]) == 0

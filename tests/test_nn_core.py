@@ -336,6 +336,15 @@ def test_damaged_checkpoint_manifest_raises_value_error_naming_it(tmp_path, dama
         load_checkpoint(path)
 
 
+def test_checkpoint_manifest_holding_no_object_says_so(tmp_path):
+    path = str(tmp_path / "ckpt.json")
+    _two_component_checkpoint(path)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("[1]\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: checkpoint manifest must be a json object, not list$"):
+        load_checkpoint(path)
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_damaged_checkpoint_manifest_loads_or_raises_value_error_naming_it(data):

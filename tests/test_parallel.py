@@ -252,9 +252,12 @@ def test_a_worker_that_dies_names_its_lost_job(monkeypatch):
         fork_map(lambda x: os._exit(3) if x == 1 else x, [0, 1, 2, 3])
     assert _children() == []
     # every worker dead with lanes still unread: all their jobs are lost
-    with _deadline(60), pytest.raises(RuntimeError, match=r"job\(s\) \[0, 1, 2, 3, "):
+    with _deadline(60), pytest.raises(RuntimeError, match=r"job\(s\) \[0, 1, 2, 3, ") as lost:
         fork_map(lambda x: os._exit(3), list(range(20_000)))
     assert _children() == []
+    # the message lists the first ten lost jobs and counts the rest, whatever the job count
+    message = str(lost.value)
+    assert len(message) < 200 and message.endswith("and 19990 more")
 
 
 def _warn_then_fail(x):

@@ -1,11 +1,20 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emocluster.serialize import canonical_dumps, format_float, stable_seed
+from emocluster.serialize import (
+    CorpusError,
+    canonical_dumps,
+    format_float,
+    read_json,
+    read_jsonl,
+    stable_seed,
+    write_jsonl,
+)
 
 
 def test_sorted_keys_and_compact_layout():
@@ -34,10 +43,17 @@ def test_float_list_formats_as_each_float(values):
 
 
 def test_float_list_keeps_integral_and_nonfinite_rules():
-    assert canonical_dumps([0.5, -0.0, 3.0, 1e16, 0.1]) == "[0.5,-0.0,3.0,10000000000000000,0.10000000000000001]"
+    assert canonical_dumps([0.5, -0.0, 3.0, 1e16, 0.1]) == "[0.5,-0.0,3.0,10000000000000000.0,0.10000000000000001]"
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="non-finite"):
             canonical_dumps({"vec": [0.25, bad]})
+
+
+@pytest.mark.parametrize("x", [1e16, -3e16, 99999999999999984.0])
+def test_large_integral_floats_read_back_as_floats(x):
+    # .17g writes these as bare integers; from 1e17 on it writes an exponent
+    for value in (json.loads(format_float(x)), json.loads(canonical_dumps([x]))[0]):
+        assert type(value) is float and value == x
 
 
 def test_nonfinite_rejected():
@@ -111,3 +127,44 @@ def test_aligned_tables_exact_bytes():
 def test_strings_encode_as_json_dumps(text):
     assert canonical_dumps(text) == json.dumps(text, ensure_ascii=False)
     assert canonical_dumps({text: [text]}) == json.dumps({text: [text]}, ensure_ascii=False, separators=(",", ":"))
+
+
+def test_jsonl_round_trips_its_objects(tmp_path):
+    path = str(tmp_path / "objs.jsonl")
+    objs = [{"b": [0.1, 3.0], "a": None}, {"s": "t\u00e9xt"}, {}]
+    write_jsonl(path, objs)
+    assert [obj for _, obj in read_jsonl(path)] == objs
+    with open(path, "rb") as fh:
+        assert fh.read() == b"".join(canonical_dumps(o).encode("utf-8") + b"\n" for o in objs)
+
+
+def test_jsonl_skips_blank_lines_and_names_the_damaged_line(tmp_path):
+    path = tmp_path / "objs.jsonl"
+    path.write_bytes(b'{"a": 1}\n\n  \n[2]\n{broken\n')
+    lines = read_jsonl(str(path))
+    assert [next(lines), next(lines)] == [(1, {"a": 1}), (4, [2])]
+    with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}:5: malformed json"):
+        next(lines)
+    path.write_bytes(b"{}\n" + b"[" * 100_000 + b"\n")
+    with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}:2: malformed json \(maximum recursion depth"):
+        list(read_jsonl(str(path)))
+    path.write_bytes(b'{"a": 1}\n{"b": "\xff"}\n')
+    with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}:2: not valid UTF-8 at byte 7"):
+        list(read_jsonl(str(path)))
+
+
+@pytest.mark.parametrize(
+    "content, detail",
+    [
+        (b'{"k": 1}\xff', "malformed thing ('utf-8' codec can't decode byte 0xff in position 8"),
+        (b'{"k": ', "malformed thing (Expecting value"),
+        (b"[1]", "thing must be a json object, not list"),
+        (b"[" * 100_000, "malformed thing (maximum recursion depth exceeded"),
+    ],
+)
+def test_read_json_names_the_damaged_file(tmp_path, content, detail):
+    path = tmp_path / "thing.json"
+    path.write_bytes(content)
+    with pytest.raises(CorpusError) as raised:
+        read_json(str(path), "thing")
+    assert str(raised.value).startswith(f"{path}: {detail}")

@@ -525,6 +525,23 @@ def test_pretrain_checks_the_pool_before_the_first_step(monkeypatch):
         pretrain(corpus, config, tuples=(anchors, positives, negatives, mask, stranger))
     with pytest.raises(ValueError, match="columns differ"):
         pretrain(corpus, config, tuples=(anchors, positives, negatives[:, :1], mask, labels))
+    # rows outside the corpus: anchors of -1 would wrap to its last row, and one of len(corpus) would
+    # raise a bare IndexError only when a batch drew it
+    rows = rf"tuple {{}}: .* rows in \[0, {len(corpus)}\)"
+    with pytest.raises(ValueError, match=rows.format(0)):
+        pretrain(corpus, config, tuples=(np.full_like(anchors, -1), positives, negatives, mask, labels))
+    past_end = positives.copy()
+    past_end[last] = len(corpus)
+    with pytest.raises(ValueError, match=rows.format(last)):
+        pretrain(corpus, config, tuples=(anchors, past_end, negatives, mask, labels))
+    stray = negatives.copy()
+    stray[last, 0] = len(corpus)
+    with pytest.raises(ValueError, match=rows.format(last)):
+        pretrain(corpus, config, tuples=(anchors, positives, stray, mask, labels))
+    with pytest.raises(ValueError, match="must be integer arrays"):
+        pretrain(corpus, config, tuples=(anchors, positives, negatives.astype(float), mask, labels))
+    with pytest.raises(ValueError, match="mask boolean"):
+        pretrain(corpus, config, tuples=(anchors, positives, negatives, mask.astype(np.intp), labels))
 
 
 def _sha256(*chunks) -> str:
