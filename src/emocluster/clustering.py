@@ -33,7 +33,7 @@ import numpy as np
 
 from .corpus import Corpus, warn_if_unnormalized
 from .parallel import fork_map
-from .serialize import stable_seed
+from .serialize import json_typed, stable_seed
 
 # Gram-form squared distances at or below this fraction of |x|^2 + |y|^2 may
 # have lost most of their digits to cancellation; they are recomputed exactly.
@@ -326,11 +326,25 @@ def run_to_dict(run: ClusteringRun) -> dict:
     }
 
 
-_CONFIG_FIELDS = (("k", int), ("max_iters", int), ("tol", float), ("n_restarts", int), ("seed", int))
+def _int(value) -> int:
+    return json_typed(value, int)
+
+
+def _number(value) -> float:
+    return float(json_typed(value, int, float))
+
+
+def _matrix(value) -> np.ndarray:
+    if not all(set(map(type, json_typed(row, list))) <= {int, float} for row in json_typed(value, list)):
+        raise TypeError("expected a list of lists of numbers")
+    return np.asarray(value, dtype=np.float64)
+
+
+_CONFIG_FIELDS = (("k", _int), ("max_iters", _int), ("tol", _number), ("n_restarts", _int), ("seed", _int))
 _SPEAKER_FIELDS = (
-    ("assignments", lambda v: {u: int(c) for u, c in v.items()}),
-    ("centers", lambda v: np.asarray(v, dtype=np.float64)),
-    ("inertia", float), ("effective_k", int), ("seed_used", int),
+    ("assignments", lambda v: {u: _int(c) for u, c in v.items()}),
+    ("centers", _matrix),
+    ("inertia", _number), ("effective_k", _int), ("seed_used", _int),
 )
 
 

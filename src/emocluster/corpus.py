@@ -26,7 +26,7 @@ UNIT_NORM_TOL = 1e-6  # is_normalized: how far a row's norm may sit from 1
 
 @dataclass(frozen=True)
 class EmbeddingRecord:
-    """One utterance: what the jsonl parser reads and `Corpus.records` yields."""
+    """One utterance: the row type of `Corpus.records`."""
 
     utt_id: str
     spk_id: str
@@ -132,22 +132,6 @@ class SynthSpec:
             raise ValueError("emotion_dir_jitter must lie in [0, 1]")
 
 
-def build_corpus(records: list[EmbeddingRecord]) -> Corpus:
-    """Check that every record's vector has the first one's shape, then assemble a Corpus."""
-    if not records:
-        raise CorpusError("corpus has no records")
-    shape = records[0].vec.shape
-    for rec in records:
-        if rec.vec.shape != shape:
-            raise CorpusError(f"dimension mismatch: record {rec.utt_id!r} has shape {rec.vec.shape}, expected {shape}")
-    return Corpus(
-        np.stack([r.vec for r in records]),
-        [r.utt_id for r in records],
-        [r.spk_id for r in records],
-        [r.emotion for r in records],
-    )
-
-
 # ---------------------------------------------------------------- file formats
 
 def save_corpus(corpus: Corpus, path: str, format: str = "jsonl") -> None:
@@ -174,24 +158,33 @@ def save_corpus(corpus: Corpus, path: str, format: str = "jsonl") -> None:
         raise CorpusError(f"unknown corpus format {format!r}")
 
 
-def _load_jsonl(path: str) -> Corpus:
-    records = []
+def _load_jsonl(path: str) -> tuple:
+    """The columns of a jsonl corpus; a record whose fields lack their json
+    types, or whose vec differs in length from the first, names path:line."""
+    rows, utt_ids, spk_ids, emotions = [], [], [], []
     for lineno, obj in read_jsonl(path):
         try:
-            vec = np.asarray(obj["vec"], dtype=np.float64)
-            rec = EmbeddingRecord(
-                utt_id=str(obj["utt_id"]),
-                spk_id=str(obj["spk_id"]),
-                emotion=None if obj.get("emotion") is None else str(obj["emotion"]),
-                vec=vec,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            utt_id, spk_id, emotion, vec = obj["utt_id"], obj["spk_id"], obj.get("emotion"), obj["vec"]
+        except (KeyError, TypeError) as exc:
             raise CorpusError(f"{path}:{lineno}: malformed record ({exc})") from exc
-        records.append(rec)
-    return build_corpus(records)
+        if type(utt_id) is not str or type(spk_id) is not str or type(emotion) not in (str, type(None)):
+            raise CorpusError(f"{path}:{lineno}: utt_id and spk_id must be strings, emotion a string or null")
+        if type(vec) is not list or not vec or not set(map(type, vec)) <= {float, int}:
+            raise CorpusError(f"{path}:{lineno}: vec must be a nonempty list of numbers")
+        if rows and len(vec) != len(rows[0]):
+            raise CorpusError(f"{path}:{lineno}: dimension mismatch: {len(vec)} values, expected {len(rows[0])}")
+        try:  # an array per line, so the line's python floats are freed as the file is read
+            rows.append(np.array(vec, dtype=np.float64))
+        except OverflowError as exc:  # an integer beyond the float64 range
+            raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+        utt_ids.append(utt_id)
+        spk_ids.append(spk_id)
+        emotions.append(emotion)
+    return np.array(rows), utt_ids, spk_ids, emotions
 
 
-def _load_bin(path: str) -> Corpus:
+def _load_bin(path: str) -> tuple:
+    """The vector, utterance, speaker and emotion columns of a bin corpus."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != BIN_MAGIC:
@@ -231,16 +224,19 @@ def _load_bin(path: str) -> Corpus:
     vectors = np.empty((len(vec_offsets), dim))
     for row, start in zip(vectors, vec_offsets):
         row[:] = np.frombuffer(data, dtype="<f4", count=dim, offset=start)
-    return Corpus(vectors, utt_ids, spk_ids, emotions)
+    return vectors, utt_ids, spk_ids, emotions
 
 
 def load_corpus(path: str, format: str = "jsonl") -> Corpus:
-    """Load and validate a corpus file in the declared format."""
-    if format == "jsonl":
-        return _load_jsonl(path)
-    if format == "bin":
-        return _load_bin(path)
-    raise CorpusError(f"unknown corpus format {format!r}")
+    """Load and validate a corpus file in the declared format; a CorpusError names the file."""
+    readers = {"jsonl": _load_jsonl, "bin": _load_bin}
+    if format not in readers:
+        raise CorpusError(f"unknown corpus format {format!r}")
+    columns = readers[format](path)
+    try:
+        return Corpus(*columns)
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from exc
 
 
 # ------------------------------------------------------------------ operations

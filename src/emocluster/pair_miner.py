@@ -14,7 +14,7 @@ import numpy as np
 
 from .clustering import ClusteringRun, SpeakerClustering, center_distances, speaker_rows
 from .corpus import Corpus
-from .serialize import read_jsonl, stable_seed, write_jsonl
+from .serialize import json_typed, read_jsonl, stable_seed, write_jsonl
 
 
 @dataclass
@@ -180,12 +180,15 @@ def load_tuples(path: str) -> list[ContrastiveTuple]:
     for lineno, obj in read_jsonl(path):
         try:
             t = ContrastiveTuple(
-                anchor=str(obj["anchor"]),
-                positive=str(obj["positive"]),
-                negatives=[Negative(utt_id=str(n["utt_id"]), cluster=int(n["cluster"])) for n in obj["negatives"]],
-                spk_id=str(obj["spk"]),
+                anchor=json_typed(obj["anchor"], str),
+                positive=json_typed(obj["positive"], str),
+                negatives=[
+                    Negative(utt_id=json_typed(n["utt_id"], str), cluster=json_typed(n["cluster"], int))
+                    for n in json_typed(obj["negatives"], list)
+                ],
+                spk_id=json_typed(obj["spk"], str),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"{path}:{lineno}: malformed tuple line ({exc})") from exc
         _validate_tuple(t, f"{path}:{lineno}")
         tuples.append(t)

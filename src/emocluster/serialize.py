@@ -4,7 +4,8 @@ Every JSON artifact this toolkit writes goes through write_jsonl, one
 canonical_dumps line per object, so that reruns with identical inputs produce
 byte-identical files: keys sorted, floats printed with 17 significant digits
 (enough to round-trip a double).  read_json and read_jsonl read them back and
-raise CorpusError naming the file (and line) on damage.
+raise CorpusError naming the file (and line) on damage; json_typed checks
+the type of a value they return.
 """
 
 import hashlib
@@ -120,6 +121,14 @@ def read_jsonl(path: str):
             except (json.JSONDecodeError, RecursionError) as exc:  # malformed or too deeply nested
                 raise CorpusError(f"{path}:{lineno}: malformed json ({getattr(exc, 'msg', exc)})") from exc
             yield lineno, value
+
+
+def json_typed(value, *types):
+    """`value` if its type is exactly one of `types`, so a bool is not an int
+    and "1.5" is not a float; otherwise TypeError."""
+    if type(value) not in types:
+        raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {type(value).__name__}")
+    return value
 
 
 def stable_seed(*parts) -> int:

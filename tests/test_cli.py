@@ -557,6 +557,26 @@ def test_ill_typed_run_value_names_speaker_and_key(tmp_path, small_corpus, capsy
     assert f"{run}: ill-typed value in clustering run (speaker {spk!r}, key 'assignments':" in err
 
 
+@pytest.mark.parametrize("command", _RUN_READERS)
+@pytest.mark.parametrize("key, value", [("assignments", 0.9), ("k", 2.5), ("inertia", "0.5")])
+def test_ill_typed_run_value_is_not_coerced(tmp_path, small_corpus, capsys, command, key, value):
+    # a fractional cluster or k is not read as an integer, nor a numeric string as a number
+    payload = _clustered_run(tmp_path, small_corpus)
+    spk = sorted(payload["per_speaker"])[0]
+    speaker = payload["per_speaker"][spk]
+    if key == "k":
+        payload["config"]["k"] = value
+    elif key == "assignments":
+        speaker["assignments"][min(speaker["assignments"])] = value
+    else:
+        speaker[key] = value
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps(payload))
+    assert _main_with_run(command, tmp_path, small_corpus, run) == 2
+    where = "config" if key == "k" else f"speaker {spk!r}"
+    assert f"{run}: ill-typed value in clustering run ({where}, key {key!r}: expected " in capsys.readouterr().err
+
+
 def _malform(case: str, speaker: dict, other: dict) -> None:
     """Edit one speaker's entry of a run json so that it no longer fits the corpus."""
     first = sorted(speaker["assignments"])[0]

@@ -25,7 +25,7 @@ from emocluster.clustering import (
     speaker_rows,
 )
 from emocluster.cluster_metrics import evaluate_run
-from emocluster.corpus import SynthSpec, generate_synthetic, length_normalize
+from emocluster.corpus import Corpus, SynthSpec, generate_synthetic, length_normalize
 from emocluster.pair_miner import MiningConfig, mine_tuples
 from emocluster.serialize import canonical_dumps
 from oracles import exact_kmeanspp_init
@@ -154,33 +154,24 @@ def test_cluster_speakers_warns_when_unnormalized():
 
 
 def test_cluster_speakers_degenerate_speaker_warns():
-    from emocluster.corpus import EmbeddingRecord, build_corpus
-
-    recs = [
-        EmbeddingRecord(f"u{i}", "tiny", None, np.eye(3)[i % 3].astype(float)) for i in range(3)
-    ]
-    corpus = build_corpus(recs)
+    corpus = Corpus(np.eye(3), [f"u{i}" for i in range(3)], ["tiny"] * 3, [None] * 3)
     with pytest.warns(UserWarning, match="degrading"):
         run = cluster_speakers(corpus, KMeansConfig(k=4, seed=0))
     assert run.per_speaker["tiny"].effective_k <= 3
 
 
 def test_cluster_speakers_warns_when_duplicates_shrink_k():
-    from emocluster.corpus import EmbeddingRecord, build_corpus
-
     # 12 points but only 3 distinct vectors: k=5 runs with 3 centers
-    recs = [EmbeddingRecord(f"u{i:02d}", "dup", None, np.eye(3)[i % 3].astype(float)) for i in range(12)]
+    corpus = Corpus(np.eye(3)[np.arange(12) % 3], [f"u{i:02d}" for i in range(12)], ["dup"] * 12, [None] * 12)
     with pytest.warns(UserWarning, match=r"k=5 exceeds its 3 distinct points \(of 12\); degrading"):
-        run = cluster_speakers(build_corpus(recs), KMeansConfig(k=5, seed=0))
+        run = cluster_speakers(corpus, KMeansConfig(k=5, seed=0))
     assert run.per_speaker["dup"].effective_k == 3
 
 
 def test_speaker_order_independence():
     corpus = _normalized_corpus()
     run1 = cluster_speakers(corpus, KMeansConfig(k=4, seed=1))
-    from emocluster.corpus import build_corpus
-
-    reversed_corpus = build_corpus(list(reversed(corpus.records)))
+    reversed_corpus = corpus.take(np.arange(len(corpus))[::-1])
     run2 = cluster_speakers(reversed_corpus, KMeansConfig(k=4, seed=1))
     for spk in run1.per_speaker:
         assert run1.per_speaker[spk].assignments == run2.per_speaker[spk].assignments

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -10,9 +11,7 @@ from hypothesis import strategies as st
 from emocluster.corpus import (
     Corpus,
     CorpusError,
-    EmbeddingRecord,
     SynthSpec,
-    build_corpus,
     generate_synthetic,
     is_normalized,
     length_normalize,
@@ -20,10 +19,6 @@ from emocluster.corpus import (
     save_corpus,
     strip_labels,
 )
-
-
-def _rec(utt, spk, emotion, vec):
-    return EmbeddingRecord(utt, spk, emotion, np.asarray(vec, dtype=np.float64))
 
 
 def _same_corpus(a, b) -> bool:
@@ -58,7 +53,7 @@ def test_dimension_mismatch_rejected(tmp_path):
 
 def test_duplicate_utt_id_rejected():
     with pytest.raises(CorpusError, match="duplicate utt_id"):
-        build_corpus([_rec("u", "s", None, [1.0]), _rec("u", "s", None, [2.0])])
+        Corpus([[1.0], [2.0]], ["u", "u"], ["s", "s"], [None, None])
 
 
 def test_malformed_line_reports_lineno(tmp_path):
@@ -70,7 +65,7 @@ def test_malformed_line_reports_lineno(tmp_path):
 
 def test_truncated_bin_reports_offset(tmp_path):
     good = tmp_path / "c.bin"
-    corpus = build_corpus([_rec("u1", "s1", "sad", [1.0, 2.0])])
+    corpus = Corpus([[1.0, 2.0]], ["u1"], ["s1"], ["sad"])
     save_corpus(corpus, str(good), "bin")
     data = good.read_bytes()
     bad = tmp_path / "bad.bin"
@@ -81,7 +76,7 @@ def test_truncated_bin_reports_offset(tmp_path):
 
 def test_bin_invalid_utf8_id_names_path_and_offset(tmp_path):
     path = tmp_path / "c.bin"
-    save_corpus(build_corpus([_rec("u1", "s1", "sad", [1.0, 2.0])]), str(path), "bin")
+    save_corpus(Corpus([[1.0, 2.0]], ["u1"], ["s1"], ["sad"]), str(path), "bin")
     data = bytearray(path.read_bytes())
     data[8 + 2 + 1] = 0xFF  # second byte of utt_id "u1"
     path.write_bytes(bytes(data))
@@ -89,44 +84,112 @@ def test_bin_invalid_utf8_id_names_path_and_offset(tmp_path):
         load_corpus(str(path), "bin")
 
 
-@pytest.mark.parametrize("vec", ["5", "[]", '["x"]'])
+@pytest.mark.parametrize("vec", ["5", "[]", '["x"]', '["1.5"]', "[true, 1.0]", "[null, 1.0]"])
 def test_jsonl_bad_vec_names_record(tmp_path, vec):
     path = tmp_path / "c.jsonl"
     path.write_text(f'{{"utt_id": "a", "spk_id": "s", "emotion": null, "vec": {vec}}}\n')
-    with pytest.raises(CorpusError, match="'a'|c.jsonl:1"):
+    with pytest.raises(CorpusError, match="'a'|c.jsonl:1") as caught:
         load_corpus(str(path), "jsonl")
+    assert str(caught.value).startswith(f"{path}:1: "), caught.value
 
 
-_FUZZ_CORPUS = build_corpus(
-    [_rec(f"u{i}", f"s{i % 2}", None if i == 3 else "happy", [0.5 * i, -1.0, 2.0]) for i in range(5)]
+_GOOD_LINE = '{"utt_id": "a", "spk_id": "s", "emotion": null, "vec": [1.0, 2.0, 3.0]}\n'
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"utt_id": null, "spk_id": "s", "emotion": null, "vec": [1.0, 2.0, 3.0]}',
+        '{"utt_id": "b", "spk_id": 7, "emotion": null, "vec": [1.0, 2.0, 3.0]}',
+        '{"utt_id": "b", "spk_id": "s", "emotion": 1, "vec": [1.0, 2.0, 3.0]}',
+        '{"utt_id": "b", "spk_id": "s", "emotion": null, "vec": [1.0, 2.0]}',
+        '{"utt_id": "b", "spk_id": "s", "emotion": null, "vec": [1%s, 2.0, 3.0]}' % ("0" * 400),
+    ],
+)
+def test_jsonl_ill_typed_record_names_path_and_line(tmp_path, record):
+    # no id is coerced (null is not the utterance 'None'); a short vec, or an
+    # integer beyond the float64 range, names its line too
+    path = tmp_path / "c.jsonl"
+    path.write_text(_GOOD_LINE + record + "\n")
+    with pytest.raises(CorpusError) as caught:
+        load_corpus(str(path), "jsonl")
+    assert str(caught.value).startswith(f"{path}:2: "), caught.value
+
+
+def _unloadable_corpus_file(tmp_path, fmt: str, case: str):
+    """A corpus file whose records parse but do not form a corpus."""
+    path = tmp_path / f"c.{fmt}"
+    save_corpus(Corpus([[1.0, 2.0], [3.0, 4.0]], ["u1", "u2"], ["s", "s"], [None, "sad"]), str(path), fmt)
+    data = path.read_bytes()
+    if case == "empty":
+        data = data[: 8 if fmt == "bin" else 0]  # a bin file keeps its header
+    elif case == "duplicate":
+        data = data.replace(b"u2", b"u1")
+    elif fmt == "jsonl":
+        data = data.replace(b"3.0", b"1e999")
+    else:
+        data = data.replace(struct.pack("<f", 3.0), struct.pack("<f", np.inf))
+    path.write_bytes(data)
+    return path
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "bin"])
+@pytest.mark.parametrize(
+    "case, problem",
+    [("empty", "corpus has no records"), ("duplicate", "duplicate utt_id 'u1'"), ("inf", "non-finite entries")],
+)
+def test_unloadable_corpus_names_the_file(tmp_path, fmt, case, problem):
+    path = _unloadable_corpus_file(tmp_path, fmt, case)
+    with pytest.raises(CorpusError) as caught:
+        load_corpus(str(path), fmt)
+    assert str(caught.value).startswith(f"{path}: {problem}"), caught.value
+
+
+_FUZZ_CORPUS = Corpus(
+    [[0.5 * i, -1.0, 2.0] for i in range(5)],
+    [f"u{i}" for i in range(5)],
+    [f"s{i % 2}" for i in range(5)],
+    [None if i == 3 else "happy" for i in range(5)],
 )
 
 
-def _valid_bin_bytes() -> bytes:
+def _valid_bytes(fmt: str) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "c.bin")
-        save_corpus(_FUZZ_CORPUS, path, "bin")
+        path = os.path.join(tmp, f"c.{fmt}")
+        save_corpus(_FUZZ_CORPUS, path, fmt)
         with open(path, "rb") as fh:
             return fh.read()
 
 
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_damaged_bin_loads_or_raises_corpus_error(data):
-    blob = bytearray(_valid_bin_bytes())
+def _load_damaged(data, fmt: str) -> None:
+    """Truncate a valid corpus file or flip one of its bytes: it loads, or
+    raises CorpusError whose message starts with the path."""
+    blob = bytearray(_valid_bytes(fmt))
     if data.draw(st.booleans(), label="truncate"):
         blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="keep")]
     else:
         pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
         blob[pos] ^= data.draw(st.integers(1, 255), label="mask")
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "c.bin")
+        path = os.path.join(tmp, f"c.{fmt}")
         with open(path, "wb") as fh:
             fh.write(bytes(blob))
         try:
-            load_corpus(path, "bin")
-        except CorpusError:
-            pass
+            load_corpus(path, fmt)
+        except CorpusError as exc:
+            assert str(exc).startswith(path), exc
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_damaged_bin_loads_or_raises_corpus_error(data):
+    _load_damaged(data, "bin")
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_damaged_jsonl_loads_or_raises_corpus_error_naming_the_file(data):
+    _load_damaged(data, "jsonl")
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -179,7 +242,7 @@ def test_unknown_format_rejected(tmp_path):
 
 
 def test_length_normalize_345_triangle():
-    corpus = build_corpus([_rec("u", "s", None, [3.0, 4.0])])
+    corpus = Corpus([[3.0, 4.0]], ["u"], ["s"], [None])
     out = length_normalize(corpus)
     assert np.allclose(out.records[0].vec, [0.6, 0.8])
 
@@ -196,8 +259,7 @@ def test_length_normalize_idempotent_and_unit():
 
 def test_length_normalize_preserves_cosines():
     rng = np.random.default_rng(5)
-    recs = [_rec(f"u{i}", "s", None, rng.normal(size=6)) for i in range(10)]
-    corpus = build_corpus(recs)
+    corpus = Corpus(rng.normal(size=(10, 6)), [f"u{i}" for i in range(10)], ["s"] * 10, [None] * 10)
     out = length_normalize(corpus)
     X, Y = corpus.matrix(), out.matrix()
 
@@ -213,7 +275,7 @@ def test_length_normalize_preserves_cosines():
 def test_length_normalize_rows_match_per_row_norm_bit_for_bit(dim):
     rng = np.random.default_rng(dim)
     vecs = rng.normal(size=(2000, dim)) * rng.uniform(0.1, 10.0, size=(2000, 1))
-    corpus = build_corpus([_rec(f"u{i}", "s", None, v) for i, v in enumerate(vecs)])
+    corpus = Corpus(vecs, [f"u{i}" for i in range(len(vecs))], ["s"] * len(vecs), [None] * len(vecs))
     expected = np.stack([v / np.linalg.norm(v) for v in vecs])
     assert np.array_equal(length_normalize(corpus).matrix(), expected)
 
@@ -235,7 +297,7 @@ def test_corpus_take_and_shared_matrix():
 
 
 def test_length_normalize_zero_vector_names_utt():
-    corpus = build_corpus([_rec("bad_one", "s", None, [0.0, 0.0])])
+    corpus = Corpus([[0.0, 0.0]], ["bad_one"], ["s"], [None])
     with pytest.raises(CorpusError, match="bad_one"):
         length_normalize(corpus)
 

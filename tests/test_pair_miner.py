@@ -112,14 +112,9 @@ def test_mismatched_k_warns(mined):
 
 def test_singleton_anchor_skipped():
     from emocluster.clustering import SpeakerClustering, ClusteringRun
-    from emocluster.corpus import EmbeddingRecord, build_corpus
+    from emocluster.corpus import Corpus
 
-    recs = [
-        EmbeddingRecord("a", "s", None, np.array([0.0, 0.0])),
-        EmbeddingRecord("b", "s", None, np.array([0.1, 0.0])),
-        EmbeddingRecord("c", "s", None, np.array([5.0, 5.0])),
-    ]
-    corpus = build_corpus(recs)
+    corpus = Corpus(np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]]), ["a", "b", "c"], ["s"] * 3, [None] * 3)
     sc = SpeakerClustering(
         assignments={"a": 0, "b": 0, "c": 1},
         centers=np.array([[0.05, 0.0], [5.0, 5.0]]),
@@ -137,10 +132,9 @@ def test_singleton_anchor_skipped():
 @pytest.mark.filterwarnings("ignore:clustering used k=")
 def test_speaker_with_single_cluster_skipped():
     from emocluster.clustering import SpeakerClustering, ClusteringRun
-    from emocluster.corpus import EmbeddingRecord, build_corpus
+    from emocluster.corpus import Corpus
 
-    recs = [EmbeddingRecord(f"u{i}", "s", None, np.array([float(i)])) for i in range(4)]
-    corpus = build_corpus(recs)
+    corpus = Corpus(np.arange(4.0)[:, None], [f"u{i}" for i in range(4)], ["s"] * 4, [None] * 4)
     sc = SpeakerClustering({f"u{i}": 0 for i in range(4)}, np.array([[1.5]]), 0.0, 1, 0)
     run = ClusteringRun(per_speaker={"s": sc}, config=KMeansConfig(k=1))
     report = {}
@@ -173,9 +167,7 @@ def test_exact_negative_window_skips_short(mined):
 
 def test_clustered_utterance_missing_from_corpus_rejected(mined):
     corpus, run, config, _, _ = mined
-    from emocluster.corpus import build_corpus
-
-    truncated = build_corpus(corpus.records[: len(corpus.records) // 2])
+    truncated = corpus.take(range(len(corpus.records) // 2))
     with pytest.raises(ValueError, match="missing from corpus"):
         mine_tuples(run, truncated, config)
 
@@ -274,6 +266,24 @@ def test_overflowing_cluster_names_path_and_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"anchor": "a", "positive": "p", "negatives": [{"utt_id": "n", "cluster": 1e999}], "spk": "s"}\n')
     with pytest.raises(ValueError, match=r"bad\.jsonl:1: malformed tuple line"):
+        load_tuples(str(path))
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"anchor": "a", "positive": "p", "negatives": [{"utt_id": "n", "cluster": 0.7}], "spk": "s"}',
+        '{"anchor": "a", "positive": "p", "negatives": [{"utt_id": "n", "cluster": true}], "spk": "s"}',
+        '{"anchor": null, "positive": "p", "negatives": [{"utt_id": "n", "cluster": 0}], "spk": "s"}',
+        '{"anchor": "a", "positive": "p", "negatives": [{"utt_id": 3, "cluster": 0}], "spk": "s"}',
+        '{"anchor": "a", "positive": "p", "negatives": {"utt_id": "n", "cluster": 0}, "spk": "s"}',
+    ],
+)
+def test_ill_typed_tuple_value_is_not_coerced(tmp_path, line):
+    # a fractional or boolean cluster is not read as a cluster index, nor null as an utterance id
+    path = tmp_path / "bad.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(ValueError, match=r"bad\.jsonl:1: malformed tuple line \(expected "):
         load_tuples(str(path))
 
 

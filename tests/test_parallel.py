@@ -15,7 +15,7 @@ import pytest
 from emocluster import parallel, trainer
 from emocluster.cluster_metrics import evaluate_run, report_to_dict
 from emocluster.clustering import KMeansConfig, cluster_speakers, run_to_dict
-from emocluster.corpus import Corpus, EmbeddingRecord, SynthSpec, build_corpus, generate_synthetic, length_normalize
+from emocluster.corpus import Corpus, SynthSpec, generate_synthetic, length_normalize
 from emocluster.pair_miner import MiningConfig, mine_tuples
 from emocluster.parallel import fork_map
 from emocluster.serialize import stable_seed
@@ -104,10 +104,9 @@ def test_protocol_pool_equals_mined_tuples(monkeypatch, workers):
     # the corpus lists its speakers out of sorted order
     base = generate_synthetic(SynthSpec(n_speakers=8, n_emotions=3, utts_per_cell=6, dim=8, seed=6))
     corners = np.random.default_rng(0).normal(size=(3, 8))
-    recs = [
-        EmbeddingRecord(r.utt_id, r.spk_id, r.emotion, corners[i % 3] if int(r.spk_id[-1]) % 2 else r.vec)
-        for i, r in enumerate(base.records)
-    ][::-1]
+    odd = np.array([int(spk_id[-1]) % 2 for spk_id in base.spk_ids], dtype=bool)[:, None]
+    vectors = np.where(odd, corners[np.arange(len(base)) % 3], base.vectors)
+    given = Corpus(vectors, base.utt_ids, base.spk_ids, base.emotions).take(np.arange(len(base))[::-1])
     config = TrainConfig(
         steps=20, batch_size=8, epochs_ser=3, n_clusters_N=8, seeds=(0, 1), trunk_hidden=8, contrastive_out=8,
         seed=1, pretrain_speaker_fraction=0.5, split_fractions=(0.5, 0.25, 0.25),
@@ -120,7 +119,7 @@ def test_protocol_pool_equals_mined_tuples(monkeypatch, workers):
         return built[-1][-1]
 
     monkeypatch.setattr(trainer, "_tuple_pools", capture)
-    _with_workers(monkeypatch, workers, lambda: run_protocol(build_corpus(recs), config, modes=["contrastive"]))
+    _with_workers(monkeypatch, workers, lambda: run_protocol(given, config, modes=["contrastive"]))
     [(corpus, n_clusters, seeds, pools)] = built
     assert len(pools) == len(seeds) == 2
     widths = set()
@@ -134,10 +133,12 @@ def test_protocol_pool_equals_mined_tuples(monkeypatch, workers):
 
 
 def _one_vector_per_speaker():
-    return build_corpus([
-        EmbeddingRecord(f"{spk}_{i}", spk, ("happy", "sad")[i % 2], np.eye(6)[s])
-        for s, spk in enumerate("abcdef") for i in range(6)
-    ])
+    return Corpus(
+        np.eye(6)[np.repeat(np.arange(6), 6)],
+        [f"{spk}_{i}" for spk in "abcdef" for i in range(6)],
+        [spk for spk in "abcdef" for _ in range(6)],
+        [("happy", "sad")[i % 2] for _ in "abcdef" for i in range(6)],
+    )
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -183,10 +184,11 @@ def test_run_protocol_rows_follow_the_given_modes(monkeypatch):
 
 def test_worker_warnings_reach_the_caller(monkeypatch):
     monkeypatch.setattr(parallel, "worker_count", lambda: 2)
-    recs = [EmbeddingRecord(f"{spk}{i}", spk, None, np.eye(3)[i % 2]) for spk in ("a", "b") for i in range(4)]
+    ids = [f"{spk}{i}" for spk in ("a", "b") for i in range(4)]
+    corpus = Corpus(np.eye(3)[np.arange(8) % 2], ids, [utt_id[0] for utt_id in ids], [None] * 8)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        run = cluster_speakers(build_corpus(recs), KMeansConfig(k=3, seed=0))
+        run = cluster_speakers(corpus, KMeansConfig(k=3, seed=0))
     degrading = [(w.category, str(w.message).split()[1]) for w in caught if "degrading" in str(w.message)]
     assert degrading == [(UserWarning, "'a':"), (UserWarning, "'b':")]
     assert [sc.effective_k for sc in run.per_speaker.values()] == [2, 2]

@@ -7,9 +7,7 @@ import pytest
 
 from emocluster.corpus import (
     Corpus,
-    EmbeddingRecord,
     SynthSpec,
-    build_corpus,
     generate_synthetic,
     length_normalize,
     strip_labels,
@@ -88,12 +86,7 @@ def test_evaluate_uar_all_correct_is_one():
 
     rows = np.stack([r.vec for r in corpus.records])
     preds = ser_predict(encoder, head, rows)
-    relabeled = build_corpus(
-        [
-            EmbeddingRecord(r.utt_id, r.spk_id, emotions[p], r.vec)
-            for r, p in zip(corpus.records, preds)
-        ]
-    )
+    relabeled = Corpus(corpus.vectors, corpus.utt_ids, corpus.spk_ids, [emotions[p] for p in preds])
     result = evaluate_uar(model, relabeled)
     assert result.uar == pytest.approx(1.0)
     assert all(v == 1.0 for v in result.per_class_recall.values())
@@ -119,13 +112,8 @@ def test_evaluate_uar_direct_recall_average():
     # recalls 1.0 and 0.5 -> UAR 0.75, verified against the confusion matrix
     model = _argmax_passthrough_model(["a", "b"])
     e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    records = [
-        EmbeddingRecord("a0", "s_test", "a", e0),
-        EmbeddingRecord("a1", "s_test", "a", e0),
-        EmbeddingRecord("b0", "s_test", "b", e1),
-        EmbeddingRecord("b1", "s_test", "b", e0),  # misclassified as "a"
-    ]
-    result = evaluate_uar(model, build_corpus(records))
+    vectors = np.stack([e0, e0, e1, e0])  # b1 is misclassified as "a"
+    result = evaluate_uar(model, Corpus(vectors, ["a0", "a1", "b0", "b1"], ["s_test"] * 4, ["a", "a", "b", "b"]))
     assert result.per_class_recall["a"] == pytest.approx(1.0)
     assert result.per_class_recall["b"] == pytest.approx(0.5)
     assert result.uar == pytest.approx(0.75)
@@ -143,37 +131,34 @@ def test_evaluate_uar_majority_predictor_balanced_classes():
     head.layers[-1].b[:] = np.array([100.0, 0.0, 0.0, 0.0])
     model = SerModel(encoder, head, emotions, train_speakers=set())
     rng = np.random.default_rng(1)
-    records = [
-        EmbeddingRecord(f"u{i}", "spkX", emotions[i % 4], rng.normal(size=4)) for i in range(40)
-    ]
-    result = evaluate_uar(model, build_corpus(records))
+    corpus = Corpus(rng.normal(size=(40, 4)), [f"u{i}" for i in range(40)], ["spkX"] * 40, emotions * 10)
+    result = evaluate_uar(model, corpus)
     assert result.uar == pytest.approx(0.25)
 
 
 def test_evaluate_uar_rejects_speaker_overlap():
     config = _small_config()
     model = _stub_model_for(["a", "b"], 4, config)
-    records = [EmbeddingRecord("u", "trainspk", "a", np.ones(4))]
-    records.append(EmbeddingRecord("u2", "trainspk", "b", np.ones(4) * 2))
+    corpus = Corpus([np.ones(4), np.ones(4) * 2], ["u", "u2"], ["trainspk"] * 2, ["a", "b"])
     with pytest.raises(ValueError, match="overlap"):
-        evaluate_uar(model, build_corpus(records))
+        evaluate_uar(model, corpus)
 
 
 def test_evaluate_uar_warns_on_absent_class():
     config = _small_config()
     model = _stub_model_for(["a", "b", "c"], 4, config)
     rng = np.random.default_rng(2)
-    records = [EmbeddingRecord(f"u{i}", "s", ["a", "b"][i % 2], rng.normal(size=4)) for i in range(6)]
+    corpus = Corpus(rng.normal(size=(6, 4)), [f"u{i}" for i in range(6)], ["s"] * 6, ["a", "b"] * 3)
     with pytest.warns(UserWarning, match="absent"):
-        result = evaluate_uar(model, build_corpus(records))
+        result = evaluate_uar(model, corpus)
     assert set(result.per_class_recall) == {"a", "b"}
 
 
 def test_evaluate_uar_rejects_a_test_corpus_of_another_dim():
     model = _stub_model_for(["a", "b"], 4, _small_config())
-    records = [EmbeddingRecord(f"u{i}", "s", "ab"[i % 2], np.ones(3)) for i in range(4)]
+    corpus = Corpus(np.ones((4, 3)), [f"u{i}" for i in range(4)], ["s"] * 4, ["a", "b"] * 2)
     with pytest.raises(ValueError, match="corpus_test has 3-d vectors, the encoder takes 4-d input"):
-        evaluate_uar(model, build_corpus(records))
+        evaluate_uar(model, corpus)
 
 
 def test_pretrain_steps_zero_keeps_initialization():
@@ -313,9 +298,7 @@ def test_run_protocol_clusters_and_mines_once_per_seed(monkeypatch):
 
 def test_train_ser_requires_two_classes():
     corpus = _corpus(n_speakers=4)
-    single = build_corpus(
-        [EmbeddingRecord(r.utt_id, r.spk_id, "only", r.vec) for r in corpus.records]
-    )
+    single = Corpus(corpus.vectors, corpus.utt_ids, corpus.spk_ids, ["only"] * len(corpus))
     train_c, val_c, _ = split_by_speaker(single, (0.5, 0.25, 0.25), seed=1)
     with pytest.raises(ValueError, match=">= 2 emotion classes"):
         train_ser(None, train_c, _small_config(), val_corpus=val_c)
