@@ -2,8 +2,8 @@
 
 Every command is a pure function of (inputs, flags, seed): artifacts are
 written in canonical form so reruns are byte-identical.  A RunManifest
-json (command, resolved config, paths, seed, version, duration) is placed
-next to each command's first output.
+json (command, resolved config, paths, version, duration) is placed next
+to each command's first output.
 
 Exit codes: 0 success, 1 usage error, 2 data/invariant error, 3 numerical
 failure.
@@ -64,10 +64,9 @@ def _write_manifest(args: argparse.Namespace, started: float) -> None:
         outputs.append(args.out + ".bin")
     manifest = {
         "command": args.command,
-        "config": {k: v for k, v in sorted(flags.items()) if k not in ("func", "config") and not k.startswith("_")},
+        "config": {k: v for k, v in sorted(flags.items()) if k not in ("command", "func", "config") and k[0] != "_"},
         "inputs": inputs,
         "outputs": outputs,
-        "seed": getattr(args, "seed", None),
         "tool_version": __version__,
         "workers": worker_count(),
         "duration_seconds": round(time.monotonic() - started, 6),
@@ -180,13 +179,7 @@ def cmd_pretrain(args) -> int:
     final_losses = {
         name: (values[-1] if values else None) for name, values in checkpoint.history.items()
     }
-    meta = {
-        "mode": config.mode,
-        "seed": config.seed,
-        "step": config.steps,
-        "final_losses": final_losses,
-        "config": pretrain_config_to_dict(config),
-    }
+    meta = {"mode": config.mode, "final_losses": final_losses, "config": pretrain_config_to_dict(config)}
     save_checkpoint(args.out, checkpoint.components, meta)
     return EXIT_OK
 
@@ -388,14 +381,18 @@ def build_parser() -> _Parser:
 def _apply_config_file(parser: _Parser, path: str) -> set[str]:
     """Fold a --config file's values in as flag defaults and return the dests
     it supplied; explicit flags still win.  A key may name a flag of any
-    subcommand, so one file can serve several; a key that names none raises
-    CorpusError."""
+    subcommand, so one file can serve several; a key that names none, or a
+    flag that another key names too, raises CorpusError."""
     values = read_json(path, "config file")
-    keys = {k.replace("-", "_"): k for k in values}
+    keys: dict[str, str] = {}
+    for key in values:
+        other = keys.setdefault(key.replace("-", "_"), key)
+        if other != key:
+            raise CorpusError(f"{path}: config keys {other!r} and {key!r} name one flag")
     known = set()
     for sp in parser.get_default("_subcommands").values():
         for action in sp._actions:
-            if action.dest in keys:
+            if action.dest in keys and action.dest != "help":
                 known.add(action.dest)
                 key = keys[action.dest]
                 sp.set_defaults(**{action.dest: _config_value(action, values[key], f"{path}: config key {key!r}")})

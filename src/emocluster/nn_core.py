@@ -234,9 +234,6 @@ def save_checkpoint(path: str, components: dict[str, ModelParams], meta: dict) -
         "meta": meta,
         "components": {
             name: {
-                "kind": name,
-                "input_dim": model.input_dim,
-                "output_dim": model.output_dim,
                 "layers": [
                     {"in": l.W.shape[1], "out": l.W.shape[0], "activation": l.activation}
                     for l in model.layers
@@ -270,6 +267,9 @@ def load_checkpoint(path: str) -> tuple[dict[str, ModelParams], dict]:
         raise ValueError(f"{path}: not an emocluster checkpoint manifest")
     if not isinstance(manifest.get("components"), dict):
         raise ValueError(f"{path}: checkpoint manifest has no components object")
+    meta = manifest.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: checkpoint meta must be a json object, not {type(meta).__name__}")
     names = sorted(manifest["components"])
     with open(path + ".bin", "rb") as fh:
         header = fh.read(8)
@@ -305,10 +305,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, ModelParams], dict]:
             model.validate()
         except ValueError as exc:
             raise ValueError(f"{path}: component {name!r}: {exc}") from None
-        dims = (model.input_dim, model.output_dim)
-        if (spec.get("input_dim"), spec.get("output_dim")) != dims:
-            raise ValueError(f"{path}: component {name!r} declares other dims than its layers' {dims}")
         components[name] = model
     if off != len(blob):
         raise ValueError(f"{path}.bin: blob size does not match manifest")
-    return components, manifest.get("meta", {})
+    return components, meta

@@ -209,9 +209,8 @@ def _tuple_pools(corpus: Corpus, n_clusters: int, seeds: list[int]) -> list[tupl
     job, which returns row arrays only; the parts join in sorted-speaker
     order, so a pool lists what mine_tuples would for that seed.
 
-    A pool holds the anchor and positive rows, the (T, M) negative rows and
-    their mask (each tuple's negatives left-aligned), and each anchor's
-    speaker index in sorted(corpus.speakers).
+    A pool holds the anchor and positive rows, and the (T, M) negative rows
+    and their mask, each tuple's negatives left-aligned.
     """
     MiningConfig(n_clusters_N=n_clusters).validate()
     speakers = sorted(corpus.speakers)
@@ -233,8 +232,7 @@ def _tuple_pools(corpus: Corpus, n_clusters: int, seeds: list[int]) -> list[tupl
         mask = np.arange(widths.max()) < widths[:, None]
         padded = np.zeros(mask.shape, dtype=np.intp)
         padded[mask] = np.concatenate([n.ravel() for n in negatives])
-        labels = np.repeat(np.arange(len(speakers)), sizes)
-        pools.append((np.concatenate(anchors), np.concatenate(positives), padded, mask, labels))
+        pools.append((np.concatenate(anchors), np.concatenate(positives), padded, mask))
     return pools
 
 
@@ -244,7 +242,8 @@ def pretrain(corpus_unlabeled: Corpus, config: TrainConfig, tuples: tuple | None
     Contrastive modes train on a tuple pool as `_tuple_pools` builds it.
     When not given, it is built for config.seed with k = n_clusters_N; it
     depends on config.seed alone, so `run_protocol` builds one pool per
-    seed and passes it to every contrastive mode.
+    seed and passes it to every contrastive mode.  The speaker head's label
+    of a row is its speaker's index in sorted(corpus.speakers).
     """
     config.validate()
     if config.mode == "none":
@@ -281,25 +280,24 @@ def pretrain(corpus_unlabeled: Corpus, config: TrainConfig, tuples: tuple | None
         return Checkpoint(components=components, history=history)
 
     X = corpus_unlabeled.vectors
+    labels = np.asarray([spk_index[s] for s in corpus_unlabeled.spk_ids])  # each row's speaker index
     if contrastive_on:
         pool = tuples if tuples is not None else _tuple_pools(corpus_unlabeled, config.n_clusters_N, [config.seed])[0]
-        anchors, positives, negatives, pool_mask, labels = pool
+        anchors, positives, negatives, pool_mask = pool
         # the steps read the pool unchecked: check it here, once
         if negatives.shape != pool_mask.shape or {len(column) for column in pool} != {len(anchors)}:
             raise ValueError("tuple pool columns differ in shape")
-        integral = all(np.issubdtype(column.dtype, np.integer) for column in (anchors, positives, negatives, labels))
+        integral = all(np.issubdtype(column.dtype, np.integer) for column in (anchors, positives, negatives))
         if pool_mask.dtype != bool or not integral:
-            raise ValueError("tuple pool rows and labels must be integer arrays, and its mask boolean")
+            raise ValueError("tuple pool rows must be integer arrays, and its mask boolean")
         widths = pool_mask.sum(axis=1)
-        outside = lambda values, end: (values < 0) | (values >= end)
+        outside = lambda values: (values < 0) | (values >= len(X))
         bad = np.flatnonzero(
-            (widths == 0) | outside(labels, len(speakers)) | outside(anchors, len(X)) | outside(positives, len(X))
-            | (outside(negatives, len(X)) & pool_mask).any(axis=1)
+            (widths == 0) | outside(anchors) | outside(positives) | (outside(negatives) & pool_mask).any(axis=1)
         )
         if bad.size:
-            raise ValueError(
-                f"tuple {bad[0]}: needs a negative, a speaker label in [0, {len(speakers)}) and rows in [0, {len(X)})"
-            )
+            raise ValueError(f"tuple {bad[0]}: needs a negative and rows in [0, {len(X)})")
+        labels = labels[anchors]  # the speaker head classifies the anchors
         con_head, spk_head = components["contrastive"], components.get("speaker_cls")
         batches = _shuffled_batches(len(anchors), config.batch_size, rng)
         for _ in range(config.steps):
@@ -315,7 +313,6 @@ def pretrain(corpus_unlabeled: Corpus, config: TrainConfig, tuples: tuple | None
             history["speaker"].append(l_spk)
             history["total"].append(mtl_combine(l_con, l_spk, config.mtl_weights))
     else:  # speaker classification only
-        labels = np.asarray([spk_index[s] for s in corpus_unlabeled.spk_ids])
         batches = _shuffled_batches(len(X), config.batch_size, rng)
         for _ in range(config.steps):
             idx = next(batches)
@@ -605,7 +602,7 @@ def _grad_check_nets(kind: str, config: TrainConfig, attempt: int):
     cosine defined) throughout the perturbation neighborhood.
     """
     dim, B, n_neg, margin = 5, 3, 3, 1e-3
-    cfg = replace(config, trunk_hidden=6, contrastive_hidden=6, contrastive_out=4, head_hidden=6)
+    cfg = replace(config, trunk_hidden=6, contrastive_out=4)
     salt = stable_seed(config.seed, "gradcheck", kind, attempt)
     rng = np.random.default_rng(salt)
     encoder = build_encoder(dim, cfg, salt)

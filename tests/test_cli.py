@@ -34,6 +34,8 @@ def test_gen_synth_writes_manifest(small_corpus):
     assert manifest["tool_version"]
     assert manifest["workers"] == parallel.worker_count()
     assert manifest["config"]["n_speakers"] == 4
+    # the seed and the command are stored once each
+    assert "seed" not in manifest and "command" not in manifest["config"] and manifest["config"]["seed"] == 5
 
 
 def test_cluster_eval_mine_project_pipeline(tmp_path, small_corpus):
@@ -105,7 +107,7 @@ def test_pretrain_and_checkpoint(tmp_path, small_corpus):
 
     components, meta = load_checkpoint(str(ckpt))
     assert {"encoder", "contrastive", "speaker_cls"} <= set(components)
-    assert meta["mode"] == "mtl" and meta["step"] == 40
+    assert set(meta) == {"mode", "final_losses", "config"} and meta["mode"] == "mtl"
     # only the fields pretraining reads; SER-only settings would mislead
     assert meta["config"]["steps"] == 40 and meta["config"]["n_clusters_N"] == 4
     assert "pretrain_lr" in meta["config"]
@@ -337,8 +339,10 @@ def test_config_file_values_parse_as_their_flags(tmp_path, small_corpus, capsys,
         ({"k": 2}, True, None),
         ({"k": 2, "steps": 5}, False, None),
         ({"kk": 2}, False, "config key 'kk' names no flag"),
+        ({"help": True}, False, "config key 'help' names no flag"),
+        ({"n-clusters": 2, "n_clusters": 3}, False, "config keys 'n-clusters' and 'n_clusters' name one flag"),
     ],
-    ids=["equals-form", "other-subcommand-key", "unknown-key"],
+    ids=["equals-form", "other-subcommand-key", "unknown-key", "help-key", "two-spellings"],
 )
 def test_config_file_read_in_either_form_and_keys_checked(tmp_path, small_corpus, capsys, values, inline, detail):
     config = tmp_path / "conf.json"

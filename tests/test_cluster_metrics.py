@@ -136,8 +136,7 @@ def test_silhouette_synthetic_speaker_slice_matches_brute_force():
     corpus = length_normalize(generate_synthetic(spec))
     sc = cluster_speakers(corpus, KMeansConfig(k=8, seed=5)).per_speaker["spk000"]
     utts = sorted(sc.assignments)[:150]
-    by_id = corpus.record_by_id()
-    points = np.stack([by_id[u].vec for u in utts])
+    points = corpus.vectors[[corpus.row_of[u] for u in utts]]
     labels = [sc.assignments[u] for u in utts]
     assert silhouette(points, labels) == pytest.approx(brute_silhouette(points, labels), abs=1e-12)
 
@@ -222,12 +221,12 @@ def _toy_run_and_corpus():
 def test_evaluate_run_composes_per_metric_oracles():
     run, corpus = _toy_run_and_corpus()
     report = evaluate_run(run, corpus)
-    by_id = corpus.record_by_id()
     for spk, sc in run.per_speaker.items():
         utts = sorted(sc.assignments)
+        rows = [corpus.row_of[u] for u in utts]
         clusters = [sc.assignments[u] for u in utts]
-        labels = [by_id[u].emotion for u in utts]
-        points = np.stack([by_id[u].vec for u in utts])
+        labels = [corpus.emotions[row] for row in rows]
+        points = corpus.vectors[rows]
         assert report.per_speaker[spk]["nmi"] == pytest.approx(brute_nmi(clusters, labels), abs=1e-12)
         assert report.per_speaker[spk]["ari"] == pytest.approx(brute_ari(clusters, labels), abs=1e-12)
         assert report.per_speaker[spk]["purity"] == pytest.approx(brute_purity(clusters, labels), abs=1e-12)
@@ -243,7 +242,7 @@ def test_evaluate_run_warns_and_drops_unlabeled():
     run, corpus = _toy_run_and_corpus()
     spk = sorted(run.per_speaker)[0]
     emotions = [None if s == spk else e for s, e in zip(corpus.spk_ids, corpus.emotions)]
-    corpus = Corpus(corpus.matrix(), corpus.utt_ids, corpus.spk_ids, emotions)
+    corpus = Corpus(corpus.vectors, corpus.utt_ids, corpus.spk_ids, emotions)
     with pytest.warns(UserWarning):
         report = evaluate_run(run, corpus)
     assert spk not in report.per_speaker

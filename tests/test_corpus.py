@@ -24,7 +24,7 @@ from emocluster.corpus import (
 def _same_corpus(a, b) -> bool:
     """Ids, speakers, labels and every vector bit agree."""
     return (a.utt_ids, a.spk_ids, a.emotions) == (b.utt_ids, b.spk_ids, b.emotions) and np.array_equal(
-        a.matrix(), b.matrix()
+        a.vectors, b.vectors
     )
 
 
@@ -37,7 +37,7 @@ def test_load_minimal_jsonl(tmp_path):
     corpus = load_corpus(str(path), "jsonl")
     assert len(corpus) == 2
     assert corpus.dim == 3
-    assert corpus.records[1].emotion is None
+    assert corpus.emotions[1] is None
     assert corpus.speakers == {"s1": [0, 1]}
 
 
@@ -206,9 +206,7 @@ def test_jsonl_roundtrip_bit_identical(tmp_path):
     save_corpus(corpus, str(path), "jsonl")
     loaded = load_corpus(str(path), "jsonl")
     assert len(loaded) == len(corpus)
-    for a, b in zip(corpus.records, loaded.records):
-        assert a.utt_id == b.utt_id and a.spk_id == b.spk_id and a.emotion == b.emotion
-        assert np.array_equal(a.vec, b.vec)  # exact, no tolerance
+    assert _same_corpus(corpus, loaded)  # vectors exact, no tolerance
 
 
 def test_bin_roundtrip_stable_after_first_quantization(tmp_path):
@@ -244,16 +242,16 @@ def test_unknown_format_rejected(tmp_path):
 def test_length_normalize_345_triangle():
     corpus = Corpus([[3.0, 4.0]], ["u"], ["s"], [None])
     out = length_normalize(corpus)
-    assert np.allclose(out.records[0].vec, [0.6, 0.8])
+    assert np.allclose(out.vectors[0], [0.6, 0.8])
 
 
 def test_length_normalize_idempotent_and_unit():
     spec = SynthSpec(n_speakers=3, n_emotions=2, utts_per_cell=8, dim=6, seed=1)
     once = length_normalize(generate_synthetic(spec))
-    norms = np.linalg.norm(once.matrix(), axis=1)
+    norms = np.linalg.norm(once.vectors, axis=1)
     assert np.all(np.abs(norms - 1.0) <= 1e-6)
     twice = length_normalize(once)
-    assert np.allclose(once.matrix(), twice.matrix())
+    assert np.allclose(once.vectors, twice.vectors)
     assert is_normalized(once)
 
 
@@ -261,7 +259,7 @@ def test_length_normalize_preserves_cosines():
     rng = np.random.default_rng(5)
     corpus = Corpus(rng.normal(size=(10, 6)), [f"u{i}" for i in range(10)], ["s"] * 10, [None] * 10)
     out = length_normalize(corpus)
-    X, Y = corpus.matrix(), out.matrix()
+    X, Y = corpus.vectors, out.vectors
 
     def cosines(m):
         norms = np.linalg.norm(m, axis=1, keepdims=True)
@@ -277,7 +275,7 @@ def test_length_normalize_rows_match_per_row_norm_bit_for_bit(dim):
     vecs = rng.normal(size=(2000, dim)) * rng.uniform(0.1, 10.0, size=(2000, 1))
     corpus = Corpus(vecs, [f"u{i}" for i in range(len(vecs))], ["s"] * len(vecs), [None] * len(vecs))
     expected = np.stack([v / np.linalg.norm(v) for v in vecs])
-    assert np.array_equal(length_normalize(corpus).matrix(), expected)
+    assert np.array_equal(length_normalize(corpus).vectors, expected)
 
 
 def test_corpus_take_and_shared_matrix():
@@ -285,13 +283,13 @@ def test_corpus_take_and_shared_matrix():
     rows = [5, 1, 20]
     part = corpus.take(rows)
     assert part.utt_ids == [corpus.utt_ids[i] for i in rows]
-    assert np.array_equal(part.matrix(), corpus.matrix()[rows])
+    assert np.array_equal(part.vectors, corpus.vectors[rows])
     assert part.speakers == {"spk000": [0, 1], "spk002": [2]}
     assert part.row_of[corpus.utt_ids[20]] == 2
     stripped = strip_labels(corpus)
-    assert stripped.matrix() is corpus.matrix()  # no copy
+    assert stripped.vectors is corpus.vectors  # no copy
     with pytest.raises(ValueError):
-        corpus.matrix()[0, 0] = 1.0  # read-only, so sharing it is safe
+        corpus.vectors[0, 0] = 1.0  # read-only, so sharing it is safe
     with pytest.raises(CorpusError, match="no records"):
         corpus.take([])
 
@@ -307,7 +305,7 @@ def test_generate_counts():
     corpus = generate_synthetic(spec)
     assert len(corpus) == 3200
     assert len(corpus.speakers) == 10
-    emotions = {r.emotion for r in corpus.records}
+    emotions = set(corpus.emotions)
     assert emotions == {"neutral", "happy", "sad", "angry"}
 
 
@@ -327,8 +325,8 @@ def test_generate_zero_offset_centers_converge_to_speaker_mean():
     )
     corpus = generate_synthetic(spec)
     for spk, idx in corpus.speakers.items():
-        vecs = np.stack([corpus.records[i].vec for i in idx])
-        labels = [corpus.records[i].emotion for i in idx]
+        vecs = corpus.vectors[idx]
+        labels = [corpus.emotions[i] for i in idx]
         spk_mean = vecs.mean(axis=0)
         for emotion in set(labels):
             cell = vecs[[i for i, l in enumerate(labels) if l == emotion]]
@@ -346,7 +344,7 @@ def test_generate_validates_spec():
 def test_strip_labels():
     spec = SynthSpec(n_speakers=2, n_emotions=2, utts_per_cell=3, dim=4, seed=1)
     stripped = strip_labels(generate_synthetic(spec))
-    assert all(r.emotion is None for r in stripped.records)
+    assert all(emotion is None for emotion in stripped.emotions)
 
 
 @given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))

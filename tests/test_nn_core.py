@@ -253,30 +253,55 @@ def _two_component_checkpoint(path):
         return fh.read()
 
 
+def _edit_manifest(path, edit):
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    edit(manifest)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+
+
 def test_checkpoint_naming_unknown_activation_raises_value_error(tmp_path):
     # heads end at their logits; a manifest that names a softmax layer is not loadable
     path = str(tmp_path / "ckpt.json")
     _two_component_checkpoint(path)
-    with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    manifest["components"]["head"]["layers"][-1]["activation"] = "softmax"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh)
+    _edit_manifest(path, lambda manifest: manifest["components"]["head"]["layers"][-1].update(activation="softmax"))
     with pytest.raises(ValueError, match="unknown activation 'softmax'"):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("key", ["input_dim", "output_dim"])
-def test_checkpoint_declaring_other_dims_than_its_layers_raises(tmp_path, key):
+def test_checkpoint_components_hold_only_their_layers(tmp_path):
+    # a component's name and dims are its key and its layers' shapes; an older
+    # manifest that still writes them as "kind", "input_dim" and "output_dim"
+    # loads the same, whatever they say
     path = str(tmp_path / "ckpt.json")
     _two_component_checkpoint(path)
     with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    manifest["components"]["head"][key] += 1
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh)
-    with pytest.raises(ValueError, match=rf"{path}: component 'head' declares other dims than its layers' \(3, 2\)"):
+        assert {name: set(spec) for name, spec in json.load(fh)["components"].items()} == {
+            "encoder": {"layers"}, "head": {"layers"}
+        }
+    expected, _ = load_checkpoint(path)
+
+    def older(manifest):
+        for name, spec in manifest["components"].items():
+            spec.update(kind=name, input_dim=7, output_dim=expected[name].output_dim)
+
+    _edit_manifest(path, older)
+    restored, _ = load_checkpoint(path)
+    for name in expected:
+        assert [(l.W.tobytes(), l.b.tobytes(), l.activation) for l in restored[name].layers] == [
+            (l.W.tobytes(), l.b.tobytes(), l.activation) for l in expected[name].layers
+        ]
+
+
+def test_checkpoint_meta_must_be_a_json_object(tmp_path):
+    path = str(tmp_path / "ckpt.json")
+    _two_component_checkpoint(path)
+    _edit_manifest(path, lambda manifest: manifest.update(meta=[1, 2]))
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}: checkpoint meta must be a json object, not list$"):
         load_checkpoint(path)
+    _edit_manifest(path, lambda manifest: manifest.pop("meta"))
+    assert load_checkpoint(path)[1] == {}
 
 
 def test_checkpoint_short_header_raises_value_error(tmp_path):

@@ -37,17 +37,17 @@ def mined():
 
 def test_tuple_structural_invariants(mined):
     corpus, run, config, tuples, report = mined
-    by_id = corpus.record_by_id()
+    speaker_of = dict(zip(corpus.utt_ids, corpus.spk_ids))
     for t in tuples:
         assert t.anchor != t.positive
-        assert by_id[t.anchor].spk_id == t.spk_id
-        assert by_id[t.positive].spk_id == t.spk_id
+        assert speaker_of[t.anchor] == t.spk_id
+        assert speaker_of[t.positive] == t.spk_id
         sc = run.per_speaker[t.spk_id]
         assert sc.assignments[t.anchor] == sc.assignments[t.positive]
         clusters = [n.cluster for n in t.negatives]
         assert len(set(clusters)) == len(clusters)
         for n in t.negatives:
-            assert by_id[n.utt_id].spk_id == t.spk_id
+            assert speaker_of[n.utt_id] == t.spk_id
             assert sc.assignments[n.utt_id] == n.cluster
             assert n.cluster != sc.assignments[t.anchor]
 
@@ -95,10 +95,10 @@ def test_different_seed_changes_samples_not_ranking(mined):
 
 def test_emotion_alignment_on_separable_corpus(mined):
     corpus, run, config, tuples, _ = mined
-    by_id = corpus.record_by_id()
-    pos_same = [by_id[t.anchor].emotion == by_id[t.positive].emotion for t in tuples]
+    emotion_of = dict(zip(corpus.utt_ids, corpus.emotions))
+    pos_same = [emotion_of[t.anchor] == emotion_of[t.positive] for t in tuples]
     neg_diff = [
-        by_id[t.anchor].emotion != by_id[n.utt_id].emotion for t in tuples for n in t.negatives
+        emotion_of[t.anchor] != emotion_of[n.utt_id] for t in tuples for n in t.negatives
     ]
     assert np.mean(pos_same) >= 0.95
     assert np.mean(neg_diff) >= 0.95
@@ -167,7 +167,7 @@ def test_exact_negative_window_skips_short(mined):
 
 def test_clustered_utterance_missing_from_corpus_rejected(mined):
     corpus, run, config, _, _ = mined
-    truncated = corpus.take(range(len(corpus.records) // 2))
+    truncated = corpus.take(range(len(corpus) // 2))
     with pytest.raises(ValueError, match="missing from corpus"):
         mine_tuples(run, truncated, config)
 
