@@ -381,8 +381,9 @@ def build_parser() -> _Parser:
 def _apply_config_file(parser: _Parser, path: str) -> set[str]:
     """Fold a --config file's values in as flag defaults and return the dests
     it supplied; explicit flags still win.  A key may name a flag of any
-    subcommand, so one file can serve several; a key that names none, or a
-    flag that another key names too, raises CorpusError."""
+    subcommand, so one file can serve several; a key that names none (help
+    and config name no flag a file can set), or a flag that another key
+    names too, raises CorpusError."""
     values = read_json(path, "config file")
     keys: dict[str, str] = {}
     for key in values:
@@ -392,7 +393,7 @@ def _apply_config_file(parser: _Parser, path: str) -> set[str]:
     known = set()
     for sp in parser.get_default("_subcommands").values():
         for action in sp._actions:
-            if action.dest in keys and action.dest != "help":
+            if action.dest in keys and action.dest not in ("help", "config"):
                 known.add(action.dest)
                 key = keys[action.dest]
                 sp.set_defaults(**{action.dest: _config_value(action, values[key], f"{path}: config key {key!r}")})

@@ -8,6 +8,7 @@ supported: human-readable jsonl and a compact binary layout for large pools.
 """
 
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .parallel import fork_map
 from .serialize import CorpusError, read_jsonl, write_jsonl
 
 BIN_MAGIC = b"EMB1"
@@ -22,6 +24,8 @@ BIN_MAGIC = b"EMB1"
 DEFAULT_EMOTIONS = ("neutral", "happy", "sad", "angry")
 
 UNIT_NORM_TOL = 1e-6  # is_normalized: how far a row's norm may sit from 1
+
+_CHUNK_BYTES = 1 << 20  # a jsonl corpus is parsed in line-aligned ranges of about this size
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,8 @@ class Corpus:
             if row_of.setdefault(utt_id, i) != i:
                 raise CorpusError(f"duplicate utt_id {utt_id!r} (record {i})")
         # a row sum is finite unless the row holds inf/nan or overflows: recheck just those rows
-        suspect = np.flatnonzero(~np.isfinite(vectors.sum(axis=1)))
+        with np.errstate(over="ignore"):  # a finite row may sum past the float64 range
+            suspect = np.flatnonzero(~np.isfinite(vectors.sum(axis=1)))
         bad = suspect[~np.isfinite(vectors[suspect]).all(axis=1)]
         if bad.size:
             raise CorpusError(f"non-finite entries in vector of {utt_ids[bad[0]]!r}")
@@ -158,29 +163,69 @@ def save_corpus(corpus: Corpus, path: str, format: str = "jsonl") -> None:
         raise CorpusError(f"unknown corpus format {format!r}")
 
 
-def _load_jsonl(path: str) -> tuple:
-    """The columns of a jsonl corpus; a record whose fields lack their json
-    types, or whose vec differs in length from the first, names path:line."""
+def _jsonl_record(path: str, lineno: int, obj, dim: int | None) -> tuple:
+    """(utt_id, spk_id, emotion, vec as float64) of one jsonl record; a record
+    whose fields lack their json types, or whose vec is not `dim` long (when
+    given), raises CorpusError naming path:line."""
+    try:
+        utt_id, spk_id, emotion, vec = obj["utt_id"], obj["spk_id"], obj.get("emotion"), obj["vec"]
+    except (KeyError, TypeError) as exc:
+        raise CorpusError(f"{path}:{lineno}: malformed record ({exc})") from exc
+    if type(utt_id) is not str or type(spk_id) is not str or type(emotion) not in (str, type(None)):
+        raise CorpusError(f"{path}:{lineno}: utt_id and spk_id must be strings, emotion a string or null")
+    if type(vec) is not list or not vec or not set(map(type, vec)) <= {float, int}:
+        raise CorpusError(f"{path}:{lineno}: vec must be a nonempty list of numbers")
+    if dim is not None and len(vec) != dim:
+        raise CorpusError(f"{path}:{lineno}: dimension mismatch: {len(vec)} values, expected {dim}")
+    try:  # an array per line, so the line's python floats are freed as the file is read
+        return utt_id, spk_id, emotion, np.array(vec, dtype=np.float64)
+    except OverflowError as exc:  # an integer beyond the float64 range
+        raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+
+
+def _jsonl_ranges(path: str) -> list[tuple[int, int, int]]:
+    """(start, end, first line number) of byte ranges that cover the file,
+    each starting at a line start and about _CHUNK_BYTES long; found by
+    reading the file a block at a time."""
+    ranges, start, line, pos, newlines = [], 0, 1, 0, 0
+    with open(path, "rb") as fh:
+        while block := fh.read(_CHUNK_BYTES):
+            cut = block.rfind(b"\n") + 1
+            newlines += block.count(b"\n")
+            if cut:  # a range ends after the block's last newline
+                ranges.append((start, pos + cut, line))
+                start, line = pos + cut, newlines + 1
+            pos += len(block)
+    if start < pos:
+        ranges.append((start, pos, line))
+    return ranges
+
+
+def _load_jsonl_range(path: str, dim: int | None, span: tuple[int, int | None, int]) -> tuple:
+    """The columns of the records in one byte range of a jsonl corpus; with
+    no `dim`, the range's first record fixes it."""
     rows, utt_ids, spk_ids, emotions = [], [], [], []
-    for lineno, obj in read_jsonl(path):
-        try:
-            utt_id, spk_id, emotion, vec = obj["utt_id"], obj["spk_id"], obj.get("emotion"), obj["vec"]
-        except (KeyError, TypeError) as exc:
-            raise CorpusError(f"{path}:{lineno}: malformed record ({exc})") from exc
-        if type(utt_id) is not str or type(spk_id) is not str or type(emotion) not in (str, type(None)):
-            raise CorpusError(f"{path}:{lineno}: utt_id and spk_id must be strings, emotion a string or null")
-        if type(vec) is not list or not vec or not set(map(type, vec)) <= {float, int}:
-            raise CorpusError(f"{path}:{lineno}: vec must be a nonempty list of numbers")
-        if rows and len(vec) != len(rows[0]):
-            raise CorpusError(f"{path}:{lineno}: dimension mismatch: {len(vec)} values, expected {len(rows[0])}")
-        try:  # an array per line, so the line's python floats are freed as the file is read
-            rows.append(np.array(vec, dtype=np.float64))
-        except OverflowError as exc:  # an integer beyond the float64 range
-            raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, obj in read_jsonl(path, *span):
+        utt_id, spk_id, emotion, row = _jsonl_record(path, lineno, obj, dim)
+        dim = len(row)
+        rows.append(row)
         utt_ids.append(utt_id)
         spk_ids.append(spk_id)
         emotions.append(emotion)
-    return np.array(rows), utt_ids, spk_ids, emotions
+    return np.array(rows) if rows else np.empty((0, dim or 0)), utt_ids, spk_ids, emotions
+
+
+def _load_jsonl(path: str) -> tuple:
+    """The columns of a jsonl corpus.  The first record fixes the dimension;
+    then fork_map parses the file's line-aligned ranges, one job each, so the
+    first damaged line in file order names path:line for any worker count."""
+    first = next(read_jsonl(path), None) if os.path.isfile(path) else None
+    if first is None:  # no record, or a pipe, which can be read only once: front to back in-process
+        return _load_jsonl_range(path, None, (0, None, 1))
+    dim = len(_jsonl_record(path, *first, None)[3])
+    parts = fork_map(lambda span: _load_jsonl_range(path, dim, span), _jsonl_ranges(path))
+    columns = [[value for part in parts for value in part[c]] for c in (1, 2, 3)]
+    return np.concatenate([part[0] for part in parts]), *columns
 
 
 def _load_bin(path: str) -> tuple:

@@ -154,7 +154,9 @@ def fork_map(fn, items: list) -> list:
                     end = _HEADER_BYTES + int.from_bytes(buf[:_HEADER_BYTES], "little")
                     if len(buf) < end:
                         break
-                    index, *outcome = pickle.loads(buf[_HEADER_BYTES:end])
+                    # a view, not a slice, which would copy the frame; released before buf shrinks
+                    with memoryview(buf)[_HEADER_BYTES:end] as frame:
+                        index, *outcome = pickle.loads(frame)
                     done[index] = outcome
                     del buf[:end]
             while len(results) < n and done[len(results)] is not None:

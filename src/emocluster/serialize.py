@@ -4,11 +4,12 @@ Every JSON artifact this toolkit writes goes through write_jsonl, one
 canonical_dumps line per object, so that reruns with identical inputs produce
 byte-identical files: keys sorted, floats printed with 17 significant digits
 (enough to round-trip a double).  read_json and read_jsonl read them back and
-raise CorpusError naming the file (and line) on damage; json_typed checks
-the type of a value they return.
+raise CorpusError naming the file (and line) on damage, an object that
+repeats a key included; json_typed checks the type of a value they return.
 """
 
 import hashlib
+import io
 import json
 import math
 from json.encoder import encode_basestring
@@ -16,6 +17,22 @@ from json.encoder import encode_basestring
 
 class CorpusError(ValueError):
     """Raised when an input file or record violates the format contract."""
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A json object's dict; a key it repeats raises ValueError, since
+    json.loads would keep the last value and drop the others unseen."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)  # every json text read goes through it
 
 
 def format_float(x: float) -> str:
@@ -94,22 +111,27 @@ def write_jsonl(path: str, objs) -> None:
 
 def read_json(path: str, what: str) -> dict:
     """The json object in the file at `path`; `what` names it in the CorpusError
-    that invalid UTF-8, malformed json or a non-object raises."""
+    that invalid UTF-8, malformed json, a repeated key or a non-object raises."""
     try:
         with open(path, "rb") as fh:
-            obj = json.loads(fh.read().decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # invalid UTF-8, malformed or too deeply nested json
+            obj = _DECODER.decode(fh.read().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # invalid UTF-8, malformed, too deeply nested or a repeated key
         raise CorpusError(f"{path}: malformed {what} ({exc})") from exc
     if not isinstance(obj, dict):
         raise CorpusError(f"{path}: {what} must be a json object, not {type(obj).__name__}")
     return obj
 
 
-def read_jsonl(path: str):
+def read_jsonl(path: str, start: int = 0, end: int | None = None, first_line: int = 1):
     """Yield (line number, json value) for each nonblank line of the file at
-    `path`; invalid UTF-8 or malformed json raises CorpusError naming path:line."""
+    `path`, or of its bytes [start, end) numbered from `first_line`, where
+    `start` is a line start; invalid UTF-8, malformed json or a repeated key
+    raises CorpusError naming path:line."""
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        if start:  # a pipe cannot seek, even to where it is
+            fh.seek(start)
+        lines = fh if end is None else io.BytesIO(fh.read(end - start))
+        for lineno, raw in enumerate(lines, start=first_line):
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
@@ -117,8 +139,8 @@ def read_jsonl(path: str):
             if not line:
                 continue
             try:
-                value = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:  # malformed or too deeply nested
+                value = _DECODER.decode(line)
+            except (ValueError, RecursionError) as exc:  # malformed, too deeply nested or a repeated key
                 raise CorpusError(f"{path}:{lineno}: malformed json ({getattr(exc, 'msg', exc)})") from exc
             yield lineno, value
 

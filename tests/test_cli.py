@@ -340,9 +340,10 @@ def test_config_file_values_parse_as_their_flags(tmp_path, small_corpus, capsys,
         ({"k": 2, "steps": 5}, False, None),
         ({"kk": 2}, False, "config key 'kk' names no flag"),
         ({"help": True}, False, "config key 'help' names no flag"),
+        ({"config": "nonexistent.json"}, False, "config key 'config' names no flag"),
         ({"n-clusters": 2, "n_clusters": 3}, False, "config keys 'n-clusters' and 'n_clusters' name one flag"),
     ],
-    ids=["equals-form", "other-subcommand-key", "unknown-key", "help-key", "two-spellings"],
+    ids=["equals-form", "other-subcommand-key", "unknown-key", "help-key", "config-key", "two-spellings"],
 )
 def test_config_file_read_in_either_form_and_keys_checked(tmp_path, small_corpus, capsys, values, inline, detail):
     config = tmp_path / "conf.json"
@@ -357,6 +358,15 @@ def test_config_file_read_in_either_form_and_keys_checked(tmp_path, small_corpus
         assert code == 2
         assert f"{config}: {detail}" in capsys.readouterr().err
         assert not run.exists()
+
+
+def test_config_file_that_repeats_a_key_exits_2(tmp_path, small_corpus, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text('{"k": 2, "k": 3}')
+    run = tmp_path / "run.json"
+    assert main(["cluster", "--corpus", str(small_corpus), "--config", str(config), "--out", str(run)]) == 2
+    assert f"{config}: malformed config file (repeated key 'k')" in capsys.readouterr().err
+    assert not run.exists()
 
 
 def test_config_schema_of_artifacts(tmp_path, small_corpus):

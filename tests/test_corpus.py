@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emocluster import corpus as corpus_module
+from emocluster import parallel
 from emocluster.corpus import (
     Corpus,
     CorpusError,
@@ -54,6 +56,12 @@ def test_dimension_mismatch_rejected(tmp_path):
 def test_duplicate_utt_id_rejected():
     with pytest.raises(CorpusError, match="duplicate utt_id"):
         Corpus([[1.0], [2.0]], ["u", "u"], ["s", "s"], [None, None])
+
+
+def test_finite_rows_that_sum_past_the_float64_range_load_without_a_warning():
+    # pytest turns a RuntimeWarning into an error here, so an overflow warning fails the test
+    corpus = Corpus([[1e308, 1e308], [-1e308, 1.0]], ["u1", "u2"], ["s", "s"], [None, None])
+    assert corpus.vectors[0, 0] == 1e308
 
 
 def test_malformed_line_reports_lineno(tmp_path):
@@ -104,11 +112,12 @@ _GOOD_LINE = '{"utt_id": "a", "spk_id": "s", "emotion": null, "vec": [1.0, 2.0, 
         '{"utt_id": "b", "spk_id": "s", "emotion": 1, "vec": [1.0, 2.0, 3.0]}',
         '{"utt_id": "b", "spk_id": "s", "emotion": null, "vec": [1.0, 2.0]}',
         '{"utt_id": "b", "spk_id": "s", "emotion": null, "vec": [1%s, 2.0, 3.0]}' % ("0" * 400),
+        '{"utt_id": "b", "spk_id": "s", "emotion": null, "vec": [1%s, 2.0, 3.0]}' % ("0" * 5000),
     ],
 )
 def test_jsonl_ill_typed_record_names_path_and_line(tmp_path, record):
-    # no id is coerced (null is not the utterance 'None'); a short vec, or an
-    # integer beyond the float64 range, names its line too
+    # no id is coerced (null is not the utterance 'None'); a short vec, an
+    # integer beyond the float64 range, or one past Python's digit limit, names its line too
     path = tmp_path / "c.jsonl"
     path.write_text(_GOOD_LINE + record + "\n")
     with pytest.raises(CorpusError) as caught:
@@ -197,6 +206,110 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 8)
     with pytest.raises(CorpusError, match="magic"):
         load_corpus(str(path), "bin")
+
+
+def _load_in_ranges(mp, path, chunk_bytes: int, workers: int = 2):
+    """load_corpus of a jsonl file parsed in ranges of about chunk_bytes on
+    `workers` workers: the corpus, or the CorpusError's message."""
+    mp.setattr(corpus_module, "_CHUNK_BYTES", chunk_bytes)
+    mp.setattr(parallel, "worker_count", lambda: workers)
+    try:
+        return load_corpus(str(path), "jsonl")
+    except CorpusError as exc:
+        return str(exc)
+
+
+def _one_range_bytes(path) -> int:
+    return os.path.getsize(path) + 1
+
+
+_RECORD = st.tuples(  # (spk_id, emotion, vec)
+    st.sampled_from(["s0", "s1", "sé"]),
+    st.sampled_from([None, "happy", "sad"]),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**60), 2**60), min_size=3, max_size=3),
+)
+
+
+@given(
+    st.lists(st.tuples(_RECORD, st.sampled_from(["\n", "\r\n"]), st.sampled_from(["", "\n", " \r\n", "\t\n"])), min_size=1),
+    st.booleans(),
+    st.integers(1, 64),
+    st.integers(1, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_jsonl_loads_the_same_in_any_ranges(lines, final_newline, chunk_bytes, workers):
+    # blank lines, CRLF endings and a missing final newline: the same columns and vector bits as one range
+    text = "".join(
+        json.dumps({"utt_id": f"u{i}", "spk_id": spk, "emotion": emotion, "vec": vec}, ensure_ascii=False) + end + blank
+        for i, ((spk, emotion, vec), end, blank) in enumerate(lines)
+    )
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = os.path.join(tmp, "c.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8") if final_newline else text.rstrip("\r\n\t ").encode("utf-8"))
+        whole = _load_in_ranges(mp, path, _one_range_bytes(path), workers=1)
+        chunked = _load_in_ranges(mp, path, chunk_bytes, workers)
+    assert isinstance(whole, Corpus), whole
+    assert isinstance(chunked, Corpus), chunked
+    assert (chunked.utt_ids, chunked.spk_ids, chunked.emotions) == (whole.utt_ids, whole.spk_ids, whole.emotions)
+    assert chunked.vectors.tobytes() == whole.vectors.tobytes()
+
+
+def _line(i: int, vec: str = "[1.0, 2.0, 3.0]") -> bytes:
+    return f'{{"utt_id": "u{i}", "spk_id": "s", "emotion": null, "vec": {vec}}}'.encode()
+
+
+@pytest.mark.parametrize(
+    "damage, problem",
+    [
+        (_line(0)[:-5], "malformed json"),
+        (_line(0, "[1.0, 2.0]"), "dimension mismatch: 2 values, expected 3"),
+        (_line(0, '["1.0", 2.0, 3.0]'), "vec must be a nonempty list of numbers"),
+        (b'{"utt_id": "u", "utt_id": "v", "spk_id": "s", "vec": [1.0, 2.0, 3.0]}', "malformed json (repeated key 'utt_id')"),
+        (b'{"utt_id": "\xff"}', "not valid UTF-8 at byte 12"),
+    ],
+    ids=["truncated", "short-vec", "string-in-vec", "repeated-key", "invalid-utf8"],
+)
+def test_a_damaged_line_in_a_later_range_names_its_line(tmp_path, monkeypatch, damage, problem):
+    # 30 lines in 40-byte ranges, about one line each: line 17 is damaged, and a later range's line 25 too
+    lines = [_line(i) for i in range(30)]
+    lines[16], lines[24] = damage, b"not json"
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    whole = _load_in_ranges(monkeypatch, path, _one_range_bytes(path), workers=1)
+    assert len(corpus_module._jsonl_ranges(str(path))) == 1
+    assert _load_in_ranges(monkeypatch, path, 40) == whole
+    assert len(corpus_module._jsonl_ranges(str(path))) > 20
+    assert whole.startswith(f"{path}:17: {problem}"), whole
+
+
+@pytest.mark.parametrize("content", [b"", b"\n", b"  \r\n\t\n\n   "], ids=["empty", "newline", "blank-lines"])
+def test_a_jsonl_file_without_records_has_no_records(tmp_path, monkeypatch, content):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(content)
+    assert _load_in_ranges(monkeypatch, path, 2) == f"{path}: corpus has no records"
+
+
+@pytest.mark.parametrize("tail", [b"", b"\n[1]\n"], ids=["valid", "damaged-last-line"])
+def test_a_jsonl_corpus_in_a_pipe_loads_like_the_file(tmp_path, monkeypatch, tail):
+    # a pipe is read once, front to back, in-process: the same corpus, or the same message
+    path = tmp_path / "c.jsonl"
+    save_corpus(_FUZZ_CORPUS, str(path))
+    path.write_bytes(path.read_bytes() + tail)
+    read, write = os.pipe()
+    try:
+        os.write(write, path.read_bytes())  # a few hundred bytes: the pipe holds them all
+        os.close(write)
+        pipe = f"/dev/fd/{read}"
+        from_pipe = _load_in_ranges(monkeypatch, pipe, 40)
+    finally:
+        os.close(read)
+    from_file = _load_in_ranges(monkeypatch, path, 40)
+    if tail:
+        assert from_pipe == from_file.replace(str(path), pipe)
+        assert from_pipe.startswith(f"{pipe}:7: malformed record"), from_pipe
+    else:
+        assert _same_corpus(from_pipe, from_file)
 
 
 def test_jsonl_roundtrip_bit_identical(tmp_path):

@@ -248,6 +248,16 @@ def test_more_jobs_than_the_task_pipe_holds(monkeypatch):
     assert _children() == []
 
 
+def test_results_larger_than_a_pipe_round_trip(monkeypatch):
+    # each result is a 3 MB array, about 48 pipe capacities, read back in many reads
+    monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+    make = lambda x: np.arange(x, x + (3 << 20) // 8, dtype=np.float64)
+    with _deadline(60):
+        results = fork_map(make, [0, 1, 2, 3])
+    assert all(np.array_equal(result, make(x)) for x, result in zip(range(4), results))
+    assert _children() == []
+
+
 def test_a_worker_that_dies_names_its_lost_job(monkeypatch):
     monkeypatch.setattr(parallel, "worker_count", lambda: 2)
     with _deadline(60), pytest.raises(RuntimeError, match=r"^fork_map: .* job\(s\) \[1\]$"):

@@ -153,6 +153,13 @@ def test_jsonl_skips_blank_lines_and_names_the_damaged_line(tmp_path):
         list(read_jsonl(str(path)))
 
 
+def test_jsonl_line_with_a_repeated_key_names_its_line_and_key(tmp_path):
+    path = tmp_path / "objs.jsonl"
+    path.write_bytes(b'{"a": 1}\n{"a": {"b": 1, "c": 2, "b": 3}}\n')
+    with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}:2: malformed json \(repeated key 'b'\)$"):
+        list(read_jsonl(str(path)))
+
+
 @pytest.mark.parametrize(
     "content, detail",
     [
@@ -160,6 +167,8 @@ def test_jsonl_skips_blank_lines_and_names_the_damaged_line(tmp_path):
         (b'{"k": ', "malformed thing (Expecting value"),
         (b"[1]", "thing must be a json object, not list"),
         (b"[" * 100_000, "malformed thing (maximum recursion depth exceeded"),
+        (b'{"k": 2, "k": 3}', "malformed thing (repeated key 'k')"),
+        (b'{"k": [{"a": 1, "b": 2, "a": 1}]}', "malformed thing (repeated key 'a')"),
     ],
 )
 def test_read_json_names_the_damaged_file(tmp_path, content, detail):
