@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .cluster_metrics import evaluate_run, report_to_dict, report_to_table
-from .clustering import ClusteringRun, KMeansConfig, cluster_speakers, run_from_dict, run_to_dict, speaker_rows
-from .corpus import Corpus, SynthSpec, generate_synthetic, length_normalize, load_corpus, save_corpus
+from .clustering import KMeansConfig, cluster_speakers, load_run, run_to_dict
+from .corpus import SynthSpec, generate_synthetic, length_normalize, load_corpus, save_corpus
 from .nn_core import grad_check, save_checkpoint
 from .objectives import MtlWeights
 from .pair_miner import MiningConfig, mine_tuples, save_tuples
@@ -75,29 +75,6 @@ def _write_manifest(args: argparse.Namespace, started: float) -> None:
         write_jsonl(outputs[0] + ".manifest.json", [manifest])
 
 
-def _load_run(path: str, corpus: Corpus) -> ClusteringRun:
-    """Read a clustering run json and check each speaker's clustering against
-    the corpus; damaged contents or a mismatch raise CorpusError naming the
-    file (and the speaker)."""
-    obj = read_json(path, "clustering run")
-    for key in ("config", "per_speaker"):
-        if not isinstance(obj.get(key), dict):
-            problem = "is missing key" if key not in obj else "has a non-object value at key"
-            raise CorpusError(f"{path}: clustering run {problem} {key!r}")
-    try:
-        run = run_from_dict(obj)
-    except KeyError as exc:
-        raise CorpusError(f"{path}: clustering run is missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise CorpusError(f"{path}: ill-typed value in clustering run ({exc})") from exc
-    for spk_id in sorted(run.per_speaker):
-        try:
-            speaker_rows(run.per_speaker[spk_id], spk_id, corpus)
-        except ValueError as exc:
-            raise CorpusError(f"{path}: {exc}") from exc
-    return run
-
-
 # ------------------------------------------------------------------- commands
 
 def cmd_gen_synth(args) -> int:
@@ -129,7 +106,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_eval_clusters(args) -> int:
     corpus = length_normalize(load_corpus(args.corpus, args.format))
-    report = evaluate_run(_load_run(args.run, corpus), corpus)
+    report = evaluate_run(load_run(args.run, corpus), corpus)
     write_jsonl(args.out, [report_to_dict(report)])
     if args.table:
         _write_text(args.table, report_to_table(report))
@@ -138,7 +115,7 @@ def cmd_eval_clusters(args) -> int:
 
 def cmd_mine_pairs(args) -> int:
     corpus = load_corpus(args.corpus, args.format)
-    run = _load_run(args.run, corpus)
+    run = load_run(args.run, corpus)
     config = MiningConfig(
         n_clusters_N=args.n_clusters,
         seed=args.seed,
@@ -272,7 +249,7 @@ def cmd_project(args) -> int:
     corpus = load_corpus(args.corpus, args.format)
     assignments = {}
     if args.run:
-        run = _load_run(args.run, corpus)
+        run = load_run(args.run, corpus)
         for sc in run.per_speaker.values():
             assignments.update(sc.assignments)
     points = pca_project_2d(corpus.vectors)

@@ -22,7 +22,7 @@ distances take at most KMEANS_BLOCK floats, so memory does not grow with
 the restart count.
 
 speaker_rows is the one check that a speaker's clustering fits a corpus;
-mining, the cluster metrics and the CLI's run loader read runs through it.
+mining, the cluster metrics and load_run, the CLI's run reader, use it.
 """
 
 import math
@@ -33,7 +33,7 @@ import numpy as np
 
 from .corpus import Corpus, warn_if_unnormalized
 from .parallel import fork_map
-from .serialize import json_typed, stable_seed
+from .serialize import CorpusError, json_typed, read_json, stable_seed
 
 # Gram-form squared distances at or below this fraction of |x|^2 + |y|^2 may
 # have lost most of their digits to cancellation; they are recomputed exactly.
@@ -62,10 +62,12 @@ class KMeansConfig:
 @dataclass
 class SpeakerClustering:
     assignments: dict[str, int]  # utt_id -> cluster index
-    centers: np.ndarray  # (effective_k, dim)
+    centers: np.ndarray  # one row per center, min(k, distinct points) of them; effective_k counts those with a member
     inertia: float
-    effective_k: int
-    seed_used: int
+
+    @property
+    def effective_k(self) -> int:
+        return len(set(self.assignments.values()))
 
 
 @dataclass
@@ -252,8 +254,6 @@ def cluster_speaker(corpus: Corpus, spk_id: str, config: KMeansConfig) -> Speake
         assignments={corpus.utt_ids[i]: int(a) for i, a in zip(rows, assign)},
         centers=centers,
         inertia=inertia,
-        effective_k=int(np.count_nonzero(np.bincount(assign))),
-        seed_used=seed,
     )
 
 
@@ -318,8 +318,6 @@ def run_to_dict(run: ClusteringRun) -> dict:
                 "assignments": dict(sorted(sc.assignments.items())),
                 "centers": sc.centers.tolist(),
                 "inertia": float(sc.inertia),
-                "effective_k": sc.effective_k,
-                "seed_used": sc.seed_used,
             }
             for spk, sc in run.per_speaker.items()
         },
@@ -340,30 +338,55 @@ def _matrix(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
+_RUN_FIELDS = (("config", lambda v: json_typed(v, dict)), ("per_speaker", lambda v: json_typed(v, dict)))
 _CONFIG_FIELDS = (("k", _int), ("max_iters", _int), ("tol", _number), ("n_restarts", _int), ("seed", _int))
 _SPEAKER_FIELDS = (
     ("assignments", lambda v: {u: _int(c) for u, c in v.items()}),
     ("centers", _matrix),
-    ("inertia", _number), ("effective_k", _int), ("seed_used", _int),
+    ("inertia", _number),
 )
 
 
 def _typed_fields(obj, fields, where: str) -> dict:
+    """The converted `fields` of the run's json object at `where`, else ValueError naming `where`."""
+    if type(obj) is not dict:
+        raise ValueError(f"ill-typed value in clustering run ({where}: expected dict, got {type(obj).__name__})")
     values = {}
     for key, convert in fields:
+        if key not in obj:
+            raise ValueError(f"clustering run is missing key {key!r} ({where})")
         try:
             values[key] = convert(obj[key])
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{where}, key {key!r}: {exc}") from exc
+            raise ValueError(f"ill-typed value in clustering run ({where}, key {key!r}: {exc})") from exc
     return values
 
 
 def run_from_dict(obj: dict) -> ClusteringRun:
-    """Inverse of run_to_dict.  A missing key raises KeyError; a value of the
+    """Inverse of run_to_dict; keys it does not read, such as older runs'
+    effective_k and seed_used, are ignored.  A non-object, a missing key or a
     wrong type raises ValueError naming its speaker (or the config) and key."""
-    config = KMeansConfig(**_typed_fields(obj["config"], _CONFIG_FIELDS, "config"))
+    top = _typed_fields(obj, _RUN_FIELDS, "top level")
+    config = KMeansConfig(**_typed_fields(top["config"], _CONFIG_FIELDS, "config"))
     per_speaker = {
         spk: SpeakerClustering(**_typed_fields(payload, _SPEAKER_FIELDS, f"speaker {spk!r}"))
-        for spk, payload in obj["per_speaker"].items()
+        for spk, payload in top["per_speaker"].items()
     }
     return ClusteringRun(per_speaker=per_speaker, config=config)
+
+
+def load_run(path: str, corpus: Corpus) -> ClusteringRun:
+    """The run in the json file at `path`, with a valid config and a fitting
+    clustering (speaker_rows) of each corpus speaker; else CorpusError naming the file."""
+    obj = read_json(path, "clustering run")
+    try:
+        run = run_from_dict(obj)
+        run.config.validate()
+        for spk_id in sorted(run.per_speaker):
+            speaker_rows(run.per_speaker[spk_id], spk_id, corpus)
+        missing = sorted(set(corpus.speakers) - set(run.per_speaker))
+        if missing:
+            raise ValueError(f"speaker {missing[0]!r}: the corpus speaker is not in the run")
+    except ValueError as exc:
+        raise CorpusError(f"{path}: {exc}") from exc
+    return run

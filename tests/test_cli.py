@@ -497,15 +497,18 @@ def test_run_file_holding_a_list_exits_2(tmp_path, small_corpus, capsys, command
 
 
 @pytest.mark.parametrize("command", _RUN_READERS)
-def test_run_file_missing_config_exits_2(tmp_path, small_corpus, capsys, command):
+@pytest.mark.parametrize("key", ["config", "centers"])
+def test_run_file_missing_a_key_exits_2(tmp_path, small_corpus, capsys, command, key):
     good = tmp_path / "good.json"
     assert main(["cluster", "--corpus", str(small_corpus), "--k", "2", "--out", str(good)]) == 0
     payload = json.loads(good.read_text())
-    del payload["config"]
+    spk = sorted(payload["per_speaker"])[1]
+    del (payload if key == "config" else payload["per_speaker"][spk])[key]
     run = tmp_path / "run.json"
     run.write_text(json.dumps(payload))
     assert _main_with_run(command, tmp_path, small_corpus, run) == 2
-    assert f"{run}: clustering run is missing key 'config'" in capsys.readouterr().err
+    where = "" if key == "config" else f" (speaker {spk!r})"
+    assert f"{run}: clustering run is missing key {key!r}{where}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", _RUN_READERS)
@@ -560,15 +563,22 @@ def test_run_naming_unknown_utterance_exits_2(tmp_path, small_corpus, capsys, co
 
 
 @pytest.mark.parametrize("command", _RUN_READERS)
-def test_ill_typed_run_value_names_speaker_and_key(tmp_path, small_corpus, capsys, command):
+@pytest.mark.parametrize(
+    "entry, detail", [(False, ", key 'assignments':"), (True, ": expected dict, got list)")], ids=["assignments", "entry"]
+)
+def test_ill_typed_run_value_names_speaker_and_key(tmp_path, small_corpus, capsys, command, entry, detail):
+    # a list in place of the speaker's assignments, or of its whole entry
     payload = _clustered_run(tmp_path, small_corpus)
     spk = sorted(payload["per_speaker"])[1]
-    payload["per_speaker"][spk]["assignments"] = [1, 2]
+    if entry:
+        payload["per_speaker"][spk] = [1, 2]
+    else:
+        payload["per_speaker"][spk]["assignments"] = [1, 2]
     run = tmp_path / "run.json"
     run.write_text(json.dumps(payload))
     assert _main_with_run(command, tmp_path, small_corpus, run) == 2
     err = capsys.readouterr().err
-    assert f"{run}: ill-typed value in clustering run (speaker {spk!r}, key 'assignments':" in err
+    assert f"{run}: ill-typed value in clustering run (speaker {spk!r}{detail}" in err
 
 
 @pytest.mark.parametrize("command", _RUN_READERS)
@@ -591,10 +601,13 @@ def test_ill_typed_run_value_is_not_coerced(tmp_path, small_corpus, capsys, comm
     assert f"{run}: ill-typed value in clustering run ({where}, key {key!r}: expected " in capsys.readouterr().err
 
 
-def _malform(case: str, speaker: dict, other: dict) -> None:
-    """Edit one speaker's entry of a run json so that it no longer fits the corpus."""
+def _malform(case: str, per_speaker: dict, spk: str, other: str) -> None:
+    """Edit speaker `spk`'s entry of a run json so that it no longer fits the corpus."""
+    speaker = per_speaker[spk]
     first = sorted(speaker["assignments"])[0]
-    if case == "nan-center":
+    if case == "speaker-left-out":
+        del per_speaker[spk]
+    elif case == "nan-center":
         speaker["centers"][1][0] = float("nan")
     elif case == "centers-one-dim-short":
         speaker["centers"] = [row[:-1] for row in speaker["centers"]]
@@ -603,7 +616,7 @@ def _malform(case: str, speaker: dict, other: dict) -> None:
     elif case == "utterance-left-out":
         del speaker["assignments"][first]
     else:  # another speaker's utterance added
-        speaker["assignments"][sorted(other["assignments"])[0]] = 0
+        speaker["assignments"][sorted(per_speaker[other]["assignments"])[0]] = 0
 
 
 # each edit `_malform` makes, and what the error then says
@@ -614,6 +627,7 @@ _MALFORMED_RUNS = {
     "cluster-1": "has cluster -1, not one of its 3 centers",
     "utterance-left-out": "is not clustered",
     "other-speakers-utterance": "is not one of the speaker's utterances in the corpus",
+    "speaker-left-out": "the corpus speaker is not in the run",
 }
 
 
@@ -624,9 +638,41 @@ def test_run_inconsistent_with_corpus_exits_2_naming_file_and_speaker(tmp_path, 
     assert main(["cluster", "--corpus", str(small_corpus), "--k", "3", "--out", str(good)]) == 0
     payload = json.loads(good.read_text())
     spk, other = sorted(payload["per_speaker"])[1:3]
-    _malform(case, payload["per_speaker"][spk], payload["per_speaker"][other])
+    _malform(case, payload["per_speaker"], spk, other)
     run = tmp_path / "run.json"
     run.write_text(json.dumps(payload))
     assert _main_with_run(command, tmp_path, small_corpus, run) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"emocluster: error: {run}: speaker {spk!r}: ") and _MALFORMED_RUNS[case] in err
+
+
+@pytest.mark.parametrize("command", _RUN_READERS)
+@pytest.mark.parametrize(
+    "key, value, detail",
+    [("k", -5, "k must be >= 1"), ("max_iters", 0, "max_iters and n_restarts must be >= 1"),
+     ("n_restarts", 0, "max_iters and n_restarts must be >= 1"), ("tol", -1, "tol must be >= 0 and finite, got -1")],
+    ids=["k", "max_iters", "n_restarts", "tol"],
+)
+def test_run_with_invalid_config_exits_2(tmp_path, small_corpus, capsys, command, key, value, detail):
+    payload = _clustered_run(tmp_path, small_corpus)
+    payload["config"][key] = value
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps(payload))
+    assert _main_with_run(command, tmp_path, small_corpus, run) == 2
+    assert capsys.readouterr().err.startswith(f"emocluster: error: {run}: {detail}")
+
+
+def test_run_file_with_effective_k_and_seed_used_reads_as_without(tmp_path, small_corpus):
+    # runs once stored each speaker's effective_k and seed_used; both are ignored, even when they contradict the run
+    payload = _clustered_run(tmp_path, small_corpus)
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({**payload, "per_speaker": {
+        spk: {**entry, "effective_k": 99, "seed_used": -5} for spk, entry in payload["per_speaker"].items()
+    }}))
+    for command in _RUN_READERS:
+        outputs = []
+        for run in (tmp_path / "good.json", old):
+            out = tmp_path / f"{command}-{run.stem}.out"
+            assert main([command, "--corpus", str(small_corpus), "--run", str(run), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]

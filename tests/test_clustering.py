@@ -25,7 +25,7 @@ from emocluster.clustering import (
     speaker_rows,
 )
 from emocluster.cluster_metrics import evaluate_run
-from emocluster.corpus import Corpus, SynthSpec, generate_synthetic, length_normalize
+from emocluster.corpus import Corpus, SynthSpec, generate_synthetic, length_normalize, load_corpus
 from emocluster.pair_miner import MiningConfig, mine_tuples
 from emocluster.serialize import canonical_dumps
 from oracles import exact_kmeanspp_init
@@ -183,7 +183,7 @@ def test_center_distances_345():
 
     sc = SpeakerClustering(
         assignments={}, centers=np.array([[0.0, 0.0], [3.0, 4.0]]),
-        inertia=0.0, effective_k=2, seed_used=0,
+        inertia=0.0,
     )
     d = center_distances(sc)
     assert d.shape == (2, 2)
@@ -197,7 +197,7 @@ def test_center_distances_matches_elementwise_recomputation():
     from emocluster.clustering import SpeakerClustering
 
     centers = rng.normal(size=(5, 4))
-    sc = SpeakerClustering({}, centers, 0.0, 5, 0)
+    sc = SpeakerClustering({}, centers, 0.0)
     d = center_distances(sc)
     for i in range(5):
         for j in range(5):
@@ -449,18 +449,31 @@ def _write_synthetic_corpus(path):
     "write_corpus, flags, digest",
     [
         (_write_synthetic_corpus, ["--k", "4", "--seed", "11"],
-         "c621d9ae12a768e6d552d03186c3e7ac9f8a127abb0635f1ab041eeb9e28c1b4"),
+         "4a71ab696a7c20e022209c9e1599bec0e0cdb2fd47965be01d6b787bf1d78c1a"),
         (_write_degenerate_corpus, ["--k", "4", "--restarts", "3", "--seed", "2"],
-         "9c923a11a3b71806dd72a71d38dd09c81537a53763e3a7fe84b3ca4f7e193be2"),
+         "54339ca59183bbd2b301d87670a7bcd5e8d6c98ebe7edd388516beac03a0d0bb"),
     ],
     ids=["synthetic", "degenerate"],
 )
 def test_cluster_run_file_is_pinned(tmp_path, write_corpus, flags, digest):
-    # the run files that one Lloyd run per restart wrote
+    # the run files that one Lloyd run per restart wrote, less the effective_k and seed_used they once stored
     corpus, run = tmp_path / "corpus.jsonl", tmp_path / "run.json"
     write_corpus(corpus)
     assert main(["cluster", "--corpus", str(corpus), *flags, "--out", str(run)]) == 0
     assert hashlib.sha256(run.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_effective_k_counts_the_centers_with_a_member(tmp_path):
+    # the degenerate corpus's "dup" has 3 distinct vectors, so k = 4 degrades to 3
+    path = tmp_path / "corpus.jsonl"
+    _write_degenerate_corpus(path)
+    corpus = length_normalize(load_corpus(str(path), "jsonl"))
+    run = cluster_speakers(corpus, KMeansConfig(k=4, n_restarts=3, seed=2))
+    for spk, sc in run.per_speaker.items():
+        assign = np.array([sc.assignments[u] for u in sorted(sc.assignments)])
+        assert sc.effective_k == np.count_nonzero(np.bincount(assign))
+    assert run.per_speaker["dup"].effective_k == 3 and run.per_speaker["rat"].effective_k == 4
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

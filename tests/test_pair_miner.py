@@ -119,8 +119,6 @@ def test_singleton_anchor_skipped():
         assignments={"a": 0, "b": 0, "c": 1},
         centers=np.array([[0.05, 0.0], [5.0, 5.0]]),
         inertia=0.0,
-        effective_k=2,
-        seed_used=0,
     )
     run = ClusteringRun(per_speaker={"s": sc}, config=KMeansConfig(k=2))
     report = {}
@@ -135,7 +133,7 @@ def test_speaker_with_single_cluster_skipped():
     from emocluster.corpus import Corpus
 
     corpus = Corpus(np.arange(4.0)[:, None], [f"u{i}" for i in range(4)], ["s"] * 4, [None] * 4)
-    sc = SpeakerClustering({f"u{i}": 0 for i in range(4)}, np.array([[1.5]]), 0.0, 1, 0)
+    sc = SpeakerClustering({f"u{i}": 0 for i in range(4)}, np.array([[1.5]]), 0.0)
     run = ClusteringRun(per_speaker={"s": sc}, config=KMeansConfig(k=1))
     report = {}
     tuples = mine_tuples(run, corpus, MiningConfig(n_clusters_N=2, seed=0), report=report)
