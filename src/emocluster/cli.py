@@ -25,7 +25,7 @@ from .nn_core import grad_check, save_checkpoint
 from .objectives import MtlWeights
 from .pair_miner import MiningConfig, mine_tuples, save_tuples
 from .parallel import worker_count
-from .serialize import CorpusError, format_float, read_json, write_jsonl
+from .serialize import CorpusError, read_json, write_jsonl
 from .trainer import (
     MODES,
     TrainConfig,
@@ -246,6 +246,8 @@ def _scatter_svg(points: np.ndarray, groups: list[str]) -> str:
 
 
 def cmd_project(args) -> int:
+    import csv  # here, so that importing the CLI does not import csv
+
     corpus = load_corpus(args.corpus, args.format)
     assignments = {}
     if args.run:
@@ -253,11 +255,12 @@ def cmd_project(args) -> int:
         for sc in run.per_speaker.values():
             assignments.update(sc.assignments)
     points = pca_project_2d(corpus.vectors)
-    lines = ["x,y,spk_id,emotion,cluster"]
-    for utt_id, spk_id, emotion, (x, y) in zip(corpus.utt_ids, corpus.spk_ids, corpus.emotions, points):
-        cluster = assignments.get(utt_id, "")
-        lines.append(f"{format_float(float(x))},{format_float(float(y))},{spk_id},{emotion or ''},{cluster}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        # the excel dialect: CRLF rows, a field quoted only when it holds a comma, quote, CR or LF
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "spk_id", "emotion", "cluster"])
+        for utt_id, spk_id, emotion, (x, y) in zip(corpus.utt_ids, corpus.spk_ids, corpus.emotions, points.tolist()):
+            writer.writerow([x, y, spk_id, emotion or "", assignments.get(utt_id, "")])
     if args.svg:
         groups = [f"{spk_id}_{emotion or 'unlabeled'}" for spk_id, emotion in zip(corpus.spk_ids, corpus.emotions)]
         _write_text(args.svg, _scatter_svg(points, groups))
@@ -421,14 +424,14 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         code = args.func(args)
+        if code == EXIT_OK:
+            _write_manifest(args, started)
     except FloatingPointError as exc:
         print(f"emocluster: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (CorpusError, ValueError, KeyError, OSError) as exc:
         print(f"emocluster: error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    if code == EXIT_OK:
-        _write_manifest(args, started)
     return code
 
 

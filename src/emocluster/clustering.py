@@ -269,9 +269,10 @@ def cluster_speakers(corpus: Corpus, config: KMeansConfig) -> ClusteringRun:
 def speaker_rows(sc: SpeakerClustering, spk_id: str, corpus: Corpus) -> tuple[list[int], list[int]]:
     """The corpus rows of one speaker's clustered utterances, in utt_id order,
     and their clusters.  Raises ValueError("speaker '<id>': ...") at the first
-    misfit: centers that are not finite rows of the corpus's dimension; then,
-    utterance by utterance, a cluster outside [0, len(centers)), an utterance
-    the corpus lacks or one of another speaker; last, one left unclustered."""
+    misfit: centers that are not finite rows of the corpus's dimension; a
+    speaker the corpus lacks; then, utterance by utterance, a cluster outside
+    [0, len(centers)), an utterance the corpus lacks or one of another
+    speaker; last, one left unclustered."""
     where = f"speaker {spk_id!r}"
     centers = sc.centers
     if centers.ndim != 2 or centers.shape[1] != corpus.dim:
@@ -279,6 +280,8 @@ def speaker_rows(sc: SpeakerClustering, spk_id: str, corpus: Corpus) -> tuple[li
     bad = np.flatnonzero(~np.isfinite(centers).all(axis=1))
     if bad.size:
         raise ValueError(f"{where}: center {bad[0]} is not finite")
+    if spk_id not in corpus.speakers:
+        raise ValueError(f"{where}: the run speaker is not in the corpus")
     rows, clusters = [], []
     for utt_id in sorted(sc.assignments):
         cluster = sc.assignments[utt_id]
@@ -295,7 +298,7 @@ def speaker_rows(sc: SpeakerClustering, spk_id: str, corpus: Corpus) -> tuple[li
             )
         rows.append(row)
         clusters.append(cluster)
-    own = corpus.speakers.get(spk_id, ())
+    own = corpus.speakers[spk_id]
     if len(rows) != len(own):  # the rows are distinct rows of the speaker's, so equal counts mean all
         missing = min(corpus.utt_ids[row] for row in own if corpus.utt_ids[row] not in sc.assignments)
         raise ValueError(f"{where}: the speaker's utterance {missing!r} is not clustered")

@@ -2,17 +2,18 @@
 
 Every JSON artifact this toolkit writes goes through write_jsonl, one
 canonical_dumps line per object, so that reruns with identical inputs produce
-byte-identical files: keys sorted, floats printed with 17 significant digits
-(enough to round-trip a double).  read_json and read_jsonl read them back and
-raise CorpusError naming the file (and line) on damage, an object that
-repeats a key included; json_typed checks the type of a value they return.
+byte-identical files.  canonical_dumps is one json.JSONEncoder: keys sorted, no
+spaces, non-ASCII text written as is, and each float as Python's repr, the
+shortest text that reads back as the same double; NaN and infinity raise
+ValueError.  read_json and read_jsonl read them back, whatever text a number
+was written with, and raise CorpusError naming the file (and line) on damage,
+an object that repeats a key included; json_typed checks the type of a value
+they return.
 """
 
 import hashlib
 import io
 import json
-import math
-from json.encoder import encode_basestring
 
 
 class CorpusError(ValueError):
@@ -35,70 +36,22 @@ def _unique_keys(pairs: list) -> dict:
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)  # every json text read goes through it
 
 
-def format_float(x: float) -> str:
-    """Render a float with 17 significant digits (lossless for float64)."""
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError(f"non-finite value not serializable: {x}")
-    if x == int(x) and abs(x) < 1e17:
-        # keep a trailing .0 so the value reads back as a float (from 1e17 on, .17g writes an exponent)
-        return f"{x:.1f}"
-    return format(x, ".17g")
+def _plain(obj):
+    """A 0-d numpy value (a numpy scalar) as its Python value, for the encoder's
+    `default`; anything else json cannot encode raises TypeError."""
+    if getattr(obj, "ndim", None) == 0:
+        return obj.item()
+    raise TypeError(f"not canonically serializable: {type(obj).__name__}")
 
 
-def _format_floats(values: list) -> str:
-    """format_float over a list of floats, joined by commas: one %-format
-    call for the whole list unless a value is integral or non-finite."""
-    if all(map(math.isfinite, values)) and not any(map(float.is_integer, values)):
-        # "%.17g" prints the digits of format(x, ".17g")
-        return ",".join(["%.17g"] * len(values)) % tuple(values)
-    return ",".join(map(format_float, values))
-
-
-def _encode(obj, out: list[str]) -> None:
-    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
-        obj = obj.item()  # numpy scalars -> native python
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        # what json.dumps(obj, ensure_ascii=False) calls, without building a JSONEncoder
-        out.append(encode_basestring(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        first = True
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"canonical json requires string keys, got {key!r}")
-            if not first:
-                out.append(",")
-            _encode(key, out)
-            out.append(":")
-            _encode(obj[key], out)
-            first = False
-        out.append("}")
-    elif type(obj) is list and obj and set(map(type, obj)) == {float}:
-        out.append("[" + _format_floats(obj) + "]")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _encode(item, out)
-        out.append("]")
-    else:
-        raise TypeError(f"not canonically serializable: {type(obj).__name__}")
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False, default=_plain
+)
 
 
 def canonical_dumps(obj) -> str:
-    """Serialize to deterministic JSON: sorted keys, 17-digit floats."""
-    out: list[str] = []
-    _encode(obj, out)
-    return "".join(out)
+    """Deterministic JSON: sorted keys, no spaces, floats as their shortest round-trip text."""
+    return _ENCODER.encode(obj)
 
 
 def write_jsonl(path: str, objs) -> None:

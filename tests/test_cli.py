@@ -92,7 +92,61 @@ def test_cli_commands_rerun_byte_identical(tmp_path, small_corpus):
         csv = base / "p.csv"
         assert main(["project", "--corpus", str(small_corpus), "--out", str(csv)]) == 0
         outputs[round_dir] = [sha(run), sha(report), sha(tuples), sha(csv)]
+        for path in (run, report, tuples, *base.glob("*.manifest.json")):
+            _assert_canonical(path)
     assert outputs["one"] == outputs["two"]
+
+
+def _assert_canonical(path):
+    """Each line of the JSON file at `path` re-encodes to its own bytes, and the file ends in a newline."""
+    from emocluster.serialize import canonical_dumps
+
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("\n"), f"{path}: no final newline"
+    for lineno, line in enumerate(text[:-1].split("\n"), start=1):
+        assert canonical_dumps(json.loads(line)) == line, f"{path}:{lineno}: not canonical"
+
+
+def _seventeen_digit_dumps(obj) -> str:
+    """A canonical JSON line in the format written before floats were written as their repr:
+    each float with 17 significant digits, an integral one below 1e17 with its .0 kept."""
+    if isinstance(obj, float):
+        return f"{obj:.1f}" if obj.is_integer() and abs(obj) < 1e17 else format(obj, ".17g")
+    if isinstance(obj, dict):
+        items = (f"{json.dumps(k, ensure_ascii=False)}:{_seventeen_digit_dumps(v)}" for k, v in sorted(obj.items()))
+        return "{" + ",".join(items) + "}"
+    if isinstance(obj, list):
+        return "[" + ",".join(map(_seventeen_digit_dumps, obj)) + "]"
+    return json.dumps(obj, ensure_ascii=False)
+
+
+def test_files_in_the_seventeen_digit_format_give_the_same_outputs(tmp_path, small_corpus):
+    # a corpus and a run written in the older float format load to the same values, so every command
+    # that reads them writes the bytes it writes from the same files in the current format
+    from emocluster.serialize import canonical_dumps
+
+    records = [json.loads(line) for line in small_corpus.read_text().splitlines()]
+    records[0]["vec"][:3] = [1.0, 0.0, -2.0]  # integral values, which the older format wrote with a .0
+    new, old = tmp_path / "new", tmp_path / "old"
+    for base, dumps in ((new, canonical_dumps), (old, _seventeen_digit_dumps)):
+        base.mkdir()
+        (base / "corpus.jsonl").write_text("".join(dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert (new / "corpus.jsonl").read_bytes() != (old / "corpus.jsonl").read_bytes()
+    for base in (new, old):
+        assert main(["cluster", "--corpus", str(base / "corpus.jsonl"), "--k", "3", "--seed", "4",
+                     "--out", str(base / "run.json")]) == 0
+    assert (new / "run.json").read_bytes() == (old / "run.json").read_bytes()
+    run = json.loads((old / "run.json").read_text())
+    (old / "run.json").write_text(_seventeen_digit_dumps(run) + "\n", encoding="utf-8")
+    assert (new / "run.json").read_bytes() != (old / "run.json").read_bytes()
+    for base in (new, old):
+        at = lambda name: str(base / name)
+        inputs = ["--corpus", at("corpus.jsonl"), "--run", at("run.json")]
+        assert main(["eval-clusters", *inputs, "--out", at("report.json"), "--table", at("table.txt")]) == 0
+        assert main(["mine-pairs", *inputs, "--n-clusters", "3", "--seed", "6", "--out", at("tuples.jsonl")]) == 0
+        assert main(["project", *inputs, "--out", at("scatter.csv"), "--svg", at("scatter.svg")]) == 0
+    for name in ("report.json", "table.txt", "tuples.jsonl", "scatter.csv", "scatter.svg"):
+        assert (new / name).read_bytes() == (old / name).read_bytes(), name
 
 
 def test_pretrain_and_checkpoint(tmp_path, small_corpus):
@@ -387,11 +441,10 @@ def test_config_schema_of_artifacts(tmp_path, small_corpus):
     assert set(payload) == train_keys and set(payload["mtl_weights"]) == mtl_keys
     assert canonical_dumps(payload) == (
         '{"batch_size":8,"contrastive_hidden":null,"contrastive_out":128,"epochs_ser":30,"head_hidden":null,'
-        '"include_positive_in_denominator":false,"lr":1.0000000000000001e-05,"mode":"contrastive",'
+        '"include_positive_in_denominator":false,"lr":1e-05,"mode":"contrastive",'
         '"mtl_weights":{"grl_lambda":1.0,"w_speaker":1.0},"n_clusters_N":20,'
         '"pretrain_lr":0.0001,"pretrain_speaker_fraction":0.0,"seed":0,"seeds":[0,1,2,3,4],'
-        '"split_fractions":[0.69999999999999996,0.10000000000000001,0.20000000000000001],"steps":5000,'
-        '"tau":0.10000000000000001,"trunk_hidden":32}'
+        '"split_fractions":[0.7,0.1,0.2],"steps":5000,"tau":0.1,"trunk_hidden":32}'
     )
 
     probe, ckpt, run = tmp_path / "probe.json", tmp_path / "ckpt.json", tmp_path / "run.json"
@@ -404,6 +457,40 @@ def test_config_schema_of_artifacts(tmp_path, small_corpus):
     ckpt_config = load_checkpoint(str(ckpt))[1]["config"]
     assert set(ckpt_config) == pretrain_keys and set(ckpt_config["mtl_weights"]) == mtl_keys
     assert set(json.loads(run.read_text())["config"]) == {"k", "max_iters", "tol", "n_restarts", "seed"}
+
+
+def test_unwritable_manifest_exits_2_naming_its_path(tmp_path, capsys):
+    out = tmp_path / "c2.jsonl"
+    manifest = tmp_path / "c2.jsonl.manifest.json"
+    manifest.mkdir()
+    assert main(["gen-synth", "--n-speakers", "2", "--utts-per-cell", "2", "--dim", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("emocluster: error: ") and str(manifest) in err
+
+
+def test_project_csv_reads_back_whatever_the_ids_hold(tmp_path):
+    # ids holding a comma, a quote, a bare CR or a newline are quoted, so each utterance is one row of 5 fields
+    import csv
+
+    labels = [("smith, j", "calm"), ('say "hi"', "x\ny"), ("a\rb", None), ("plain", "happy")]
+    rng = np.random.default_rng(0)
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"utt_id": f"u{i}", "spk_id": spk, "emotion": emotion, "vec": rng.normal(size=3).tolist()}) + "\n"
+        for i, (spk, emotion) in enumerate(labels * 2)
+    ))
+    run, out = tmp_path / "run.json", tmp_path / "p.csv"
+    assert main(["cluster", "--corpus", str(corpus), "--k", "2", "--out", str(run)]) == 0
+    assert main(["project", "--corpus", str(corpus), "--run", str(run), "--out", str(out)]) == 0
+    assert out.read_bytes().startswith(b"x,y,spk_id,emotion,cluster\r\n")
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["x", "y", "spk_id", "emotion", "cluster"]
+    assert [len(row) for row in rows[1:]] == [5] * 8
+    assert [(row[2], row[3]) for row in rows[1:]] == [(spk, emotion or "") for spk, emotion in labels * 2]
+    per_speaker = json.loads(run.read_text())["per_speaker"].values()
+    clusters = {utt: c for sc in per_speaker for utt, c in sc["assignments"].items()}
+    assert [row[4] for row in rows[1:]] == [str(clusters[f"u{i}"]) for i in range(8)]
 
 
 def test_binary_format_through_cli(tmp_path):
@@ -601,10 +688,14 @@ def test_ill_typed_run_value_is_not_coerced(tmp_path, small_corpus, capsys, comm
     assert f"{run}: ill-typed value in clustering run ({where}, key {key!r}: expected " in capsys.readouterr().err
 
 
-def _malform(case: str, per_speaker: dict, spk: str, other: str) -> None:
-    """Edit speaker `spk`'s entry of a run json so that it no longer fits the corpus."""
+def _malform(case: str, per_speaker: dict, spk: str, other: str) -> str:
+    """Edit speaker `spk`'s entry of a run json so that it no longer fits the corpus, or add a
+    speaker that the corpus lacks; return the speaker that the error names."""
     speaker = per_speaker[spk]
     first = sorted(speaker["assignments"])[0]
+    if case == "ghost-speaker":  # no utterances, and centers of the corpus's dimension
+        per_speaker["ghost"] = {"assignments": {}, "centers": speaker["centers"], "inertia": 0.0}
+        return "ghost"
     if case == "speaker-left-out":
         del per_speaker[spk]
     elif case == "nan-center":
@@ -617,6 +708,7 @@ def _malform(case: str, per_speaker: dict, spk: str, other: str) -> None:
         del speaker["assignments"][first]
     else:  # another speaker's utterance added
         speaker["assignments"][sorted(per_speaker[other]["assignments"])[0]] = 0
+    return spk
 
 
 # each edit `_malform` makes, and what the error then says
@@ -628,6 +720,7 @@ _MALFORMED_RUNS = {
     "utterance-left-out": "is not clustered",
     "other-speakers-utterance": "is not one of the speaker's utterances in the corpus",
     "speaker-left-out": "the corpus speaker is not in the run",
+    "ghost-speaker": "the run speaker is not in the corpus",
 }
 
 
@@ -638,12 +731,12 @@ def test_run_inconsistent_with_corpus_exits_2_naming_file_and_speaker(tmp_path, 
     assert main(["cluster", "--corpus", str(small_corpus), "--k", "3", "--out", str(good)]) == 0
     payload = json.loads(good.read_text())
     spk, other = sorted(payload["per_speaker"])[1:3]
-    _malform(case, payload["per_speaker"], spk, other)
+    named = _malform(case, payload["per_speaker"], spk, other)
     run = tmp_path / "run.json"
     run.write_text(json.dumps(payload))
     assert _main_with_run(command, tmp_path, small_corpus, run) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"emocluster: error: {run}: speaker {spk!r}: ") and _MALFORMED_RUNS[case] in err
+    assert err.startswith(f"emocluster: error: {run}: speaker {named!r}: ") and _MALFORMED_RUNS[case] in err
 
 
 @pytest.mark.parametrize("command", _RUN_READERS)

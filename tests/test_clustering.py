@@ -449,9 +449,9 @@ def _write_synthetic_corpus(path):
     "write_corpus, flags, digest",
     [
         (_write_synthetic_corpus, ["--k", "4", "--seed", "11"],
-         "4a71ab696a7c20e022209c9e1599bec0e0cdb2fd47965be01d6b787bf1d78c1a"),
+         "832bdf133a1e66c7c016b5dc3b3c847ce64cacd9a402ab93d8ae53bcec8c4b6f"),
         (_write_degenerate_corpus, ["--k", "4", "--restarts", "3", "--seed", "2"],
-         "54339ca59183bbd2b301d87670a7bcd5e8d6c98ebe7edd388516beac03a0d0bb"),
+         "f952a722c52410c497661e83e5998e30e5804400585365db44419e7baee711e3"),
     ],
     ids=["synthetic", "degenerate"],
 )
@@ -481,10 +481,10 @@ def test_effective_k_counts_the_centers_with_a_member(tmp_path):
     "write_corpus, flags, digests",
     [
         (_write_synthetic_corpus, ["--k", "4", "--seed", "11"],
-         ("0849151560857f6ff1f02778b9c59690c0935585eb2b7ce3f625edbaf9800eef",
+         ("a8464a3919e6b7ad7a3e98e8640d3c8b851812de03e9eab04741e07b4b1c678e",
           "f144a82b1594b4a447151dcefce85b731722a32cdbf4c47abb2579b0a71b7723")),
         (_write_degenerate_corpus, ["--k", "4", "--restarts", "3", "--seed", "2"],
-         ("f17844f4356671b409dc1952b9d69196b46bb1d870c21afc81be54aeabe3a781",
+         ("9d3d4829246281bbe136dc49897094b7a0ae321aeaf1b245480a9500d177be3d",
           "12fcfc2d764dc8335cdca7bf7471d237cfc9c331397e59f6b381d60bfec29b0f")),
     ],
     ids=["synthetic", "degenerate"],
