@@ -83,11 +83,10 @@ def _comb2(m: int) -> int:
 
 def ari(cluster_labels, true_labels) -> float:
     """Adjusted Rand index via the pair-counting contingency formula."""
-    _check_pair(cluster_labels, true_labels)
-    if len(cluster_labels) < 2:
-        raise ValueError("ari needs at least 2 items")
     table = contingency_table(cluster_labels, true_labels)
     n = int(table.sum())
+    if n < 2:
+        raise ValueError("ari needs at least 2 items")
     sum_ij = sum(_comb2(int(v)) for v in table.flat)
     sum_a = sum(_comb2(int(v)) for v in table.sum(axis=1))
     sum_b = sum(_comb2(int(v)) for v in table.sum(axis=0))

@@ -42,7 +42,7 @@ GRAM_RECHECK = 1e-2
 KMEANS_BLOCK = 1 << 20  # floats of one block of restarts' (n, block * k) distances (8 MB)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KMeansConfig:
     k: int = 4
     max_iters: int = 300
@@ -50,7 +50,7 @@ class KMeansConfig:
     n_restarts: int = 10
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.max_iters < 1 or self.n_restarts < 1:
@@ -210,7 +210,6 @@ def kmeans(points, config: KMeansConfig):
     center.  When k exceeds the number of distinct points, runs with that
     smaller count instead (degrade rule).
     """
-    config.validate()
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError("points must be a nonempty (n, dim) array")
@@ -259,7 +258,6 @@ def cluster_speaker(corpus: Corpus, spk_id: str, config: KMeansConfig) -> Speake
 
 def cluster_speakers(corpus: Corpus, config: KMeansConfig) -> ClusteringRun:
     """Independent k-means per speaker; results keyed by speaker id."""
-    config.validate()
     warn_if_unnormalized(corpus, "cluster_speakers")
     speakers = list(corpus.speakers)
     clusterings = fork_map(lambda spk_id: cluster_speaker(corpus, spk_id, config), speakers)
@@ -384,7 +382,6 @@ def load_run(path: str, corpus: Corpus) -> ClusteringRun:
     obj = read_json(path, "clustering run")
     try:
         run = run_from_dict(obj)
-        run.config.validate()
         for spk_id in sorted(run.per_speaker):
             speaker_rows(run.per_speaker[spk_id], spk_id, corpus)
         missing = sorted(set(corpus.speakers) - set(run.per_speaker))

@@ -102,7 +102,7 @@ class Corpus:
         return self.vectors
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
     """Controls for the synthetic embedding generator.
 
@@ -123,7 +123,7 @@ class SynthSpec:
     seed: int = 0
     emotion_dir_jitter: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_speakers < 1 or self.n_emotions < 1 or self.utts_per_cell < 1:
             raise ValueError("n_speakers, n_emotions, utts_per_cell must be >= 1")
         if self.dim < 1:
@@ -331,7 +331,6 @@ def generate_synthetic(spec: SynthSpec) -> Corpus:
     structure transfers to held-out speakers) unless emotion_dir_jitter
     blends in per-speaker private directions.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     emotions = emotion_names(spec.n_emotions)
 

@@ -117,12 +117,12 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return loss, grad
 
 
-@dataclass
+@dataclass(frozen=True)
 class MtlWeights:
     w_speaker: float = 1.0
     grl_lambda: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("w_speaker", "grl_lambda"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")

@@ -31,13 +31,13 @@ class ContrastiveTuple:
     spk_id: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class MiningConfig:
     n_clusters_N: int = 20
     seed: int = 0
     allow_fewer_negatives: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_clusters_N < 2:
             raise ValueError("n_clusters_N must be >= 2")
         if self.n_clusters_N % 2:
@@ -124,7 +124,6 @@ def mine_tuples(
     all anchors of speakers with fewer than 2 populated clusters; counts
     land in `report` when a dict is supplied.
     """
-    config.validate()
     if run.config.k != config.n_clusters_N:
         warnings.warn(
             f"clustering used k={run.config.k} but mining expects N={config.n_clusters_N}",

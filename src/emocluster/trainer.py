@@ -46,7 +46,7 @@ MODE_LABELS = {
 PATIENCE = 5  # SER early stopping: epochs without a better val accuracy
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     mode: str = "contrastive"
     steps: int = 5000
@@ -67,7 +67,7 @@ class TrainConfig:
     pretrain_speaker_fraction: float = 0.0  # protocol: speakers reserved for the unlabeled pool
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; choose from {MODES}")
         if self.steps < 0 or self.batch_size < 1 or self.epochs_ser < 1:
@@ -94,7 +94,6 @@ class TrainConfig:
                 continue  # the trunk output width
             if width < 1:
                 raise ValueError(f"{name} must be >= 1, got {width}")
-        self.mtl_weights.validate()
 
 
 # TrainConfig fields that only the SER stage and the protocol read
@@ -212,14 +211,13 @@ def _tuple_pools(corpus: Corpus, n_clusters: int, seeds: list[int]) -> list[tupl
     A pool holds the anchor and positive rows, and the (T, M) negative rows
     and their mask, each tuple's negatives left-aligned.
     """
-    MiningConfig(n_clusters_N=n_clusters).validate()
     speakers = sorted(corpus.speakers)
+    minings = {seed: MiningConfig(n_clusters_N=n_clusters, seed=seed) for seed in seeds}
 
     def job(key):
         seed, spk_id = key
         kmeans = KMeansConfig(k=n_clusters, seed=stable_seed(seed, "pretrain_cluster"))
-        mining = MiningConfig(n_clusters_N=n_clusters, seed=seed)
-        return mine_speaker(cluster_speaker(corpus, spk_id, kmeans), spk_id, corpus, mining, Counter())[:3]
+        return mine_speaker(cluster_speaker(corpus, spk_id, kmeans), spk_id, corpus, minings[seed], Counter())[:3]
 
     parts = fork_map(job, [(seed, spk_id) for seed in seeds for spk_id in speakers])
     pools = []
@@ -245,7 +243,6 @@ def pretrain(corpus_unlabeled: Corpus, config: TrainConfig, tuples: tuple | None
     seed and passes it to every contrastive mode.  The speaker head's label
     of a row is its speaker's index in sorted(corpus.speakers).
     """
-    config.validate()
     if config.mode == "none":
         raise ValueError("pretrain requires a mode other than 'none'")
     warn_if_unnormalized(corpus_unlabeled, "pretrain")
@@ -290,13 +287,16 @@ def pretrain(corpus_unlabeled: Corpus, config: TrainConfig, tuples: tuple | None
         integral = all(np.issubdtype(column.dtype, np.integer) for column in (anchors, positives, negatives))
         if pool_mask.dtype != bool or not integral:
             raise ValueError("tuple pool rows must be integer arrays, and its mask boolean")
+        if not len(anchors):
+            raise ValueError("tuple pool is empty")
         widths = pool_mask.sum(axis=1)
+        # a batch keeps only its first widths[idx].max() slots, so set slots must come first
+        gapped = (pool_mask != (np.arange(pool_mask.shape[1]) < widths[:, None])).any(axis=1)
         outside = lambda values: (values < 0) | (values >= len(X))
-        bad = np.flatnonzero(
-            (widths == 0) | outside(anchors) | outside(positives) | (outside(negatives) & pool_mask).any(axis=1)
-        )
+        misfit = gapped | outside(anchors) | outside(positives) | (outside(negatives) & pool_mask).any(axis=1)
+        bad = np.flatnonzero((widths == 0) | misfit)
         if bad.size:
-            raise ValueError(f"tuple {bad[0]}: needs a negative and rows in [0, {len(X)})")
+            raise ValueError(f"tuple {bad[0]}: needs a negative, its mask's set slots first, and rows in [0, {len(X)})")
         labels = labels[anchors]  # the speaker head classifies the anchors
         con_head, spk_head = components["contrastive"], components.get("speaker_cls")
         batches = _shuffled_batches(len(anchors), config.batch_size, rng)
@@ -397,7 +397,6 @@ def train_ser(
     Stops after PATIENCE epochs without a better accuracy on the
     speaker-disjoint val_corpus and returns the best-epoch model.
     """
-    config.validate()
     check_speaker_disjoint(corpus_labeled, val_corpus)
 
     emotions = sorted({e for e in corpus_labeled.emotions if e is not None})
@@ -516,7 +515,6 @@ def run_protocol(
     pretraining reads the unlabeled SER train split.  SER training sees
     only a seeded label_fraction of its train labels.
     """
-    config.validate()
     modes = list(MODES) if modes is None else modes
     if not modes:
         raise ValueError(f"no modes given; choose from {MODES}")
@@ -541,7 +539,6 @@ def run_protocol(
     train_c, val_c, test_c = split_by_speaker(
         ser_base, config.split_fractions, stable_seed(config.seed, "protocol")
     )
-    check_speaker_disjoint(train_c, val_c, test_c)
     ser_train = labeled_fraction(train_c, label_fraction, config.seed)
     pretrain_corpus = strip_labels(pretrain_base if pretrain_base is not None else train_c)
 
@@ -646,7 +643,6 @@ def grad_check_cases(kind: str, config: TrainConfig):
     gradient entry falls below what float64 central differences can
     resolve are resampled.
     """
-    config.validate()
     for attempt in range(500):
         nets = _grad_check_nets(kind, config, attempt)
         if nets is None:

@@ -219,9 +219,9 @@ def test_run_json_roundtrip():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        KMeansConfig(k=0).validate()
+        KMeansConfig(k=0)
     with pytest.raises(ValueError):
-        KMeansConfig(n_restarts=0).validate()
+        KMeansConfig(n_restarts=0)
 
 
 def test_lloyd_inertia_monotone_within_restart():

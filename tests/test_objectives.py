@@ -236,6 +236,6 @@ def test_mtl_combine_reductions():
 
 def test_mtl_weights_validation():
     with pytest.raises(ValueError):
-        MtlWeights(1.0, grl_lambda=-1.0).validate()
+        MtlWeights(1.0, grl_lambda=-1.0)
     with pytest.raises(ValueError):
-        MtlWeights(-0.5, 1.0).validate()
+        MtlWeights(-0.5, 1.0)

@@ -182,9 +182,8 @@ def test_assignment_outside_the_centers_rejected(mined, cluster):
 
 
 def test_odd_n_warns_and_floors():
-    config = MiningConfig(n_clusters_N=5, seed=0)
     with pytest.warns(UserWarning, match="odd"):
-        config.validate()
+        config = MiningConfig(n_clusters_N=5, seed=0)
     assert config.negatives_per_anchor == 2
 
 

@@ -1,6 +1,6 @@
 import hashlib
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
@@ -409,21 +409,41 @@ def test_run_protocol_rejects_unknown_mode():
 
 def test_config_validation_and_serialization():
     with pytest.raises(ValueError):
-        TrainConfig(mode="bogus").validate()
+        TrainConfig(mode="bogus")
     with pytest.raises(ValueError):
-        TrainConfig(tau=0.0).validate()
+        TrainConfig(tau=0.0)
     with pytest.raises(ValueError):
-        TrainConfig(split_fractions=(0.5, 0.5, 0.5)).validate()
+        TrainConfig(split_fractions=(0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
-        TrainConfig(seeds=()).validate()
+        TrainConfig(seeds=())
     payload = asdict(_small_config())
     assert payload["mode"] == "contrastive"
     assert payload["mtl_weights"]["w_speaker"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "make, field, bad, message",
+    [
+        (KMeansConfig, "k", 0, "k must be >= 1"),
+        (MiningConfig, "n_clusters_N", 1, "n_clusters_N must be >= 2"),
+        (lambda **kw: SynthSpec(2, 2, 2, 4, **kw), "within_noise", 0.0, "within_noise must be > 0"),
+        (MtlWeights, "grl_lambda", -1.0, "grl_lambda must be >= 0"),
+        (TrainConfig, "tau", 0.0, "tau must be > 0"),
+    ],
+)
+def test_configs_check_themselves_when_made_and_are_frozen(make, field, bad, message):
+    config = make()
+    with pytest.raises(ValueError, match=message):
+        make(**{field: bad})
+    with pytest.raises(ValueError, match=message):
+        replace(config, **{field: bad})
+    with pytest.raises(FrozenInstanceError):
+        setattr(config, field, bad)
+
+
 def test_config_rejects_repeated_seed():
     with pytest.raises(ValueError, match="seed 3 given twice"):
-        TrainConfig(seeds=(3, 0, 3)).validate()
+        TrainConfig(seeds=(3, 0, 3))
 
 
 def test_ntxent_rows_drops_zero_projections():
@@ -521,6 +541,14 @@ def test_pretrain_checks_the_pool_before_the_first_step(monkeypatch):
         pretrain(corpus, config, tuples=(anchors, positives, negatives.astype(float), mask))
     with pytest.raises(ValueError, match="mask boolean"):
         pretrain(corpus, config, tuples=(anchors, positives, negatives, mask.astype(np.intp)))
+    # an empty pool would leave the batch generator looping without yielding
+    with pytest.raises(ValueError, match="tuple pool is empty"):
+        pretrain(corpus, config, tuples=(anchors[:0], positives[:0], negatives[:0], mask[:0]))
+    # a batch keeps only its leading slots, so a set slot after an unset one would never be read
+    gapped = np.ones_like(mask)
+    gapped[last, 0] = False
+    with pytest.raises(ValueError, match=f"tuple {last}: .* set slots first"):
+        pretrain(corpus, config, tuples=(anchors, positives, negatives, gapped))
 
 
 def _sha256(*chunks) -> str:
