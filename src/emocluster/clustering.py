@@ -27,7 +27,7 @@ mining, the cluster metrics and load_run, the CLI's run reader, use it.
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -73,7 +73,7 @@ class SpeakerClustering:
 @dataclass
 class ClusteringRun:
     per_speaker: dict[str, SpeakerClustering]
-    config: KMeansConfig = field(default_factory=KMeansConfig)
+    config: KMeansConfig
 
 
 def _row_sq(x: np.ndarray) -> np.ndarray:

@@ -135,6 +135,8 @@ class SynthSpec:
             raise ValueError(f"within_noise must be > 0 and finite, got {self.within_noise}")
         if not 0.0 <= self.emotion_dir_jitter <= 1.0:
             raise ValueError("emotion_dir_jitter must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------- file formats

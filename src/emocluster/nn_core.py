@@ -28,14 +28,6 @@ class DenseLayer:
     b: np.ndarray  # (out,)
     activation: str
 
-    def validate(self) -> None:
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.W.ndim != 2 or self.b.ndim != 1 or self.W.shape[0] != self.b.shape[0]:
-            raise ValueError(f"inconsistent layer shapes {self.W.shape} / {self.b.shape}")
-        if not (np.all(np.isfinite(self.W)) and np.all(np.isfinite(self.b))):
-            raise ValueError("non-finite layer parameters")
-
 
 @dataclass
 class ModelParams:
@@ -49,15 +41,6 @@ class ModelParams:
     def output_dim(self) -> int:
         return self.layers[-1].W.shape[0]
 
-    def validate(self) -> None:
-        if not self.layers:
-            raise ValueError("a model needs at least one layer")
-        for layer in self.layers:
-            layer.validate()
-        for i, (prev, layer) in enumerate(zip(self.layers, self.layers[1:]), start=1):
-            if layer.W.shape[1] != prev.W.shape[0]:
-                raise ValueError(f"layer {i}: expects input dim {layer.W.shape[1]}, got {prev.W.shape[0]}")
-
 
 def init_dense(rng: np.random.Generator, in_dim: int, out_dim: int, activation: str) -> DenseLayer:
     """Scaled uniform fan-in init; biases start at zero."""
@@ -69,12 +52,7 @@ def init_dense(rng: np.random.Generator, in_dim: int, out_dim: int, activation: 
 def make_mlp(rng: np.random.Generator, dims: list[int], activations: list[str]) -> ModelParams:
     if len(dims) != len(activations) + 1:
         raise ValueError("dims must have one more entry than activations")
-    layers = [
-        init_dense(rng, dims[i], dims[i + 1], activations[i]) for i in range(len(activations))
-    ]
-    model = ModelParams(layers)
-    model.validate()
-    return model
+    return ModelParams([init_dense(rng, dims[i], dims[i + 1], activations[i]) for i in range(len(activations))])
 
 
 def clone_params(model: ModelParams) -> ModelParams:
@@ -251,14 +229,26 @@ def save_checkpoint(path: str, components: dict[str, ModelParams], meta: dict) -
                 fh.write(layer.b.astype("<f8").tobytes())
 
 
-def _component_spec_ok(spec) -> bool:
-    """A manifest component: a list of layers, each with positive integer "in" and "out" and an activation name."""
+def _component_layers(path: str, name: str, spec) -> list[dict]:
+    """A manifest component's layer list, checked before its blob is read:
+    at least one layer, each with positive integer "in" and "out" and a known
+    activation name, and each layer's "in" the previous layer's "out"."""
+    where = f"{path}: component {name!r}"
     layers = spec.get("layers") if isinstance(spec, dict) else None
-    return isinstance(layers, list) and all(
+    if not isinstance(layers, list) or not all(
         isinstance(l, dict) and isinstance(l.get("activation"), str)
         and all(type(l.get(k)) is int and l[k] > 0 for k in ("in", "out"))
         for l in layers
-    )
+    ):
+        raise ValueError(f"{where} has a malformed layer list")
+    if not layers:
+        raise ValueError(f"{where}: a model needs at least one layer")
+    for i, l in enumerate(layers):
+        if l["activation"] not in ACTIVATIONS:
+            raise ValueError(f"{where}: unknown activation {l['activation']!r}")
+        if i and l["in"] != layers[i - 1]["out"]:
+            raise ValueError(f"{where}: layer {i}: expects input dim {l['in']}, got {layers[i - 1]['out']}")
+    return layers
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, ModelParams], dict]:
@@ -289,23 +279,17 @@ def load_checkpoint(path: str) -> tuple[dict[str, ModelParams], dict]:
         if off + 8 * n > len(blob):
             raise ValueError(f"{path}.bin: blob ends inside component {name!r} at offset {8 + off}")
         values = np.frombuffer(blob, dtype="<f8", count=n, offset=off).copy()
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: component {name!r}: non-finite layer parameters")
         off += 8 * n
         return values
 
     for name in names:
-        spec = manifest["components"][name]
-        if not _component_spec_ok(spec):
-            raise ValueError(f"{path}: component {name!r} has a malformed layer list")
         layers = []
-        for lspec in spec["layers"]:
+        for lspec in _component_layers(path, name, manifest["components"][name]):
             W = take(lspec["out"] * lspec["in"], name).reshape(lspec["out"], lspec["in"])
             layers.append(DenseLayer(W=W, b=take(lspec["out"], name), activation=lspec["activation"]))
-        model = ModelParams(layers)
-        try:
-            model.validate()
-        except ValueError as exc:
-            raise ValueError(f"{path}: component {name!r}: {exc}") from None
-        components[name] = model
+        components[name] = ModelParams(layers)
     if off != len(blob):
         raise ValueError(f"{path}.bin: blob size does not match manifest")
     return components, meta

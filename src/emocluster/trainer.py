@@ -208,8 +208,9 @@ def _tuple_pools(corpus: Corpus, n_clusters: int, seeds: list[int]) -> list[tupl
     job, which returns row arrays only; the parts join in sorted-speaker
     order, so a pool lists what mine_tuples would for that seed.
 
-    A pool holds the anchor and positive rows, and the (T, M) negative rows
-    and their mask, each tuple's negatives left-aligned.
+    A pool holds the anchor and positive rows, the (T, M) negative rows and
+    each tuple's negative count: tuple i's negatives are the first widths[i]
+    slots of its row.
     """
     speakers = sorted(corpus.speakers)
     minings = {seed: MiningConfig(n_clusters_N=n_clusters, seed=seed) for seed in seeds}
@@ -227,10 +228,9 @@ def _tuple_pools(corpus: Corpus, n_clusters: int, seeds: list[int]) -> list[tupl
         if not sum(sizes):
             raise ValueError("no mineable tuples: every anchor was skipped")
         widths = np.repeat([n.shape[1] for n in negatives], sizes)
-        mask = np.arange(widths.max()) < widths[:, None]
-        padded = np.zeros(mask.shape, dtype=np.intp)
-        padded[mask] = np.concatenate([n.ravel() for n in negatives])
-        pools.append((np.concatenate(anchors), np.concatenate(positives), padded, mask))
+        padded = np.zeros((len(widths), widths.max()), dtype=np.intp)
+        padded[np.arange(widths.max()) < widths[:, None]] = np.concatenate([n.ravel() for n in negatives])
+        pools.append((np.concatenate(anchors), np.concatenate(positives), padded, widths))
     return pools
 
 
@@ -280,23 +280,21 @@ def pretrain(corpus_unlabeled: Corpus, config: TrainConfig, tuples: tuple | None
     labels = np.asarray([spk_index[s] for s in corpus_unlabeled.spk_ids])  # each row's speaker index
     if contrastive_on:
         pool = tuples if tuples is not None else _tuple_pools(corpus_unlabeled, config.n_clusters_N, [config.seed])[0]
-        anchors, positives, negatives, pool_mask = pool
+        anchors, positives, negatives, widths = pool
         # the steps read the pool unchecked: check it here, once
-        if negatives.shape != pool_mask.shape or {len(column) for column in pool} != {len(anchors)}:
-            raise ValueError("tuple pool columns differ in shape")
-        integral = all(np.issubdtype(column.dtype, np.integer) for column in (anchors, positives, negatives))
-        if pool_mask.dtype != bool or not integral:
-            raise ValueError("tuple pool rows must be integer arrays, and its mask boolean")
+        if [column.ndim for column in pool] != [1, 1, 2, 1] or {len(column) for column in pool} != {len(anchors)}:
+            raise ValueError("tuple pool columns must have shapes (T,), (T,), (T, M) and (T,)")
+        if not all(np.issubdtype(column.dtype, np.integer) for column in pool):
+            raise ValueError("tuple pool columns must be integer arrays")
         if not len(anchors):
             raise ValueError("tuple pool is empty")
-        widths = pool_mask.sum(axis=1)
-        # a batch keeps only its first widths[idx].max() slots, so set slots must come first
-        gapped = (pool_mask != (np.arange(pool_mask.shape[1]) < widths[:, None])).any(axis=1)
+        M = negatives.shape[1]
+        pool_mask = np.arange(M) < widths[:, None]
         outside = lambda values: (values < 0) | (values >= len(X))
-        misfit = gapped | outside(anchors) | outside(positives) | (outside(negatives) & pool_mask).any(axis=1)
-        bad = np.flatnonzero((widths == 0) | misfit)
+        misfit = outside(anchors) | outside(positives) | (outside(negatives) & pool_mask).any(axis=1)
+        bad = np.flatnonzero((widths < 1) | (widths > M) | misfit)
         if bad.size:
-            raise ValueError(f"tuple {bad[0]}: needs a negative, its mask's set slots first, and rows in [0, {len(X)})")
+            raise ValueError(f"tuple {bad[0]}: needs 1 to {M} negatives, and rows in [0, {len(X)})")
         labels = labels[anchors]  # the speaker head classifies the anchors
         con_head, spk_head = components["contrastive"], components.get("speaker_cls")
         batches = _shuffled_batches(len(anchors), config.batch_size, rng)
@@ -327,31 +325,28 @@ def pretrain(corpus_unlabeled: Corpus, config: TrainConfig, tuples: tuple | None
 
 # ------------------------------------------------------------------ SER stage
 
-def _speaker_rows(corpus: Corpus, speakers) -> list[int]:
-    """The rows of the given speakers' utterances, in corpus order."""
-    return sorted(i for spk in speakers for i in corpus.speakers[spk])
-
-
-def _shuffled_speakers(corpus: Corpus, *salt) -> list[str]:
-    """The corpus's speakers in an order seeded by stable_seed(*salt)."""
+def _cut_speakers(corpus: Corpus, sizes, *salt) -> list[Corpus]:
+    """One corpus per consecutive group of sizes[i] speakers, in a speaker
+    order seeded by stable_seed(*salt); each keeps its rows in corpus order."""
     speakers = sorted(corpus.speakers)
-    rng = np.random.default_rng(stable_seed(*salt))
-    return [speakers[i] for i in rng.permutation(len(speakers))]
+    order = [speakers[i] for i in np.random.default_rng(stable_seed(*salt)).permutation(len(speakers))]
+    cuts = np.cumsum([0, *sizes])
+    return [
+        corpus.take(sorted(i for spk in order[lo:hi] for i in corpus.speakers[spk])) for lo, hi in zip(cuts, cuts[1:])
+    ]
 
 
 def split_by_speaker(corpus: Corpus, fractions, seed: int):
     """Speaker-disjoint (train, val, test) split with seeded assignment."""
-    if len(corpus.speakers) < 3:
+    n = len(corpus.speakers)
+    if n < 3:
         raise ValueError("need at least 3 speakers for a 3-way speaker split")
-    order = _shuffled_speakers(corpus, seed, "split")
-    n = len(order)
     n_val = max(1, round(fractions[1] * n))
     n_test = max(1, round(fractions[2] * n))
     n_train = n - n_val - n_test
     if n_train < 1:
         raise ValueError(f"split fractions leave no training speakers for {n} speakers")
-    groups = (order[:n_train], order[n_train : n_train + n_val], order[n_train + n_val :])
-    return tuple(corpus.take(_speaker_rows(corpus, names)) for names in groups)
+    return tuple(_cut_speakers(corpus, (n_train, n_val, n_test), seed, "split"))
 
 
 def check_speaker_disjoint(*corpora: Corpus) -> None:
@@ -526,12 +521,11 @@ def run_protocol(
 
     normalized = corpus if is_normalized(corpus) else length_normalize(corpus)
     if config.pretrain_speaker_fraction > 0.0:
-        order = _shuffled_speakers(normalized, config.seed, "pretrain_pool")
-        n_pool = max(1, round(config.pretrain_speaker_fraction * len(order)))
-        if len(order) - n_pool < 3:
+        n = len(normalized.speakers)
+        n_pool = max(1, round(config.pretrain_speaker_fraction * n))
+        if n - n_pool < 3:
             raise ValueError("pretrain_speaker_fraction leaves too few speakers for SER splits")
-        pretrain_base = normalized.take(_speaker_rows(normalized, order[:n_pool]))
-        ser_base = normalized.take(_speaker_rows(normalized, order[n_pool:]))
+        pretrain_base, ser_base = _cut_speakers(normalized, (n_pool, n - n_pool), config.seed, "pretrain_pool")
     else:
         pretrain_base = None
         ser_base = normalized

@@ -206,9 +206,9 @@ def exact_kmeanspp_init(points, k, rng):
 
 def tuple_pool(tuples, corpus):
     """The training pool a ContrastiveTuple list describes, built tuple by
-    tuple: anchor rows, positive rows, and the (T, M) negative rows and their
-    mask with each tuple's negatives left-aligned.  Each anchor's speaker is
-    its corpus row's, as pretraining reads it."""
+    tuple: anchor rows, positive rows, the (T, M) negative rows with each
+    tuple's negatives left-aligned, and each tuple's negative count.  Each
+    anchor's speaker is its corpus row's, as pretraining reads it."""
     width = max(len(t.negatives) for t in tuples)
     negatives = np.zeros((len(tuples), width), dtype=np.intp)
     mask = np.zeros((len(tuples), width), dtype=bool)
@@ -219,4 +219,4 @@ def tuple_pool(tuples, corpus):
     anchors = np.array([corpus.row_of[t.anchor] for t in tuples], dtype=np.intp)
     positives = np.array([corpus.row_of[t.positive] for t in tuples], dtype=np.intp)
     assert [corpus.spk_ids[row] for row in anchors] == [t.spk_id for t in tuples]
-    return anchors, positives, negatives, mask
+    return anchors, positives, negatives, mask.sum(axis=1)

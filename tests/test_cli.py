@@ -259,6 +259,7 @@ def test_grad_check_nonfinite_error_or_tolerance_fails(tmp_path, capsys, argv):
         ("gen-synth", "--within-noise", "nan", "within_noise"),
         ("gen-synth", "--speaker-spread", "nan", "speaker_spread"),
         ("gen-synth", "--emotion-offset", "inf", "emotion_offset_norm"),
+        ("gen-synth", "--seed", "-1", "seed"),
         ("cluster", "--tol", "nan", "tol"),
         ("pretrain", "--tau", "nan", "tau"),
         ("pretrain", "--pre-lr", "nan", "pretrain_lr"),

@@ -452,6 +452,9 @@ def test_generate_validates_spec():
         generate_synthetic(SynthSpec(n_speakers=0, n_emotions=1, utts_per_cell=1, dim=2))
     with pytest.raises(ValueError):
         generate_synthetic(SynthSpec(n_speakers=1, n_emotions=1, utts_per_cell=1, dim=2, within_noise=0.0))
+    # numpy's generator takes no negative seed, and its own message names neither the flag nor the setting
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        generate_synthetic(SynthSpec(n_speakers=1, n_emotions=1, utts_per_cell=1, dim=2, seed=-1))
 
 
 def test_strip_labels():

@@ -193,16 +193,6 @@ def test_make_mlp_validates_dims():
     assert model.input_dim == 3 and model.output_dim == 2
 
 
-def test_model_validation_catches_chain_breaks():
-    rng = np.random.default_rng(0)
-    model = make_mlp(rng, [3, 4, 2], ["relu", "identity"])
-    model.layers[1] = init_dense(rng, 5, 2, "identity")  # wrong fan-in
-    with pytest.raises(ValueError, match="expects input dim"):
-        model.validate()
-    with pytest.raises(ValueError, match="at least one layer"):
-        ModelParams([]).validate()
-
-
 def test_init_dense_seeded_and_bounded():
     a = init_dense(np.random.default_rng(7), 9, 4, "relu")
     b = init_dense(np.random.default_rng(7), 9, 4, "relu")
@@ -261,12 +251,29 @@ def _edit_manifest(path, edit):
         json.dump(manifest, fh)
 
 
-def test_checkpoint_naming_unknown_activation_raises_value_error(tmp_path):
-    # heads end at their logits; a manifest that names a softmax layer is not loadable
+@pytest.mark.parametrize(
+    "damage, detail",
+    [
+        (lambda layers: layers[1].update({"in": 5}), ": layer 1: expects input dim 5, got 4"),
+        (lambda layers: layers.clear(), ": a model needs at least one layer"),
+        # heads end at their logits: a manifest that names a softmax layer is not loadable
+        (lambda layers: layers[-1].update(activation="softmax"), ": unknown activation 'softmax'"),
+        (lambda layers: layers[0].update(activation=["relu"]), " has a malformed layer list"),
+        (None, ": non-finite layer parameters"),
+    ],
+    ids=["chain-break", "no-layers", "unknown-activation", "non-string-activation", "nan-in-blob"],
+)
+def test_checkpoint_loader_checks_each_components_layers(tmp_path, damage, detail):
+    # the loader is where a model's layers are checked: a model built in the program is consistent by construction
     path = str(tmp_path / "ckpt.json")
-    _two_component_checkpoint(path)
-    _edit_manifest(path, lambda manifest: manifest["components"]["head"]["layers"][-1].update(activation="softmax"))
-    with pytest.raises(ValueError, match="unknown activation 'softmax'"):
+    save_checkpoint(path, {"encoder": make_mlp(np.random.default_rng(0), [3, 4, 2], ["relu", "identity"])}, {})
+    if damage is None:
+        with open(path + ".bin", "r+b") as fh:
+            fh.seek(8)  # past the header: the first weight
+            fh.write(np.array([np.nan], dtype="<f8").tobytes())
+    else:
+        _edit_manifest(path, lambda manifest: damage(manifest["components"]["encoder"]["layers"]))
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: component 'encoder'{re.escape(detail)}$"):
         load_checkpoint(path)
 
 

@@ -515,40 +515,39 @@ def test_pretrain_checks_the_pool_before_the_first_step(monkeypatch):
     # pretrain before the first step, not when a batch first draws it
     corpus = strip_labels(_corpus(n_speakers=4, upc=8))
     config = _small_config(mode="mtl", steps=5)
-    anchors, positives, negatives, mask = trainer._tuple_pools(corpus, config.n_clusters_N, [config.seed])[0]
+    anchors, positives, negatives, widths = trainer._tuple_pools(corpus, config.n_clusters_N, [config.seed])[0]
     monkeypatch.setattr(trainer, "_contrastive_step", lambda *args: pytest.fail("a step ran"))
-    last = len(mask) - 1
-    no_negative = mask.copy()
-    no_negative[last] = False
-    with pytest.raises(ValueError, match=f"tuple {last}: needs a negative"):
-        pretrain(corpus, config, tuples=(anchors, positives, negatives, no_negative))
-    with pytest.raises(ValueError, match="columns differ"):
-        pretrain(corpus, config, tuples=(anchors, positives, negatives[:, :1], mask))
+    last, M = len(widths) - 1, negatives.shape[1]
+    # a tuple needs a negative, and can hold no more than its row has slots
+    for width in (0, M + 1):
+        bad_width = widths.copy()
+        bad_width[last] = width
+        with pytest.raises(ValueError, match=f"tuple {last}: needs 1 to {M} negatives"):
+            pretrain(corpus, config, tuples=(anchors, positives, negatives, bad_width))
+    with pytest.raises(ValueError, match="columns must have shapes"):
+        pretrain(corpus, config, tuples=(anchors, positives, negatives, widths[:-1]))
+    with pytest.raises(ValueError, match="columns must have shapes"):
+        pretrain(corpus, config, tuples=(anchors, positives, negatives[:, 0], widths))
     # rows outside the corpus: anchors of -1 would wrap to its last row, and one of len(corpus) would
     # raise a bare IndexError only when a batch drew it
     rows = rf"tuple {{}}: .* rows in \[0, {len(corpus)}\)"
     with pytest.raises(ValueError, match=rows.format(0)):
-        pretrain(corpus, config, tuples=(np.full_like(anchors, -1), positives, negatives, mask))
+        pretrain(corpus, config, tuples=(np.full_like(anchors, -1), positives, negatives, widths))
     past_end = positives.copy()
     past_end[last] = len(corpus)
     with pytest.raises(ValueError, match=rows.format(last)):
-        pretrain(corpus, config, tuples=(anchors, past_end, negatives, mask))
+        pretrain(corpus, config, tuples=(anchors, past_end, negatives, widths))
     stray = negatives.copy()
     stray[last, 0] = len(corpus)
     with pytest.raises(ValueError, match=rows.format(last)):
-        pretrain(corpus, config, tuples=(anchors, positives, stray, mask))
+        pretrain(corpus, config, tuples=(anchors, positives, stray, widths))
     with pytest.raises(ValueError, match="must be integer arrays"):
-        pretrain(corpus, config, tuples=(anchors, positives, negatives.astype(float), mask))
-    with pytest.raises(ValueError, match="mask boolean"):
-        pretrain(corpus, config, tuples=(anchors, positives, negatives, mask.astype(np.intp)))
+        pretrain(corpus, config, tuples=(anchors, positives, negatives.astype(float), widths))
+    with pytest.raises(ValueError, match="must be integer arrays"):
+        pretrain(corpus, config, tuples=(anchors, positives, negatives, widths.astype(float)))
     # an empty pool would leave the batch generator looping without yielding
     with pytest.raises(ValueError, match="tuple pool is empty"):
-        pretrain(corpus, config, tuples=(anchors[:0], positives[:0], negatives[:0], mask[:0]))
-    # a batch keeps only its leading slots, so a set slot after an unset one would never be read
-    gapped = np.ones_like(mask)
-    gapped[last, 0] = False
-    with pytest.raises(ValueError, match=f"tuple {last}: .* set slots first"):
-        pretrain(corpus, config, tuples=(anchors, positives, negatives, gapped))
+        pretrain(corpus, config, tuples=(anchors[:0], positives[:0], negatives[:0], widths[:0]))
 
 
 def _sha256(*chunks) -> str:
@@ -580,8 +579,8 @@ def _pinned_config(**overrides):
 def test_pinned_corpora_cover_both_loss_paths(name, full):
     corpus = _PINNED_CORPORA[name]()
     config = _pinned_config()
-    mask = trainer._tuple_pools(corpus, config.n_clusters_N, [config.seed])[0][3]
-    assert bool(mask.all()) == full
+    widths = trainer._tuple_pools(corpus, config.n_clusters_N, [config.seed])[0][3]
+    assert bool((widths == widths.max()).all()) == full
 
 
 # sha256 of each checkpoint's .bin followed by its contrastive, speaker and
