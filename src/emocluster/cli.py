@@ -27,6 +27,7 @@ from .pair_miner import MiningConfig, mine_tuples, save_tuples
 from .parallel import worker_count
 from .serialize import CorpusError, read_json, write_jsonl
 from .trainer import (
+    GRAD_CHECK_KINDS,
     MODES,
     TrainConfig,
     grad_check_cases,
@@ -178,12 +179,10 @@ def cmd_grad_check(args) -> int:
     config = TrainConfig(tau=args.tau, seed=args.seed, mtl_weights=MtlWeights(grl_lambda=args.grl_lambda))
     cases = grad_check_cases(args.head, config)
     results = {}
-    worst = 0.0
     for name, loss_fn, params in cases:
-        err = grad_check(loss_fn, params, eps=args.eps)
-        results[name] = err
-        worst = max(worst, err)
-        print(f"{name}: max relative error {err:.3e}")
+        results[name] = grad_check(loss_fn, params, eps=args.eps)
+        print(f"{name}: max relative error {results[name]:.3e}")
+    worst = max(results.values())
     passed = math.isfinite(worst) and worst <= args.tol  # a non-finite error passes no tolerance, not even inf
     if args.out:
         finite = lambda x: x if math.isfinite(x) else None  # json has no inf or nan
@@ -343,7 +342,7 @@ def build_parser() -> _Parser:
     p.add_argument("--table", default=None)
 
     p = command("grad-check", cmd_grad_check, "finite-difference check of analytic gradients", seed)
-    p.add_argument("--head", choices=("contrastive", "speaker_cls", "emotion_cls", "mtl", "all"), default="all")
+    p.add_argument("--head", choices=GRAD_CHECK_KINDS, default="all")
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--eps", type=float, default=1e-5)
     p.add_argument("--tau", type=float, default=0.1)

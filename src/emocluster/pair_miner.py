@@ -6,6 +6,8 @@ whose centers lie farthest from the anchor's cluster center.  Empty
 clusters in that window are replaced by the next-farthest populated ones.
 """
 
+import dataclasses
+import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -41,10 +43,12 @@ class MiningConfig:
         if self.n_clusters_N < 2:
             raise ValueError("n_clusters_N must be >= 2")
         if self.n_clusters_N % 2:
-            warnings.warn(
-                f"n_clusters_N={self.n_clusters_N} is odd; using floor(N/2) negatives",
-                stacklevel=3,
-            )
+            # name the caller's line: past the generated __init__, and past
+            # dataclasses.replace when the config came from it
+            frame, level = sys._getframe(2), 3
+            while frame.f_code.co_filename == dataclasses.__file__:
+                frame, level = frame.f_back, level + 1
+            warnings.warn(f"n_clusters_N={self.n_clusters_N} is odd; using floor(N/2) negatives", stacklevel=level)
 
     @property
     def negatives_per_anchor(self) -> int:

@@ -573,33 +573,30 @@ def run_protocol(
 
 # ------------------------------------------------------------ gradient checks
 
-def _relu_margin(model, cache) -> float:
-    margins = [
-        float(np.abs(x @ layer.W.T + layer.b).min())
-        for layer, x in zip(model.layers, cache)
-        if layer.activation == "relu" and len(x)
-    ]
-    return min(margins) if margins else np.inf
+GRAD_CHECK_KINDS = ("contrastive", "speaker_cls", "emotion_cls", "mtl", "all")
 
 
-def _grad_check_nets(kind: str, config: TrainConfig, attempt: int):
-    """One candidate configuration of small nets plus an input batch.
+def _grad_check_attempt(kind: str, config: TrainConfig, attempt: int):
+    """The cases of one sampled configuration, or None when it fails a screen.
 
-    Inputs cluster around a common direction (as length-normalized
-    embeddings do), which keeps the contrastive softmax weights away from
-    underflow at small temperatures.  Returns None when any relu
-    pre-activation sits within 1e-3 of its kink or a projection row is
-    nearly zero: central differences need the loss differentiable (and the
-    cosine defined) throughout the perturbation neighborhood.
+    A configuration is small nets plus an input batch whose rows cluster
+    around a common direction (as length-normalized embeddings do), which
+    keeps the contrastive softmax weights away from underflow at small
+    temperatures.  Central differences need the loss differentiable (and
+    the cosine defined) throughout the perturbation neighborhood, and
+    gradients they can resolve in float64, so a configuration fails when a
+    relu pre-activation sits within 1e-3 of its kink, a projection row has
+    norm below 0.05, or a case's smallest nonzero analytic gradient entry
+    is below 3e-6.  Each case owns copies of its nets flattened as training
+    flattens them, and checks the part of that buffer its gradient covers.
     """
-    dim, B, n_neg, margin = 5, 3, 3, 1e-3
+    dim, B, n_neg = 5, 3, 3
     cfg = replace(config, trunk_hidden=6, contrastive_out=4)
     salt = stable_seed(config.seed, "gradcheck", kind, attempt)
     rng = np.random.default_rng(salt)
     encoder = build_encoder(dim, cfg, salt)
     con_head = build_contrastive_head(encoder.output_dim, cfg, salt)
-    spk_head = build_classifier_head(encoder.output_dim, 3, "speaker_cls", cfg, salt)
-    emo_head = build_classifier_head(encoder.output_dim, 3, "emotion_cls", cfg, salt)
+    heads = {hk: build_classifier_head(encoder.output_dim, 3, hk, cfg, salt) for hk in GRAD_CHECK_KINDS if "_cls" in hk}
 
     # inputs cluster around one direction and are scaled up so pre-activations
     # sit well clear of the relu kinks (cosine geometry is scale-invariant)
@@ -608,104 +605,76 @@ def _grad_check_nets(kind: str, config: TrainConfig, attempt: int):
     draw = lambda *shape: 5.0 * (base + 0.35 * rng.normal(size=(*shape, dim)))
     anchors, positives, negatives = draw(B), draw(B), draw(B, n_neg)
     labels = rng.integers(0, 3, size=B)
-
     rows = np.concatenate([anchors, positives, negatives.reshape(B * n_neg, dim)])
     neg_mask = np.ones((B, n_neg), dtype=bool)
+
     enc_out, enc_cache = forward(encoder, rows)
-    worst = _relu_margin(encoder, enc_cache)
     proj, con_cache = forward(con_head, enc_out)
-    worst = min(worst, _relu_margin(con_head, con_cache))
-    for head in (spk_head, emo_head):
-        _, cache = forward(head, enc_out[:B])
-        worst = min(worst, _relu_margin(head, cache))
-    if worst <= margin:
-        return None
+    caches = [(encoder, enc_cache), (con_head, con_cache)] + [(h, forward(h, enc_out[:B])[1]) for h in heads.values()]
+    margin = min(
+        np.abs(x @ layer.W.T + layer.b).min()
+        for net, cache in caches
+        for layer, x in zip(net.layers, cache)
+        if layer.activation == "relu"
+    )
     # cosine curvature scales like 1/row-norm^k: keep projections well away from 0
-    if float(np.linalg.norm(proj, axis=1).min()) < 0.05:
+    if margin <= 1e-3 or np.linalg.norm(proj, axis=1).min() < 0.05:
         return None
-    return cfg, encoder, con_head, spk_head, emo_head, rows, neg_mask, labels
+
+    cases = []
+
+    def add(name, nets, loss, part=slice(None)):
+        copies = [clone_params(net) for net in nets]
+        flat = flatten_params(*copies)
+        grad, grads = flat_buffer(*copies)
+        cases.append((name, lambda: (loss(copies, grads), grad[part]), flat[part]))
+
+    if kind in ("contrastive", "all"):
+        for include_pos, label in ((False, "negatives-only"), (True, "with positive")):
+            con_cfg = replace(cfg, include_positive_in_denominator=include_pos)
+            loss = lambda nets, grads, c=con_cfg: _contrastive_step(*nets, None, rows, neg_mask, labels, c, grads)[0]
+            add(f"contrastive (denominator {label})", (encoder, con_head), loss)
+    for hk, head in heads.items():
+        if kind in (hk, "all"):
+            loss = lambda nets, grads: _classifier_step(*nets, anchors, labels, grads)
+            add(f"{hk} cross-entropy", (encoder, head), loss)
+    if kind in ("mtl", "all"):
+        mtl_cfg, w, n_enc = replace(cfg, mode="mtl_adversarial"), cfg.mtl_weights, param_count(encoder)
+        # the trunk checks L_con - lambda*w_spk*L_spk, the heads the trained L_con + w_spk*L_spk
+        parts = (("trunk through GRL", -w.grl_lambda, slice(n_enc)), ("heads", 1.0, slice(n_enc, None)))
+        for name, scale, part in parts:
+
+            def loss(nets, grads, scale=scale):
+                l_con, l_spk = _contrastive_step(*nets, rows, neg_mask, labels, mtl_cfg, grads)
+                return l_con + scale * w.w_speaker * l_spk
+
+            add(f"mtl {name} (lambda={w.grl_lambda})", (encoder, con_head, heads["speaker_cls"]), loss, part)
+
+    for _, loss_fn, _ in cases:
+        grad = loss_fn()[1]
+        if (np.abs(grad[grad != 0.0]) < 3e-6).any():
+            return None
+    return cases
 
 
 def grad_check_cases(kind: str, config: TrainConfig):
-    """Named (loss_fn, params) cases for finite-difference verification,
-    sampled from config.seed.
+    """Named (loss_fn, params) cases of `kind` (one of GRAD_CHECK_KINDS) for
+    finite-difference verification, sampled from config.seed.
 
     The mtl cases run in adversarial mode with config.mtl_weights; for the
     trunk the finite differences run against the effective objective
     L_con - lambda*w_spk*L_spk, whose gradient is what the reversal layer
-    routes into the trunk.  Configurations whose smallest nonzero analytic
-    gradient entry falls below what float64 central differences can
-    resolve are resampled.
+    routes into the trunk.  Up to 500 configurations are sampled, and the
+    first that passes every screen of `_grad_check_attempt` gives the
+    cases; if none does, FloatingPointError is raised.
     """
+    if kind not in GRAD_CHECK_KINDS:
+        raise ValueError(f"unknown grad-check kind {kind!r}; expected one of {', '.join(GRAD_CHECK_KINDS)}")
     for attempt in range(500):
-        nets = _grad_check_nets(kind, config, attempt)
-        if nets is None:
-            continue
-        cases = _assemble_grad_check_cases(kind, nets)
-        floor = 3e-6
-        ok = True
-        for _, loss_fn, _params in cases:
-            _, grads = loss_fn()
-            nz = np.abs(grads[grads != 0.0])
-            if nz.size and nz.min() < floor:
-                ok = False
-                break
-        if ok:
+        cases = _grad_check_attempt(kind, config, attempt)
+        if cases is not None:
             return cases
-    raise RuntimeError("could not sample a well-conditioned gradient-check configuration")
-
-
-def _flat_copies(*nets: ModelParams):
-    """Copies of the nets whose parameters share one flat buffer: (copies, that buffer, *flat_buffer(copies))."""
-    copies = [clone_params(net) for net in nets]
-    return copies, flatten_params(*copies), *flat_buffer(*copies)
-
-
-def _assemble_grad_check_cases(kind: str, nets):
-    """Each case owns copies of the nets flattened as training flattens them,
-    and passes the part of that buffer its gradient covers."""
-    cfg, encoder, con_head, spk_head, emo_head, rows, neg_mask, labels = nets
-    anchors = rows[: len(neg_mask)]
-    cases = []
-    if kind in ("contrastive", "all"):
-        copies, flat, grad, grads = _flat_copies(encoder, con_head)
-        for include_pos in (False, True):
-            con_cfg = replace(cfg, include_positive_in_denominator=include_pos)
-
-            def loss_fn(con_cfg=con_cfg, copies=copies, grad=grad, grads=grads):
-                loss, _ = _contrastive_step(*copies, None, rows, neg_mask, labels, con_cfg, grads)
-                return loss, grad
-
-            label = "denominator with positive" if include_pos else "denominator negatives-only"
-            cases.append((f"contrastive ({label})", loss_fn, flat))
-    if kind in ("speaker_cls", "emotion_cls", "all"):
-        kinds = [kind] if kind != "all" else ["speaker_cls", "emotion_cls"]
-        for hk in kinds:
-            copies, flat, grad, grads = _flat_copies(encoder, spk_head if hk == "speaker_cls" else emo_head)
-
-            def loss_fn(copies=copies, grad=grad, grads=grads):
-                return _classifier_step(*copies, anchors, labels, grads), grad
-
-            cases.append((f"{hk} cross-entropy", loss_fn, flat))
-    if kind in ("mtl", "all"):
-        mtl_cfg = replace(cfg, mode="mtl_adversarial")
-        w = cfg.mtl_weights
-        copies, flat, grad, grads = _flat_copies(encoder, con_head, spk_head)
-        n_enc = param_count(encoder)
-
-        def trunk_loss_fn():
-            l_con, l_spk = _contrastive_step(*copies, rows, neg_mask, labels, mtl_cfg, grads)
-            return l_con - w.grl_lambda * w.w_speaker * l_spk, grad[:n_enc]
-
-        def head_loss_fn():
-            l_con, l_spk = _contrastive_step(*copies, rows, neg_mask, labels, mtl_cfg, grads)
-            return mtl_combine(l_con, l_spk, w), grad[n_enc:]
-
-        cases.append((f"mtl trunk through GRL (lambda={w.grl_lambda})", trunk_loss_fn, flat[:n_enc]))
-        cases.append((f"mtl heads (lambda={w.grl_lambda})", head_loss_fn, flat[n_enc:]))
-    if not cases:
-        raise ValueError(f"unknown grad-check kind {kind!r}")
-    return cases
+    raise FloatingPointError(f"no well-conditioned {kind!r} gradient-check configuration in 500 attempts")
 
 
 def protocol_to_table(report: dict) -> str:

@@ -212,6 +212,30 @@ def test_grad_check_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (0, "d0e7310e3c0df5223d4b1731df9af93e711b28e7e7c9ef5ca6766e2362532da4"),
+        (1, "956789333f038bb3ba5386e60cadd0ce2dec9404750901964ee400c67d818063"),
+    ],
+)
+def test_grad_check_payload_is_pinned(tmp_path, seed, digest):
+    # the sampled configuration of every kind, and each case's error, pinned to the bit
+    out = tmp_path / "gc.json"
+    assert main(["grad-check", "--head", "all", "--tol", "1e-5", "--seed", str(seed), "--out", str(out)]) == 0
+    assert sha(out) == digest
+
+
+def test_grad_check_without_conditioned_configuration_exits_3(tmp_path, capsys):
+    # at tau 1e6 the contrastive gradients are too small for central differences in every attempt
+    out = tmp_path / "gc.json"
+    assert main(["grad-check", "--head", "contrastive", "--tau", "1e6", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("emocluster: numerical failure: ") and "'contrastive'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, detail",
     [
         (["grad-check", "--head", "speaker_cls", "--eps", "0"], "grad-check eps must be > 0"),

@@ -182,9 +182,13 @@ def test_assignment_outside_the_centers_rejected(mined, cluster):
 
 
 def test_odd_n_warns_and_floors():
-    with pytest.warns(UserWarning, match="odd"):
+    with pytest.warns(UserWarning, match="odd") as direct:
         config = MiningConfig(n_clusters_N=5, seed=0)
     assert config.negatives_per_anchor == 2
+    # the warning names the caller's line, also through dataclasses.replace
+    with pytest.warns(UserWarning, match="odd") as replaced:
+        assert replace(MiningConfig(n_clusters_N=4), n_clusters_N=5) == config
+    assert [w.filename for w in (*direct, *replaced)] == [__file__, __file__]
 
 
 def test_save_load_roundtrip(tmp_path, mined):

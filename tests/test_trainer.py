@@ -28,6 +28,7 @@ from emocluster.trainer import (
     build_encoder,
     check_speaker_disjoint,
     evaluate_uar,
+    grad_check_cases,
     labeled_fraction,
     pretrain,
     protocol_to_table,
@@ -405,6 +406,15 @@ def test_run_protocol_rejects_unknown_mode():
     corpus = _corpus(n_speakers=6, upc=8)
     with pytest.raises(ValueError, match="unknown mode"):
         run_protocol(corpus, _small_config(), modes=["fancy"], label_fraction=0.5)
+
+
+def test_grad_check_cases_rejects_unknown_kind_before_sampling(monkeypatch):
+    def no_net(*args):
+        raise AssertionError("a net was built")
+
+    monkeypatch.setattr(trainer, "build_encoder", no_net)
+    with pytest.raises(ValueError, match="unknown grad-check kind 'bogus'"):
+        grad_check_cases("bogus", TrainConfig())
 
 
 def test_config_validation_and_serialization():
