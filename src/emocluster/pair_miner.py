@@ -55,65 +55,59 @@ class MiningConfig:
         return self.n_clusters_N // 2
 
 
-def ranked_negative_clusters(dist_row: np.ndarray, own_cluster: int, populated: set[int]) -> list[int]:
-    """Populated clusters other than the anchor's, farthest center first.
-
-    Ties in distance break by ascending cluster index so the ranking is
-    deterministic.
-    """
-    others = [c for c in range(len(dist_row)) if c != own_cluster and c in populated]
-    return sorted(others, key=lambda c: (-dist_row[c], c))
-
-
-def mine_speaker(sc: SpeakerClustering, spk_id: str, corpus: Corpus, config: MiningConfig, counts: Counter):
+def mine_speaker(sc: SpeakerClustering, spk_id: str, corpus: Corpus, config: MiningConfig):
     """One speaker's tuples as corpus-row columns, anchors in utt_id order.
 
-    Returns the anchor rows (T,), the positive rows (T,), and the (T, W)
-    negative rows with their (T, W) source clusters: every anchor of a
-    speaker has a window of W = min(N/2, populated clusters - 1).  Skipped
-    anchors are added to `counts` under the keys `mine_tuples` reports.  A
+    Returns the anchor rows (T,), the positive rows (T,), the (T, W)
+    negative rows with their (T, W) source clusters, and a Counter of the
+    anchors skipped, under the keys `mine_tuples` reports.  One stable sort
+    ranks every cluster's window: the populated clusters other than its own,
+    farthest center first, ties by ascending index, cut to W = min(N/2,
+    populated clusters - 1).  Each anchor draws its positive's and negatives'
+    member indices with one `integers` call, seeded by its utt_id alone.  A
     clustering that does not fit the corpus raises speaker_rows' ValueError.
     """
     rows, clusters = speaker_rows(sc, spk_id, corpus)
     rows, clusters = np.array(rows, dtype=np.intp), np.array(clusters, dtype=np.intp)
     sizes = np.bincount(clusters, minlength=len(sc.centers))
-    populated = set(np.flatnonzero(sizes).tolist())
-    if len(populated) < 2:
-        counts["skipped_too_few_clusters"] += len(rows)
+    populated = np.count_nonzero(sizes)
+    skips = Counter()
+    if populated < 2:
+        skips["skipped_too_few_clusters"] = len(rows)
         none = np.empty(0, dtype=np.intp)
-        return none, none, none.reshape(0, 0), none.reshape(0, 0)
+        return none, none, none.reshape(0, 0), none.reshape(0, 0), skips
     # table[c, p]: corpus row of cluster c's p-th member in utt_id order (-1 pads)
     order = np.argsort(clusters, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order)) - (np.cumsum(sizes) - sizes)[clusters[order]]
     table = np.full((len(sizes), sizes.max()), -1, dtype=np.intp)
     table[clusters, rank] = rows
-    # the negative window depends only on the anchor's cluster; every window has the same width
-    width = min(config.negatives_per_anchor, len(populated) - 1)
-    dists = center_distances(sc)
-    window = np.zeros((len(sizes), width), dtype=np.intp)
-    for c in populated:
-        window[c] = ranked_negative_clusters(dists[c], c, populated)[: config.negatives_per_anchor]
-    window_sizes = sizes[window]
+    # window[c]: farthest first, with the own and the empty clusters sorted last
+    key = -center_distances(sc)
+    key[:, sizes == 0] = np.inf
+    np.fill_diagonal(key, np.inf)
+    window = np.argsort(key, axis=1, kind="stable")[:, : min(config.negatives_per_anchor, populated - 1)]
 
     eligible = sizes[clusters] > 1
-    counts["skipped_singleton"] += len(rows) - int(eligible.sum())
-    if not config.allow_fewer_negatives and width < config.negatives_per_anchor:
-        counts["skipped_short_window"] += int(eligible.sum())
+    skips["skipped_singleton"] = len(rows) - int(eligible.sum())
+    if not config.allow_fewer_negatives and window.shape[1] < config.negatives_per_anchor:
+        skips["skipped_short_window"] = int(eligible.sum())
         eligible[:] = False
     anchors, own = rows[eligible], clusters[eligible]
-    # per anchor: a uniform draw over its cluster's other members, skipping the
-    # anchor's slot; then one member of each window cluster, in a single call
-    draws = np.empty((len(anchors), 1 + width), dtype=np.intp)
-    ids = corpus.utt_ids
-    for t, (row, c, others) in enumerate(zip(anchors.tolist(), own.tolist(), (sizes[own] - 1).tolist())):
-        rng = np.random.default_rng(stable_seed(config.seed, "mine", ids[row]))
-        draws[t, 0] = rng.integers(others)
-        draws[t, 1:] = rng.integers(window_sizes[c])
-    draws[:, 0] += draws[:, 0] >= rank[eligible]
+    # per anchor, one seeded call draws a member index under each of its bounds:
+    # its cluster's other members (the positive skips the anchor's slot), then
+    # each window cluster's size
     sources = window[own]
-    picked = table[np.column_stack([own, sources]), draws]
-    return anchors, picked[:, 0], picked[:, 1:], sources
+    members = np.column_stack([own, sources])
+    bounds = sizes[members]
+    bounds[:, 0] -= 1
+    draws = np.empty_like(bounds)
+    ids = corpus.utt_ids
+    for t, row in enumerate(anchors.tolist()):
+        draws[t] = np.random.default_rng(stable_seed(config.seed, "mine", ids[row])).integers(bounds[t])
+    draws[:, 0] += draws[:, 0] >= rank[eligible]
+    picked = table[members, draws]
+    return anchors, picked[:, 0], picked[:, 1:], sources, skips
 
 
 def mine_tuples(
@@ -137,7 +131,8 @@ def mine_tuples(
     ids = corpus.utt_ids
     tuples: list[ContrastiveTuple] = []
     for spk in sorted(run.per_speaker):
-        columns = mine_speaker(run.per_speaker[spk], spk, corpus, config, counts)
+        *columns, skips = mine_speaker(run.per_speaker[spk], spk, corpus, config)
+        counts.update(skips)
         for anchor, positive, negatives, clusters in zip(*(c.tolist() for c in columns)):
             tuples.append(
                 ContrastiveTuple(

@@ -8,7 +8,6 @@ a small dense trunk whose output feeds each head directly.
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -218,7 +217,7 @@ def _tuple_pools(corpus: Corpus, n_clusters: int, seeds: list[int]) -> list[tupl
     def job(key):
         seed, spk_id = key
         kmeans = KMeansConfig(k=n_clusters, seed=stable_seed(seed, "pretrain_cluster"))
-        return mine_speaker(cluster_speaker(corpus, spk_id, kmeans), spk_id, corpus, minings[seed], Counter())[:3]
+        return mine_speaker(cluster_speaker(corpus, spk_id, kmeans), spk_id, corpus, minings[seed])[:3]
 
     parts = fork_map(job, [(seed, spk_id) for seed in seeds for spk_id in speakers])
     pools = []

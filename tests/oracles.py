@@ -204,6 +204,19 @@ def exact_kmeanspp_init(points, k, rng):
     return centers
 
 
+def farthest_window(centers, assignments, own, m):
+    """The negative window of cluster `own`: of the clusters some utterance is
+    assigned to, the m other than `own` whose centers lie farthest from its
+    center, each distance the square root of an explicit sum of squares, ties
+    broken by ascending cluster index."""
+    dist = {
+        c: math.sqrt(sum((float(a) - float(b)) ** 2 for a, b in zip(centers[own], centers[c])))
+        for c in set(assignments.values())
+        if c != own
+    }
+    return sorted(dist, key=lambda c: (-dist[c], c))[:m]
+
+
 def tuple_pool(tuples, corpus):
     """The training pool a ContrastiveTuple list describes, built tuple by
     tuple: anchor rows, positive rows, the (T, M) negative rows with each

@@ -5,20 +5,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from emocluster.clustering import KMeansConfig, center_distances, cluster_speakers
-from emocluster.corpus import SynthSpec, generate_synthetic, length_normalize
+from emocluster.clustering import KMeansConfig, SpeakerClustering, cluster_speakers
+from emocluster.corpus import Corpus, SynthSpec, generate_synthetic, length_normalize
 from emocluster.pair_miner import (
     ContrastiveTuple,
     MiningConfig,
     Negative,
     load_tuples,
+    mine_speaker,
     mine_tuples,
-    ranked_negative_clusters,
     save_tuples,
 )
+from oracles import farthest_window
 
 
 @pytest.fixture(scope="module")
@@ -63,11 +64,33 @@ def test_negatives_come_from_farthest_clusters(mined):
     m = config.n_clusters_N // 2
     for t in tuples:
         sc = run.per_speaker[t.spk_id]
-        populated = set(sc.assignments.values())
-        dists = center_distances(sc)
-        own = sc.assignments[t.anchor]
-        expected = ranked_negative_clusters(dists[own], own, populated)[:m]
+        expected = farthest_window(sc.centers, sc.assignments, sc.assignments[t.anchor], m)
         assert [n.cluster for n in t.negatives] == expected
+
+
+@given(
+    centers=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=3, max_size=7, unique=True),
+    unused=st.integers(0, 6),
+    sizes=st.lists(st.integers(2, 3), min_size=6, max_size=6),
+    half_n=st.integers(1, 4),
+)
+# clusters 1-4 tie around cluster 0, 2 and 4 around cluster 1; center 5 is unused
+@example(centers=[(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (5, 5)], unused=5, sizes=[2, 3, 2, 2, 4, 2], half_n=2)
+@settings(max_examples=100, deadline=None)
+def test_windows_break_exact_ties_by_index_and_skip_unused_centers(centers, unused, sizes, half_n):
+    # integer centers give exactly tied distances; one center has no utterance
+    unused %= len(centers)
+    used = [c for c in range(len(centers)) if c != unused]
+    assignments = {f"u{i:02d}": c for i, c in enumerate(c for c, size in zip(used, sizes) for _ in range(size))}
+    sc = SpeakerClustering(assignments, np.array(centers, dtype=float), 0.0)
+    n = len(assignments)
+    corpus = Corpus(np.zeros((n, 2)), sorted(assignments), ["s"] * n, [None] * n)
+    anchors, _, _, sources, skips = mine_speaker(sc, "s", corpus, MiningConfig(n_clusters_N=2 * half_n, seed=1))
+    assert len(anchors) == n and sum(skips.values()) == 0
+    assert sources.shape == (n, min(half_n, len(used) - 1))
+    for row, window in zip(anchors.tolist(), sources.tolist()):
+        assert unused not in window
+        assert window == farthest_window(sc.centers, assignments, assignments[corpus.utt_ids[row]], half_n)
 
 
 def test_ordering_and_determinism(mined):

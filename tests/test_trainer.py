@@ -281,9 +281,9 @@ def test_run_protocol_clusters_and_mines_once_per_seed(monkeypatch):
         calls["cluster"].append((config.seed, spk_id))
         return cluster_speaker(corpus, spk_id, config)
 
-    def mining(sc, spk_id, corpus, config, counts):
+    def mining(sc, spk_id, corpus, config):
         calls["mine"].append((config.seed, spk_id))
-        return mine_speaker(sc, spk_id, corpus, config, counts)
+        return mine_speaker(sc, spk_id, corpus, config)
 
     monkeypatch.setattr(trainer, "cluster_speaker", clustering)
     monkeypatch.setattr(trainer, "mine_speaker", mining)
