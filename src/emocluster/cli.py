@@ -285,16 +285,16 @@ def build_parser() -> _Parser:
     seed.add_argument("--seed", type=int, default=0)
     out.add_argument("--out", required=True, help="output path")
     config.add_argument("--config", default=None, help="json file supplying flag values")
-    train.add_argument("--steps", type=int, default=1000)
-    train.add_argument("--batch-size", type=int, default=8)
-    train.add_argument("--pre-lr", type=float, default=1e-4)
-    train.add_argument("--tau", type=float, default=0.1)
-    train.add_argument("--n-clusters", type=int, default=20)
-    train.add_argument("--mtl-w-spk", type=float, default=1.0)
-    train.add_argument("--grl-lambda", type=float, default=1.0)
+    train.add_argument("--steps", type=int, default=TrainConfig.steps)
+    train.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    train.add_argument("--pre-lr", type=float, default=TrainConfig.pretrain_lr)
+    train.add_argument("--tau", type=float, default=TrainConfig.tau)
+    train.add_argument("--n-clusters", type=int, default=TrainConfig.n_clusters_N)
+    train.add_argument("--mtl-w-spk", type=float, default=MtlWeights.w_speaker)
+    train.add_argument("--grl-lambda", type=float, default=MtlWeights.grl_lambda)
     train.add_argument("--include-positive-denominator", action="store_true")
-    train.add_argument("--trunk-hidden", type=int, default=32)
-    train.add_argument("--contrastive-out", type=int, default=128)
+    train.add_argument("--trunk-hidden", type=int, default=TrainConfig.trunk_hidden)
+    train.add_argument("--contrastive-out", type=int, default=TrainConfig.contrastive_out)
 
     def command(name: str, func, summary: str, *parents) -> _Parser:
         p = sub.add_parser(name, help=summary, parents=[*parents, config])
@@ -306,16 +306,16 @@ def build_parser() -> _Parser:
     p.add_argument("--n-emotions", type=int, default=4)
     p.add_argument("--utts-per-cell", type=int, default=80)
     p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--speaker-spread", type=float, default=1.0)
-    p.add_argument("--emotion-offset", type=float, default=1.0)
-    p.add_argument("--within-noise", type=float, default=0.25)
-    p.add_argument("--emotion-dir-jitter", type=float, default=0.0)
+    p.add_argument("--speaker-spread", type=float, default=SynthSpec.speaker_spread)
+    p.add_argument("--emotion-offset", type=float, default=SynthSpec.emotion_offset_norm)
+    p.add_argument("--within-noise", type=float, default=SynthSpec.within_noise)
+    p.add_argument("--emotion-dir-jitter", type=float, default=SynthSpec.emotion_dir_jitter)
 
     p = command("cluster", cmd_cluster, "per-speaker k-means over a corpus", corpus, fmt, seed, out)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--max-iters", type=int, default=300)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--k", type=int, default=KMeansConfig.k)
+    p.add_argument("--max-iters", type=int, default=KMeansConfig.max_iters)
+    p.add_argument("--tol", type=float, default=KMeansConfig.tol)
+    p.add_argument("--restarts", type=int, default=KMeansConfig.n_restarts)
 
     p = command("eval-clusters", cmd_eval_clusters, "NMI/ARI/purity/silhouette per speaker", corpus, fmt, out)
     p.add_argument("--run", required=True, help="clustering run json")
@@ -324,29 +324,29 @@ def build_parser() -> _Parser:
     p = command("mine-pairs", cmd_mine_pairs, "mine contrastive tuples from intra-speaker clusters",
                 corpus, fmt, seed, out)
     p.add_argument("--run", required=True)
-    p.add_argument("--n-clusters", type=int, default=20)
+    p.add_argument("--n-clusters", type=int, default=MiningConfig.n_clusters_N)
     p.add_argument("--exact-negatives", action="store_true",
                    help="skip anchors that cannot fill the N/2 negative window")
 
     p = command("pretrain", cmd_pretrain, "pretrain encoder + heads on an unlabeled corpus (blob at <out>.bin)",
                 corpus, fmt, train, seed, out)
-    p.add_argument("--mode", choices=[m for m in MODES if m != "none"], default="contrastive")
+    p.add_argument("--mode", choices=[m for m in MODES if m != "none"], default=TrainConfig.mode)
 
     p = command("probe", cmd_probe, "full protocol: pretrain modes x SER seeds, report UAR",
                 corpus, fmt, train, seed, out)
-    p.add_argument("--modes", default="none,spk_cls,contrastive,mtl_adversarial,mtl")
+    p.add_argument("--modes", default=",".join(MODES))
     p.add_argument("--label-fraction", type=float, default=0.05)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--seeds", type=_int_list, default=[0, 1, 2, 3, 4])
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs_ser)
+    p.add_argument("--seeds", type=_int_list, default=list(TrainConfig.seeds))
     p.add_argument("--table", default=None)
 
     p = command("grad-check", cmd_grad_check, "finite-difference check of analytic gradients", seed)
     p.add_argument("--head", choices=GRAD_CHECK_KINDS, default="all")
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--tau", type=float, default=0.1)
-    p.add_argument("--grl-lambda", type=float, default=1.0)
+    p.add_argument("--tau", type=float, default=TrainConfig.tau)
+    p.add_argument("--grl-lambda", type=float, default=MtlWeights.grl_lambda)
     p.add_argument("--out", default=None)
 
     p = command("project", cmd_project, "2D PCA projection export (csv, optional svg)", corpus, fmt, out)

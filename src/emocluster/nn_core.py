@@ -24,22 +24,11 @@ ACTIVATIONS = {
 
 @dataclass
 class DenseLayer:
+    """One affine layer and its activation; a model is a list of them, input first."""
+
     W: np.ndarray  # (out, in)
     b: np.ndarray  # (out,)
     activation: str
-
-
-@dataclass
-class ModelParams:
-    layers: list[DenseLayer]
-
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0].W.shape[1]
-
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1].W.shape[0]
 
 
 def init_dense(rng: np.random.Generator, in_dim: int, out_dim: int, activation: str) -> DenseLayer:
@@ -49,57 +38,57 @@ def init_dense(rng: np.random.Generator, in_dim: int, out_dim: int, activation: 
     return DenseLayer(W=W, b=np.zeros(out_dim), activation=activation)
 
 
-def make_mlp(rng: np.random.Generator, dims: list[int], activations: list[str]) -> ModelParams:
+def make_mlp(rng: np.random.Generator, dims: list[int], activations: list[str]) -> list[DenseLayer]:
     if len(dims) != len(activations) + 1:
         raise ValueError("dims must have one more entry than activations")
-    return ModelParams([init_dense(rng, dims[i], dims[i + 1], activations[i]) for i in range(len(activations))])
+    return [init_dense(rng, dims[i], dims[i + 1], activations[i]) for i in range(len(activations))]
 
 
-def clone_params(model: ModelParams) -> ModelParams:
-    return ModelParams([DenseLayer(l.W.copy(), l.b.copy(), l.activation) for l in model.layers])
+def clone_params(model: list[DenseLayer]) -> list[DenseLayer]:
+    return [DenseLayer(l.W.copy(), l.b.copy(), l.activation) for l in model]
 
 
-def param_count(*models: ModelParams) -> int:
-    return sum(l.W.size + l.b.size for model in models for l in model.layers)
+def param_count(*models: list[DenseLayer]) -> int:
+    return sum(l.W.size + l.b.size for model in models for l in model)
 
 
-def flat_buffer(*models: ModelParams):
+def flat_buffer(*models: list[DenseLayer]):
     """An uninitialized float64 buffer for every W and b of the models (each
     layer's W row-major, then b), and per model its layers' views into it."""
     flat, views, off = np.empty(param_count(*models)), [], 0
     for model in models:
         views.append([])
-        for layer in model.layers:
+        for layer in model:
             n, end = layer.W.size, off + layer.W.size + layer.b.size
             views[-1].append((flat[off : off + n].reshape(layer.W.shape), flat[off + n : end]))
             off = end
     return flat, views
 
 
-def flatten_params(*models: ModelParams) -> np.ndarray:
+def flatten_params(*models: list[DenseLayer]) -> np.ndarray:
     """Move every W and b of the models into one `flat_buffer`; the layers
     keep views into it, so an in-place update of the buffer updates the models."""
     flat, views = flat_buffer(*models)
     for model, model_views in zip(models, views):
-        for layer, (W, b) in zip(model.layers, model_views):
+        for layer, (W, b) in zip(model, model_views):
             W[...], b[...] = layer.W, layer.b
             layer.W, layer.b = W, b
     return flat
 
 
-def forward(params: ModelParams, x: np.ndarray):
+def forward(model: list[DenseLayer], x: np.ndarray):
     """Run the stack on a float64 (batch, input_dim) array.
 
     Returns (output, cache); the cache holds the input and each layer's
     output, for the backward pass.
     """
     acts = [x]
-    for layer in params.layers:
+    for layer in model:
         acts.append(ACTIVATIONS[layer.activation][0](acts[-1] @ layer.W.T + layer.b))
     return acts[-1], acts
 
 
-def backward(params: ModelParams, cache, grad_out: np.ndarray, grads, input_grad: bool = True):
+def backward(model: list[DenseLayer], cache, grad_out: np.ndarray, grads, input_grad: bool = True):
     """Reverse-mode gradients through the stack, given grad_out = dLoss/d(output)
     and the cache of the `forward` call that produced that output.
 
@@ -108,8 +97,8 @@ def backward(params: ModelParams, cache, grad_out: np.ndarray, grads, input_grad
     when input_grad is False.
     """
     g = grad_out
-    for i in range(len(params.layers) - 1, -1, -1):
-        layer = params.layers[i]
+    for i in range(len(model) - 1, -1, -1):
+        layer = model[i]
         dz = ACTIVATIONS[layer.activation][1](g, cache[i + 1])
         dW, db = grads[i]
         dz.sum(axis=0, out=db)
@@ -200,7 +189,7 @@ def grad_check(loss_fn, params: np.ndarray, eps: float = 1e-5) -> float:
 
 # ------------------------------------------------------------------ checkpoints
 
-def save_checkpoint(path: str, components: dict[str, ModelParams], meta: dict) -> None:
+def save_checkpoint(path: str, components: dict[str, list[DenseLayer]], meta: dict) -> None:
     """Write a json manifest at `path` and the parameter blob at `path`.bin.
 
     The blob is little-endian float64, components in sorted name order,
@@ -214,7 +203,7 @@ def save_checkpoint(path: str, components: dict[str, ModelParams], meta: dict) -
             name: {
                 "layers": [
                     {"in": l.W.shape[1], "out": l.W.shape[0], "activation": l.activation}
-                    for l in model.layers
+                    for l in model
                 ],
             }
             for name, model in components.items()
@@ -224,7 +213,7 @@ def save_checkpoint(path: str, components: dict[str, ModelParams], meta: dict) -
     with open(path + ".bin", "wb") as fh:
         fh.write(struct.pack("<4sI", b"EMC1", len(components)))
         for name in sorted(components):
-            for layer in components[name].layers:
+            for layer in components[name]:
                 fh.write(layer.W.astype("<f8").tobytes())
                 fh.write(layer.b.astype("<f8").tobytes())
 
@@ -251,7 +240,7 @@ def _component_layers(path: str, name: str, spec) -> list[dict]:
     return layers
 
 
-def load_checkpoint(path: str) -> tuple[dict[str, ModelParams], dict]:
+def load_checkpoint(path: str) -> tuple[dict[str, list[DenseLayer]], dict]:
     manifest = read_json(path, "checkpoint manifest")
     if manifest.get("format") != "emocluster-checkpoint-v1":
         raise ValueError(f"{path}: not an emocluster checkpoint manifest")
@@ -271,7 +260,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, ModelParams], dict]:
         if count != len(names):
             raise ValueError(f"{path}.bin: header counts {count} components, manifest lists {len(names)}")
         blob = fh.read()
-    components: dict[str, ModelParams] = {}
+    components: dict[str, list[DenseLayer]] = {}
     off = 0
 
     def take(n: int, name: str) -> np.ndarray:
@@ -285,11 +274,10 @@ def load_checkpoint(path: str) -> tuple[dict[str, ModelParams], dict]:
         return values
 
     for name in names:
-        layers = []
+        components[name] = model = []
         for lspec in _component_layers(path, name, manifest["components"][name]):
             W = take(lspec["out"] * lspec["in"], name).reshape(lspec["out"], lspec["in"])
-            layers.append(DenseLayer(W=W, b=take(lspec["out"], name), activation=lspec["activation"]))
-        components[name] = ModelParams(layers)
+            model.append(DenseLayer(W=W, b=take(lspec["out"], name), activation=lspec["activation"]))
     if off != len(blob):
         raise ValueError(f"{path}.bin: blob size does not match manifest")
     return components, meta

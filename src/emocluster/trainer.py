@@ -15,7 +15,7 @@ import numpy as np
 from .clustering import KMeansConfig, cluster_speaker
 from .corpus import Corpus, is_normalized, length_normalize, strip_labels, warn_if_unnormalized
 from .nn_core import (
-    ModelParams,
+    DenseLayer,
     adamw_step,
     backward,
     clone_params,
@@ -48,9 +48,9 @@ PATIENCE = 5  # SER early stopping: epochs without a better val accuracy
 @dataclass(frozen=True)
 class TrainConfig:
     mode: str = "contrastive"
-    steps: int = 5000
+    steps: int = 1000
     batch_size: int = 8
-    lr: float = 1e-5  # supervised SER learning rate
+    lr: float = 1e-3  # supervised SER learning rate
     pretrain_lr: float = 1e-4
     epochs_ser: int = 30
     tau: float = 0.1
@@ -106,18 +106,18 @@ def pretrain_config_to_dict(config: TrainConfig) -> dict:
 
 @dataclass
 class Checkpoint:
-    components: dict[str, ModelParams]  # "encoder" plus the heads used by the mode
+    components: dict[str, list[DenseLayer]]  # "encoder" plus the heads used by the mode
     history: dict[str, list[float]]
 
     @property
-    def encoder(self) -> ModelParams:
+    def encoder(self) -> list[DenseLayer]:
         return self.components["encoder"]
 
 
 @dataclass
 class SerModel:
-    encoder: ModelParams
-    head: ModelParams
+    encoder: list[DenseLayer]
+    head: list[DenseLayer]
     emotions: list[str]
     train_speakers: set[str]
 
@@ -131,19 +131,21 @@ class EvalResult:
 
 # ------------------------------------------------------------- model building
 
-def build_encoder(dim: int, config: TrainConfig, seed: int) -> ModelParams:
+def build_encoder(dim: int, config: TrainConfig, seed: int) -> list[DenseLayer]:
     rng = np.random.default_rng(stable_seed(seed, "encoder"))
     h = config.trunk_hidden
     return make_mlp(rng, [dim, h, h], ["relu", "relu"])
 
 
-def build_contrastive_head(in_dim: int, config: TrainConfig, seed: int) -> ModelParams:
+def build_contrastive_head(in_dim: int, config: TrainConfig, seed: int) -> list[DenseLayer]:
     rng = np.random.default_rng(stable_seed(seed, "contrastive_head"))
     hidden = config.contrastive_hidden or in_dim
     return make_mlp(rng, [in_dim, hidden, config.contrastive_out], ["relu", "tanh"])
 
 
-def build_classifier_head(in_dim: int, n_classes: int, kind: str, config: TrainConfig, seed: int) -> ModelParams:
+def build_classifier_head(
+    in_dim: int, n_classes: int, kind: str, config: TrainConfig, seed: int
+) -> list[DenseLayer]:
     rng = np.random.default_rng(stable_seed(seed, kind))
     hidden = config.head_hidden or in_dim
     return make_mlp(rng, [in_dim, hidden, n_classes], ["relu", "identity"])
@@ -248,8 +250,8 @@ def pretrain(corpus_unlabeled: Corpus, config: TrainConfig, tuples: tuple | None
 
     dim = corpus_unlabeled.dim
     encoder = build_encoder(dim, config, config.seed)
-    enc_out_dim = encoder.output_dim
-    components: dict[str, ModelParams] = {"encoder": encoder}
+    enc_out_dim = encoder[-1].W.shape[0]
+    components: dict[str, list[DenseLayer]] = {"encoder": encoder}
 
     speakers = sorted(corpus_unlabeled.speakers)
     spk_index = {s: i for i, s in enumerate(speakers)}
@@ -373,10 +375,10 @@ def _labeled_arrays(corpus: Corpus, emotions: list[str]):
     return corpus.vectors[rows], np.asarray(labels)
 
 
-def _check_input_dim(encoder: ModelParams, corpus: Corpus, name: str) -> None:
+def _check_input_dim(encoder: list[DenseLayer], corpus: Corpus, name: str) -> None:
     """The steps and `ser_predict` run the encoder on the corpus's vectors unchecked."""
-    if corpus.dim != encoder.input_dim:
-        raise ValueError(f"{name} has {corpus.dim}-d vectors, the encoder takes {encoder.input_dim}-d input")
+    if corpus.dim != encoder[0].W.shape[1]:
+        raise ValueError(f"{name} has {corpus.dim}-d vectors, the encoder takes {encoder[0].W.shape[1]}-d input")
 
 
 def train_ser(
@@ -403,7 +405,7 @@ def train_ser(
         encoder = build_encoder(corpus_labeled.dim, config, stable_seed(config.seed, "ser_encoder"))
     _check_input_dim(encoder, corpus_labeled, "corpus_labeled")
     _check_input_dim(encoder, val_corpus, "val_corpus")
-    head = build_classifier_head(encoder.output_dim, len(emotions), "emotion_cls", config, config.seed)
+    head = build_classifier_head(encoder[-1].W.shape[0], len(emotions), "emotion_cls", config, config.seed)
 
     train_rows, train_labels = _labeled_arrays(corpus_labeled, emotions)
     val_rows, val_labels = _labeled_arrays(val_corpus, emotions)
@@ -435,7 +437,7 @@ def train_ser(
     return SerModel(encoder=encoder, head=head, emotions=emotions, train_speakers=set(corpus_labeled.speakers))
 
 
-def ser_predict(encoder: ModelParams, head: ModelParams, rows: np.ndarray) -> np.ndarray:
+def ser_predict(encoder: list[DenseLayer], head: list[DenseLayer], rows: np.ndarray) -> np.ndarray:
     """Predicted class index per row: the argmax of the head's logits."""
     enc_out, _ = forward(encoder, rows)
     logits, _ = forward(head, enc_out)
@@ -594,8 +596,9 @@ def _grad_check_attempt(kind: str, config: TrainConfig, attempt: int):
     salt = stable_seed(config.seed, "gradcheck", kind, attempt)
     rng = np.random.default_rng(salt)
     encoder = build_encoder(dim, cfg, salt)
-    con_head = build_contrastive_head(encoder.output_dim, cfg, salt)
-    heads = {hk: build_classifier_head(encoder.output_dim, 3, hk, cfg, salt) for hk in GRAD_CHECK_KINDS if "_cls" in hk}
+    enc_out_dim = encoder[-1].W.shape[0]
+    con_head = build_contrastive_head(enc_out_dim, cfg, salt)
+    heads = {hk: build_classifier_head(enc_out_dim, 3, hk, cfg, salt) for hk in GRAD_CHECK_KINDS if "_cls" in hk}
 
     # inputs cluster around one direction and are scaled up so pre-activations
     # sit well clear of the relu kinks (cosine geometry is scale-invariant)
@@ -613,7 +616,7 @@ def _grad_check_attempt(kind: str, config: TrainConfig, attempt: int):
     margin = min(
         np.abs(x @ layer.W.T + layer.b).min()
         for net, cache in caches
-        for layer, x in zip(net.layers, cache)
+        for layer, x in zip(net, cache)
         if layer.activation == "relu"
     )
     # cosine curvature scales like 1/row-norm^k: keep projections well away from 0

@@ -1,11 +1,13 @@
 import hashlib
 import json
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 import pytest
 
-from emocluster import parallel
+from emocluster import cli, parallel
 from emocluster.cli import build_parser, main, pca_project_2d
+from emocluster.trainer import MODES
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -466,10 +468,10 @@ def test_config_schema_of_artifacts(tmp_path, small_corpus):
     assert set(payload) == train_keys and set(payload["mtl_weights"]) == mtl_keys
     assert canonical_dumps(payload) == (
         '{"batch_size":8,"contrastive_hidden":null,"contrastive_out":128,"epochs_ser":30,"head_hidden":null,'
-        '"include_positive_in_denominator":false,"lr":1e-05,"mode":"contrastive",'
+        '"include_positive_in_denominator":false,"lr":0.001,"mode":"contrastive",'
         '"mtl_weights":{"grl_lambda":1.0,"w_speaker":1.0},"n_clusters_N":20,'
         '"pretrain_lr":0.0001,"pretrain_speaker_fraction":0.0,"seed":0,"seeds":[0,1,2,3,4],'
-        '"split_fractions":[0.7,0.1,0.2],"steps":5000,"tau":0.1,"trunk_hidden":32}'
+        '"split_fractions":[0.7,0.1,0.2],"steps":1000,"tau":0.1,"trunk_hidden":32}'
     )
 
     probe, ckpt, run = tmp_path / "probe.json", tmp_path / "ckpt.json", tmp_path / "run.json"
@@ -482,6 +484,45 @@ def test_config_schema_of_artifacts(tmp_path, small_corpus):
     ckpt_config = load_checkpoint(str(ckpt))[1]["config"]
     assert set(ckpt_config) == pretrain_keys and set(ckpt_config["mtl_weights"]) == mtl_keys
     assert set(json.loads(run.read_text())["config"]) == {"k", "max_iters", "tol", "n_restarts", "seed"}
+
+
+class _Built(Exception):
+    """Stops a command at the stage its config feeds, carrying that stage's arguments."""
+
+
+@pytest.mark.parametrize(
+    ("command", "stage", "position", "stage_kwargs"),
+    [
+        ("gen-synth", "generate_synthetic", 0, {}),
+        ("cluster", "cluster_speakers", 1, {}),
+        ("mine-pairs", "mine_tuples", 2, {}),
+        ("pretrain", "pretrain", 1, {}),
+        ("probe", "run_protocol", 1, {"modes": list(MODES)}),
+        ("grad-check", "grad_check_cases", 1, {}),
+    ],
+)
+def test_flag_defaults_build_the_config_defaults(tmp_path, small_corpus, monkeypatch, command, stage, position,
+                                                 stage_kwargs):
+    # given only its required flags, a command builds the config its dataclass's own
+    # defaults make: no flag keeps a second copy of a default
+    run = tmp_path / "run.json"
+    assert main(["cluster", "--corpus", str(small_corpus), "--out", str(run)]) == 0
+    paths = {"corpus": small_corpus, "run": run, "out": tmp_path / "out"}
+    sp = build_parser().get_default("_subcommands")[command]
+    argv = [command, *(arg for a in sp._actions if a.required for arg in (a.option_strings[0], str(paths[a.dest])))]
+
+    def built(*args, **kwargs):
+        raise _Built(args, kwargs)
+
+    monkeypatch.setattr(cli, stage, built)
+    with pytest.raises(_Built) as caught:
+        main(argv)
+    args, kwargs = caught.value.args
+    config = args[position]
+    # the fields with no default (the synthetic corpus's sizes) are the CLI's own
+    no_default = [f.name for f in fields(config) if f.default is MISSING and f.default_factory is MISSING]
+    assert asdict(config) == asdict(type(config)(**{name: getattr(config, name) for name in no_default}))
+    assert {k: kwargs[k] for k in stage_kwargs} == stage_kwargs
 
 
 def test_unwritable_manifest_exits_2_naming_its_path(tmp_path, capsys):

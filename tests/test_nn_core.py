@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from emocluster import nn_core
 from emocluster.nn_core import (
     DenseLayer,
-    ModelParams,
     OptimizerState,
     adamw_step,
     backward,
@@ -31,7 +30,7 @@ from emocluster.nn_core import (
 
 def _identity_model(dim):
     layer = DenseLayer(W=np.eye(dim), b=np.zeros(dim), activation="identity")
-    return ModelParams([layer])
+    return [layer]
 
 
 def test_identity_layer_passthrough():
@@ -42,10 +41,10 @@ def test_identity_layer_passthrough():
 
 
 def test_relu_and_tanh_values():
-    relu = ModelParams([DenseLayer(np.eye(2), np.zeros(2), "relu")])
+    relu = [DenseLayer(np.eye(2), np.zeros(2), "relu")]
     out, _ = forward(relu, np.array([[-1.0, 2.0]]))
     assert np.array_equal(out, [[0.0, 2.0]])
-    tanh = ModelParams([DenseLayer(np.eye(2), np.zeros(2), "tanh")])
+    tanh = [DenseLayer(np.eye(2), np.zeros(2), "tanh")]
     out, _ = forward(tanh, np.zeros((1, 2)))
     assert np.array_equal(out, np.zeros((1, 2)))
 
@@ -54,7 +53,7 @@ def test_backward_linear_quadratic_matches_hand_computation():
     # f(x) = Wx + b, loss = 0.5*||y||^2 -> dW = y x^T, db = y, dx = W^T y
     W = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = np.array([0.5, -0.5])
-    model = ModelParams([DenseLayer(W.copy(), b.copy(), "identity")])
+    model = [DenseLayer(W.copy(), b.copy(), "identity")]
     x = np.array([[1.0, -1.0]])
     y, cache = forward(model, x)
     grads, (views,) = flat_buffer(model)
@@ -190,7 +189,7 @@ def test_make_mlp_validates_dims():
     with pytest.raises(ValueError):
         make_mlp(rng, [3, 4], ["relu", "tanh"])
     model = make_mlp(rng, [3, 4, 2], ["relu", "identity"])
-    assert model.input_dim == 3 and model.output_dim == 2
+    assert model[0].W.shape[1] == 3 and model[-1].W.shape[0] == 2
 
 
 def test_init_dense_seeded_and_bounded():
@@ -214,7 +213,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert meta2 == meta
     assert set(restored) == set(components)
     for name in components:
-        for la, lb in zip(components[name].layers, restored[name].layers):
+        for la, lb in zip(components[name], restored[name]):
             assert np.array_equal(la.W, lb.W)
             assert np.array_equal(la.b, lb.b)
             assert la.activation == lb.activation
@@ -291,13 +290,13 @@ def test_checkpoint_components_hold_only_their_layers(tmp_path):
 
     def older(manifest):
         for name, spec in manifest["components"].items():
-            spec.update(kind=name, input_dim=7, output_dim=expected[name].output_dim)
+            spec.update(kind=name, input_dim=7, output_dim=expected[name][-1].W.shape[0])
 
     _edit_manifest(path, older)
     restored, _ = load_checkpoint(path)
     for name in expected:
-        assert [(l.W.tobytes(), l.b.tobytes(), l.activation) for l in restored[name].layers] == [
-            (l.W.tobytes(), l.b.tobytes(), l.activation) for l in expected[name].layers
+        assert [(l.W.tobytes(), l.b.tobytes(), l.activation) for l in restored[name]] == [
+            (l.W.tobytes(), l.b.tobytes(), l.activation) for l in expected[name]
         ]
 
 
@@ -402,32 +401,32 @@ def test_clone_params_is_deep():
     rng = np.random.default_rng(10)
     model = make_mlp(rng, [3, 3], ["relu"])
     copy = clone_params(model)
-    copy.layers[0].W[0, 0] += 1.0
-    assert model.layers[0].W[0, 0] != copy.layers[0].W[0, 0]
+    copy[0].W[0, 0] += 1.0
+    assert model[0].W[0, 0] != copy[0].W[0, 0]
 
 
 def test_flatten_params_layers_view_one_buffer():
     rng = np.random.default_rng(12)
     enc = make_mlp(rng, [3, 4, 2], ["relu", "tanh"])
     head = make_mlp(rng, [2, 3], ["identity"])
-    expected = np.concatenate([a.ravel() for m in (enc, head) for l in m.layers for a in (l.W, l.b)])
+    expected = np.concatenate([a.ravel() for m in (enc, head) for l in m for a in (l.W, l.b)])
     flat = flatten_params(enc, head)
     assert flat.shape == (param_count(enc, head),) and flat.flags.c_contiguous
     assert np.array_equal(flat, expected)
     flat[0] += 1.0
     flat[-1] -= 1.0
-    assert enc.layers[0].W[0, 0] == expected[0] + 1.0
-    assert head.layers[-1].b[-1] == expected[-1] - 1.0
+    assert enc[0].W[0, 0] == expected[0] + 1.0
+    assert head[-1].b[-1] == expected[-1] - 1.0
     copy = clone_params(enc)
     flat[0] += 1.0
-    assert copy.layers[0].W[0, 0] == expected[0] + 1.0
+    assert copy[0].W[0, 0] == expected[0] + 1.0
 
 
 def test_adamw_flat_buffer_matches_per_array_updates():
     # the update is elementwise, so one flat step equals a step per array
     rng = np.random.default_rng(13)
     model = make_mlp(rng, [4, 5, 3], ["relu", "tanh"])
-    arrays = [a.copy() for l in model.layers for a in (l.W, l.b)]
+    arrays = [a.copy() for l in model for a in (l.W, l.b)]
     states = [init_optimizer(a, lr=0.01) for a in arrays]
     flat = flatten_params(model)
     state = init_optimizer(flat, lr=0.01)

@@ -79,7 +79,7 @@ def test_evaluate_uar_all_correct_is_one():
     corpus = _corpus(n_speakers=4)
     config = _small_config()
     encoder = build_encoder(corpus.dim, config, 0)
-    head = build_classifier_head(encoder.output_dim, 4, "emotion_cls", config, 0)
+    head = build_classifier_head(encoder[-1].W.shape[0], 4, "emotion_cls", config, 0)
     emotions = sorted(set(corpus.emotions))
     model = SerModel(encoder, head, emotions, train_speakers=set())
     preds_emotions = []  # force perfect predictions by relabeling the corpus
@@ -95,17 +95,17 @@ def test_evaluate_uar_all_correct_is_one():
 
 def _stub_model_for(emotions, dim, config):
     encoder = build_encoder(dim, config, 1)
-    head = build_classifier_head(encoder.output_dim, len(emotions), "emotion_cls", config, 1)
+    head = build_classifier_head(encoder[-1].W.shape[0], len(emotions), "emotion_cls", config, 1)
     return SerModel(encoder, head, list(emotions), train_speakers={"trainspk"})
 
 
 def _argmax_passthrough_model(emotions):
     """Identity encoder + identity-logit head: prediction = argmax coordinate."""
-    from emocluster.nn_core import DenseLayer, ModelParams
+    from emocluster.nn_core import DenseLayer
 
     dim = len(emotions)
-    encoder = ModelParams([DenseLayer(np.eye(dim), np.zeros(dim), "identity")])
-    head = ModelParams([DenseLayer(np.eye(dim), np.zeros(dim), "identity")])
+    encoder = [DenseLayer(np.eye(dim), np.zeros(dim), "identity")]
+    head = [DenseLayer(np.eye(dim), np.zeros(dim), "identity")]
     return SerModel(encoder, head, list(emotions), train_speakers=set())
 
 
@@ -127,9 +127,9 @@ def test_evaluate_uar_majority_predictor_balanced_classes():
     config = _small_config()
     emotions = ["a", "b", "c", "d"]
     encoder = build_encoder(4, config, 1)
-    head = build_classifier_head(encoder.output_dim, 4, "emotion_cls", config, 1)
+    head = build_classifier_head(encoder[-1].W.shape[0], 4, "emotion_cls", config, 1)
     # force the head to always pick class 0
-    head.layers[-1].b[:] = np.array([100.0, 0.0, 0.0, 0.0])
+    head[-1].b[:] = np.array([100.0, 0.0, 0.0, 0.0])
     model = SerModel(encoder, head, emotions, train_speakers=set())
     rng = np.random.default_rng(1)
     corpus = Corpus(rng.normal(size=(40, 4)), [f"u{i}" for i in range(40)], ["spkX"] * 40, emotions * 10)
@@ -167,7 +167,7 @@ def test_pretrain_steps_zero_keeps_initialization():
     config = _small_config(steps=0)
     ckpt = pretrain(corpus, config)
     fresh_encoder = build_encoder(corpus.dim, config, config.seed)
-    for la, lb in zip(ckpt.encoder.layers, fresh_encoder.layers):
+    for la, lb in zip(ckpt.encoder, fresh_encoder):
         assert np.array_equal(la.W, lb.W)
         assert np.array_equal(la.b, lb.b)
 
@@ -209,7 +209,7 @@ def test_pretrain_deterministic():
     config = _small_config(steps=40)
     a = pretrain(corpus, config)
     b = pretrain(corpus, config)
-    for la, lb in zip(a.encoder.layers, b.encoder.layers):
+    for la, lb in zip(a.encoder, b.encoder):
         assert np.array_equal(la.W, lb.W)
     assert a.history == b.history
 
@@ -227,7 +227,7 @@ def test_adversarial_lambda_zero_trunk_matches_contrastive_only():
     )
     # lambda=0 blocks the speaker gradient at the reversal layer, so the
     # trunk follows exactly the contrastive-only trajectory
-    for la, lb in zip(contrastive.encoder.layers, adv.encoder.layers):
+    for la, lb in zip(contrastive.encoder, adv.encoder):
         assert np.array_equal(la.W, lb.W)
         assert np.array_equal(la.b, lb.b)
 
@@ -244,16 +244,16 @@ def test_adversarial_reversal_changes_trunk_not_head_first_step():
     )
     # heads receive identical gradients on the first step (reversal only
     # affects what flows into the trunk)
-    for la, lb in zip(mtl.components["speaker_cls"].layers, adv.components["speaker_cls"].layers):
+    for la, lb in zip(mtl.components["speaker_cls"], adv.components["speaker_cls"]):
         assert np.array_equal(la.W, lb.W)
     assert any(
         not np.array_equal(la.W, lb.W)
-        for la, lb in zip(mtl.encoder.layers, adv.encoder.layers)
+        for la, lb in zip(mtl.encoder, adv.encoder)
     )
 
 
 def _weights_and_history(ckpt):
-    arrays = [a for name in sorted(ckpt.components) for l in ckpt.components[name].layers for a in (l.W, l.b)]
+    arrays = [a for name in sorted(ckpt.components) for l in ckpt.components[name] for a in (l.W, l.b)]
     return b"".join(a.tobytes() for a in arrays), ckpt.history
 
 
@@ -335,7 +335,7 @@ def test_training_steps_call_forward_backward_and_cross_entropy_by_name(monkeypa
         ckpt = pretrain(strip_labels(train_c), config)
         model = train_ser(ckpt, train_c, config, val_corpus=val_c)
         nets = (*ckpt.components.values(), model.encoder, model.head)
-        params = [a.tobytes() for net in nets for l in net.layers for a in (l.W, l.b)]
+        params = [a.tobytes() for net in nets for l in net for a in (l.W, l.b)]
         return params + [np.array(ckpt.history[k]).tobytes() for k in ("contrastive", "speaker", "total")]
 
     unpatched = run()
@@ -361,7 +361,7 @@ def test_train_ser_seeded_determinism():
     assert r1.uar == r2.uar
     assert r1.per_class_recall == r2.per_class_recall
     assert np.array_equal(r1.confusion, r2.confusion)
-    for la, lb in zip(m1.encoder.layers, m2.encoder.layers):
+    for la, lb in zip(m1.encoder, m2.encoder):
         assert np.array_equal(la.W, lb.W)
 
 
@@ -646,5 +646,5 @@ def test_train_ser_output_is_pinned(pretrained, digest):
     config = _pinned_config(mode="mtl", epochs_ser=8)
     ckpt = pretrain(strip_labels(train_c), config) if pretrained else None
     model = train_ser(ckpt, train_c, config, val_corpus=val_c)
-    params = [a.tobytes() for net in (model.encoder, model.head) for l in net.layers for a in (l.W, l.b)]
+    params = [a.tobytes() for net in (model.encoder, model.head) for l in net for a in (l.W, l.b)]
     assert _sha256(*params) == digest
