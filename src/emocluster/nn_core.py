@@ -153,7 +153,7 @@ def adamw_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray) -> 
 
 # ------------------------------------------------------------------ grad check
 
-def grad_check(loss_fn, params: np.ndarray, eps: float = 1e-5) -> float:
+def grad_check(loss_fn, params: np.ndarray, eps: float) -> float:
     """Max relative error between analytic gradients and central differences.
 
     params is a flat parameter buffer (or a slice view of one); loss_fn()
